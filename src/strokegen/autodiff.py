@@ -2,12 +2,30 @@
 
 Covers exactly the operations the encoder needs: matmul (2-d and stacked
 3-d), elementwise arithmetic, ReLU, masked softmax, layer normalization,
-embedding lookup and cross-entropy. Every op output is checked for
-NaN/Inf; a violation raises NonFiniteError instead of propagating.
+embedding lookup and cross-entropy, plus two fused nodes that the encoder
+uses in place of compositions of those ops: ``feed_forward`` (matmul, bias,
+ReLU, matmul, bias) and ``attention`` (scaled q @ k^T, masked softmax, @ v).
+Each fused node is one tape node with a hand-written backward; the public
+ops stay as its reference.
+
+Every op output is checked for NaN/Inf; a violation raises NonFiniteError,
+naming the op and the output shape, instead of propagating. The fused nodes
+also check the one intermediate whose non-finite values their output would
+hide: the pre-activation ``x @ w1 + b1`` of ``feed_forward`` (ReLU maps -inf
+to 0) and the scaled scores of ``attention`` before the mask bias (exp maps
+-inf to 0).
+
+Gradient ownership: a backward hands its gradient arrays to ``_accumulate``,
+which stores the first one as the tensor's ``.grad`` as is and rebinds on
+later writes (``grad = grad + g``). Gradients therefore alias one another
+(``add`` gives the same array to both operands, ``reshape`` a view of its
+own), so no backward writes in place into an array it did not allocate, and
+callers treat ``.grad`` as read-only.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -79,9 +97,10 @@ class Tensor:
         return matmul(self, other)
 
 
-def _check_finite(arr: np.ndarray):
+def _check_finite(arr: np.ndarray, op: str, what: str = "output"):
     if not np.isfinite(arr).all():
-        raise NonFiniteError("operation produced non-finite values")
+        raise NonFiniteError(f"{op} produced non-finite values in its {what} "
+                             f"of shape {arr.shape}")
 
 
 def _as_tensor(x) -> Tensor:
@@ -89,7 +108,8 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    _check_finite(data)
+    # every backward is a closure defined inside its op: "matmul.<locals>.grad_fn"
+    _check_finite(data, backward_fn.__qualname__.partition(".")[0])
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -106,9 +126,9 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if g.dtype != t.data.dtype:
+        g = g.astype(t.data.dtype)
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -251,7 +271,7 @@ def reduce_sum(x: Tensor) -> Tensor:
     out_data = np.asarray(x.data.sum())
 
     def grad_fn(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape) * np.ones_like(x.data))
+        _accumulate(x, np.full(x.data.shape, g, dtype=x.data.dtype))
 
     return _make(out_data, (x,), grad_fn)
 
@@ -270,10 +290,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def grad_fn(g):
         if not table.requires_grad:
             return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids.reshape(-1),
-                  g.reshape(-1, table.data.shape[1]))
+        rows = np.zeros_like(table.data)
+        np.add.at(rows, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        _accumulate(table, rows)
 
     return _make(out_data, (table,), grad_fn)
 
@@ -349,6 +368,86 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     def grad_fn(g):
         p = e / denom[:, None]
         p[rows, targets] -= 1.0
-        _accumulate(logits, p * (g / n))
+        p *= g / n
+        _accumulate(logits, p)
 
     return _make(out_data, (logits,), grad_fn)
+
+
+# ---------------------------------------------------------------------------
+# Fused nodes
+# ---------------------------------------------------------------------------
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                 b2: Tensor) -> Tensor:
+    """Position-wise feed-forward block relu(x @ w1 + b1) @ w2 + b2.
+
+    One tape node; equal to the composition of matmul, add, relu, matmul and
+    add. x: [N, d]; w1: [d, ff]; b1: [ff]; w2: [ff, d_out]; b2: [d_out].
+    """
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or w1.data.shape[0] != x.data.shape[1]
+            or b1.data.shape != w1.data.shape[1:]
+            or w2.data.shape[0] != w1.data.shape[1]
+            or b2.data.shape != w2.data.shape[1:]):
+        raise ValueError(
+            f"feed_forward shapes do not chain: x {x.data.shape}, "
+            f"w1 {w1.data.shape}, b1 {b1.data.shape}, w2 {w2.data.shape}, "
+            f"b2 {b2.data.shape}")
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    _check_finite(hidden, "feed_forward", "pre-activation x @ w1 + b1")
+    np.maximum(hidden, 0.0, out=hidden)
+    out_data = hidden @ w2.data
+    out_data += b2.data
+
+    def grad_fn(g):
+        _accumulate(b2, g.sum(axis=0))
+        _accumulate(w2, hidden.T @ g)
+        dpre = g @ w2.data.T
+        dpre *= hidden > 0.0
+        _accumulate(b1, dpre.sum(axis=0))
+        _accumulate(w1, x.data.T @ dpre)
+        _accumulate(x, dpre @ w1.data.T)
+
+    return _make(out_data, (x, w1, b1, w2, b2), grad_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor,
+              bias: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention softmax(q @ k^T / sqrt(hd) + bias) @ v.
+
+    One tape node; equal to matmul(softmax(mul(matmul(q, transpose(k)),
+    1 / sqrt(hd)), mask=bias == 0), v). q, k, v: [n, L, hd]. ``bias`` is an
+    additive [L, L] array, 0 where position i may attend to j and -inf where
+    it may not, or None for no mask. A row with no allowed entry makes the
+    output non-finite, which raises NonFiniteError.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if (q.data.ndim != 3 or k.data.shape != q.data.shape
+            or v.data.ndim != 3 or v.data.shape[:2] != k.data.shape[:2]):
+        raise ValueError(f"attention needs q and k of one [n, L, hd] shape and "
+                         f"v of [n, L, *], got {q.data.shape}, {k.data.shape}, "
+                         f"{v.data.shape}")
+    scale = np.asarray(1.0 / math.sqrt(q.data.shape[-1]), dtype=q.data.dtype)
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p *= scale
+    _check_finite(p, "attention", "scaled scores q @ k^T / sqrt(hd)")
+    if bias is not None:
+        p += bias
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = p @ v.data
+
+    def grad_fn(g):
+        _accumulate(v, np.swapaxes(p, -1, -2) @ g)
+        ds = g @ np.swapaxes(v.data, -1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        _accumulate(q, ds @ k.data)
+        _accumulate(k, np.swapaxes(ds, -1, -2) @ q.data)
+
+    return _make(out_data, (q, k, v), grad_fn)

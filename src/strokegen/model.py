@@ -18,13 +18,13 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
+    attention,
     embedding,
+    feed_forward,
     layer_norm,
     matmul,
     mul,
-    relu,
     reshape,
-    softmax,
     transpose,
 )
 
@@ -102,6 +102,14 @@ def causal_mask(length: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=32)
+def causal_bias(length: int, dtype) -> np.ndarray:
+    """Additive [L, L] attention bias: 0 where causal_mask allows, else -inf."""
+    bias = np.where(causal_mask(length), 0.0, -np.inf).astype(dtype)
+    bias.setflags(write=False)
+    return bias
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -145,10 +153,12 @@ def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
 
 def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                          wo: Tensor, n_heads: int,
-                         mask: np.ndarray | None) -> Tensor:
+                         bias: np.ndarray | None) -> Tensor:
     """Masked scaled dot-product attention over parallel heads.
 
-    x: [batch, L, d]; the caller applies residual connection and norm.
+    x: [batch, L, d]; ``bias`` is an additive [L, L] mask such as
+    ``causal_bias(L, dtype)``, or None. The caller applies residual
+    connection and norm.
     """
     b, l, d = x.shape
     hd = d // n_heads
@@ -158,10 +168,7 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         p = transpose(reshape(p, (b, l, n_heads, hd)), (0, 2, 1, 3))
         return reshape(p, (b * n_heads, l, hd))
 
-    q, k, v = project(wq), project(wk), project(wv)
-    scores = mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(hd))
-    attn = softmax(scores, axis=-1, mask=mask)
-    ctx = matmul(attn, v)
+    ctx = attention(project(wq), project(wk), project(wv), bias)
     ctx = transpose(reshape(ctx, (b, n_heads, l, hd)), (0, 2, 1, 3))
     out = matmul(reshape(ctx, (b * l, d)), wo)
     return reshape(out, (b, l, d))
@@ -186,20 +193,19 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
     pe = positional_encoding(l, d, dtype=emb.dtype)
     h = add(emb, pe)
 
-    mask = causal_mask(l)
+    bias = causal_bias(l, emb.dtype)
     for i in range(config.n_layers):
         for j in range(config.attn_sublayers):
             p = f"layer{i}.attn{j}."
             attn = multi_head_attention(
                 h, params[p + "wq"], params[p + "wk"], params[p + "wv"],
-                params[p + "wo"], config.n_heads, mask,
+                params[p + "wo"], config.n_heads, bias,
             )
             h = layer_norm(add(h, attn), params[p + "norm_gain"],
                            params[p + "norm_bias"])
         p = f"layer{i}.ff."
-        f = matmul(reshape(h, (b * l, d)), params[p + "w1"])
-        f = relu(add(f, params[p + "b1"]))
-        f = add(matmul(f, params[p + "w2"]), params[p + "b2"])
+        f = feed_forward(reshape(h, (b * l, d)), params[p + "w1"],
+                         params[p + "b1"], params[p + "w2"], params[p + "b2"])
         h = layer_norm(add(h, reshape(f, (b, l, d))),
                        params[p + "norm_gain"], params[p + "norm_bias"])
 

@@ -7,9 +7,11 @@ from strokegen.autodiff import (
     NonFiniteError,
     Tensor,
     add,
+    attention,
     backward,
     cross_entropy,
     embedding,
+    feed_forward,
     layer_norm,
     matmul,
     mul,
@@ -19,6 +21,14 @@ from strokegen.autodiff import (
     reshape,
     softmax,
     transpose,
+)
+from strokegen.model import (
+    ModelConfig,
+    causal_bias,
+    causal_mask,
+    encoder_forward,
+    init_encoder_params,
+    positional_encoding,
 )
 
 from conftest import finite_difference_grad, relative_grad_error
@@ -266,6 +276,326 @@ class TestFiniteChecks:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             mul(big, big)
 
+    def test_error_names_op_and_shape(self):
+        big = Tensor(np.full((2, 3), 1e300))
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match=r"^mul .*output of shape \(2, 3\)"):
+            mul(big, big)
+
     def test_int_input_becomes_float32(self):
         t = Tensor([1, 2, 3])
         assert t.dtype == np.float32
+
+
+# -- fused nodes --------------------------------------------------------------
+
+def ff_composition(x, w1, b1, w2, b2):
+    """The public-op path that feed_forward replaces."""
+    return add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)
+
+
+def attention_composition(q, k, v, mask):
+    """The public-op path that attention replaces."""
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    scores = mul(matmul(q, transpose(k, (0, 2, 1))), scale)
+    return matmul(softmax(scores, axis=-1, mask=mask), v)
+
+
+def grads_of(build, cotangent, *arrays):
+    """Output and every operand's gradient of sum(build(*arrays) * cotangent)."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(*tensors)
+    reduce_sum(mul(out, cotangent)).backward()
+    return out.data, [t.grad for t in tensors]
+
+
+def assert_same_node(fused, composed, cotangent, arrays, dtype):
+    out, grads = grads_of(fused, cotangent, *arrays)
+    ref_out, ref_grads = grads_of(composed, cotangent, *arrays)
+    rtol, atol = (1e-5, 1e-6) if dtype == np.float32 else (1e-12, 1e-12)
+    assert out.dtype == ref_out.dtype == dtype
+    np.testing.assert_allclose(out, ref_out, rtol=rtol, atol=atol)
+    for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+        assert g.dtype == dtype, f"operand {i}"
+        np.testing.assert_allclose(g, ref, rtol=rtol, atol=atol,
+                                   err_msg=f"operand {i}")
+
+
+def ff_operands(rng, dtype, n=6, d=4, ff=8):
+    x = rng.standard_normal((n, d))
+    w1 = rng.standard_normal((d, ff))
+    b1 = rng.standard_normal(ff)
+    w2 = rng.standard_normal((ff, d))
+    b2 = rng.standard_normal(d)
+    return [a.astype(dtype) for a in (x, w1, b1, w2, b2)]
+
+
+def qkv_operands(rng, dtype, n=3, length=5, hd=4):
+    return [rng.standard_normal((n, length, hd)).astype(dtype)
+            for _ in range(3)]
+
+
+class TestFeedForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_public_ops(self, dtype):
+        rng = np.random.default_rng(20)
+        arrays = ff_operands(rng, dtype)
+        cotangent = rng.standard_normal((6, 4)).astype(dtype)
+        assert_same_node(feed_forward, ff_composition, cotangent, arrays, dtype)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(21)
+        arrays = ff_operands(rng, np.float64)
+        x, w1, b1 = arrays[:3]
+        assert np.abs(x @ w1 + b1).min() > 1e-2  # away from the ReLU kink
+        c = rng.standard_normal((6, 4))
+        check_gradients(lambda *t: reduce_sum(mul(feed_forward(*t), c)),
+                        *arrays)
+
+    def test_hidden_pre_activation_overflow_raises(self):
+        # x @ w1 is -inf in float32; ReLU maps it to 0, so the output is
+        # finite and only the pre-activation check sees it
+        x = np.array([[1e30, 0.0]], dtype=np.float32)
+        w1 = np.array([[-1e30, 1.0], [0.0, 1.0]], dtype=np.float32)
+        b1 = np.zeros(2, dtype=np.float32)
+        w2 = np.ones((2, 2), dtype=np.float32)
+        b2 = np.zeros(2, dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(np.maximum(x @ w1 + b1, 0.0) @ w2 + b2).all()
+            with pytest.raises(NonFiniteError,
+                               match=r"^feed_forward .*pre-activation"):
+                feed_forward(*(Tensor(a) for a in (x, w1, b1, w2, b2)))
+
+    def test_shape_mismatch(self):
+        rng = np.random.default_rng(22)
+        x, w1, b1, w2, b2 = ff_operands(rng, np.float64)
+        with pytest.raises(ValueError):
+            feed_forward(Tensor(x), Tensor(w1), Tensor(b1[:-1]), Tensor(w2),
+                         Tensor(b2))
+        with pytest.raises(ValueError):
+            feed_forward(Tensor(x[None]), Tensor(w1), Tensor(b1), Tensor(w2),
+                         Tensor(b2))
+
+
+class TestAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_matches_public_ops(self, dtype, masked):
+        rng = np.random.default_rng(23)
+        arrays = qkv_operands(rng, dtype)
+        length = arrays[0].shape[1]
+        bias = causal_bias(length, dtype) if masked else None
+        mask = causal_mask(length) if masked else None
+        cotangent = rng.standard_normal(arrays[2].shape).astype(dtype)
+        assert_same_node(
+            lambda q, k, v: attention(q, k, v, bias),
+            lambda q, k, v: attention_composition(q, k, v, mask),
+            cotangent, arrays, dtype,
+        )
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_gradient(self, masked):
+        rng = np.random.default_rng(24)
+        arrays = qkv_operands(rng, np.float64)
+        bias = causal_bias(arrays[0].shape[1], np.float64) if masked else None
+        c = rng.standard_normal(arrays[2].shape)
+        check_gradients(
+            lambda q, k, v: reduce_sum(mul(attention(q, k, v, bias), c)),
+            *arrays,
+        )
+
+    def test_masked_positions_get_no_weight(self):
+        # v rows after position i must not reach output row i
+        rng = np.random.default_rng(25)
+        q, k, v = qkv_operands(rng, np.float64, n=1, length=4)
+        bias = causal_bias(4, np.float64)
+        out = attention(Tensor(q), Tensor(k), Tensor(v), bias).data
+        v2 = v.copy()
+        v2[0, 2:] += 100.0
+        out2 = attention(Tensor(q), Tensor(k), Tensor(v2), bias).data
+        assert np.array_equal(out[0, :2], out2[0, :2])
+
+    def test_hidden_score_overflow_raises(self):
+        # score (1, 0) is -inf in float32: exp maps it to weight 0, so the
+        # output is finite and only the scaled-score check sees it
+        q = np.array([[[0.0, 1.0], [1e30, 0.0]]], dtype=np.float32)
+        k = np.array([[[-1e30, 0.0], [0.0, 1.0]]], dtype=np.float32)
+        v = np.ones((1, 2, 2), dtype=np.float32)
+        bias = causal_bias(2, np.float32)
+        with np.errstate(over="ignore"):
+            s = q @ np.swapaxes(k, -1, -2) / np.float32(math.sqrt(2)) + bias
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            assert np.isfinite(e / e.sum(axis=-1, keepdims=True) @ v).all()
+            with pytest.raises(NonFiniteError,
+                               match=r"^attention .*scaled scores"):
+                attention(Tensor(q), Tensor(k), Tensor(v), bias)
+
+    def test_shape_mismatch(self):
+        q = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            attention(q, Tensor(np.zeros((2, 3, 5))), q)
+        with pytest.raises(ValueError):
+            attention(q, q, Tensor(np.zeros((2, 4, 4))))
+
+
+# -- the encoder against its public-op reference --------------------------------
+
+def reference_encoder_forward(ids, params, config):
+    """encoder_forward built only from the public ops, without fused nodes."""
+    b, l = ids.shape
+    d, hd, heads = config.d_model, config.head_dim, config.n_heads
+    h = add(mul(embedding(params["embedding"], ids), math.sqrt(d)),
+            positional_encoding(l, d, dtype=params["embedding"].dtype))
+
+    def project(x, w):
+        p = matmul(reshape(x, (b * l, d)), w)
+        p = transpose(reshape(p, (b, l, heads, hd)), (0, 2, 1, 3))
+        return reshape(p, (b * heads, l, hd))
+
+    for i in range(config.n_layers):
+        for j in range(config.attn_sublayers):
+            p = f"layer{i}.attn{j}."
+            ctx = attention_composition(project(h, params[p + "wq"]),
+                                        project(h, params[p + "wk"]),
+                                        project(h, params[p + "wv"]),
+                                        causal_mask(l))
+            ctx = transpose(reshape(ctx, (b, heads, l, hd)), (0, 2, 1, 3))
+            out = matmul(reshape(ctx, (b * l, d)), params[p + "wo"])
+            h = layer_norm(add(h, reshape(out, (b, l, d))),
+                           params[p + "norm_gain"], params[p + "norm_bias"])
+        p = f"layer{i}.ff."
+        f = ff_composition(reshape(h, (b * l, d)), params[p + "w1"],
+                           params[p + "b1"], params[p + "w2"], params[p + "b2"])
+        h = layer_norm(add(h, reshape(f, (b, l, d))),
+                       params[p + "norm_gain"], params[p + "norm_bias"])
+    return reshape(matmul(reshape(h, (b * l, d)), params["output.w"]),
+                   (b, l, config.vocab_size))
+
+
+def encoder_loss_and_grads(forward, config, dtype):
+    params = init_encoder_params(config, np.random.default_rng(30),
+                                 dtype=dtype)
+    rng = np.random.default_rng(31)
+    ids = rng.integers(0, config.vocab_size, (2, config.seq_len))
+    targets = rng.integers(0, config.vocab_size, 2 * config.seq_len)
+    logits = forward(ids, params, config)
+    loss = cross_entropy(reshape(logits, (targets.size, config.vocab_size)),
+                         targets)
+    loss.backward()
+    return logits.data, {k: p.grad for k, p in params.items()}
+
+
+class TestEncoderAgainstPublicOps:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("double_attention", [True, False])
+    def test_logits_and_gradients_match(self, dtype, double_attention):
+        config = ModelConfig(vocab_size=9, seq_len=6, d_model=8, n_layers=2,
+                             n_heads=2, d_ff=16,
+                             double_attention=double_attention)
+        logits, grads = encoder_loss_and_grads(encoder_forward, config, dtype)
+        ref_logits, ref_grads = encoder_loss_and_grads(
+            reference_encoder_forward, config, dtype)
+        rtol, atol = (1e-4, 1e-5) if dtype == np.float32 else (1e-10, 1e-12)
+        np.testing.assert_allclose(logits, ref_logits, rtol=rtol, atol=atol)
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == dtype, name
+            np.testing.assert_allclose(g, ref_grads[name], rtol=rtol,
+                                       atol=atol, err_msg=name)
+
+
+# -- gradient ownership: first write stores, later writes rebind ----------------
+
+def backward_checking_ownership(loss) -> int:
+    """Backward that asserts no backward changed an earlier node's .grad.
+
+    A node's .grad is final when its backward runs: snapshot it then and
+    compare after the whole pass. Returns the number of nodes checked.
+    """
+    snapshots = []
+
+    def snapshotting(node, fn):
+        def run(g):
+            snapshots.append((node, g.copy()))
+            fn(g)
+        return run
+
+    stack, seen = [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if node._backward_fn is not None:
+            node._backward_fn = snapshotting(node, node._backward_fn)
+    loss.backward()
+    for node, grad in snapshots:
+        assert np.array_equal(node.grad, grad), node
+    return len(snapshots)
+
+
+class TestGradientOwnership:
+    def test_add_same_tensor_twice(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        w = np.array([1.0, -2.0, 3.0, 0.5])
+        backward_checking_ownership(reduce_sum(mul(add(x, x), w)))
+        assert np.array_equal(x.grad, 2.0 * w)
+
+    def test_gradient_keeps_the_tensor_dtype(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        y = Tensor(np.arange(3.0), requires_grad=True)
+        backward_checking_ownership(reduce_sum(add(mul(x, y), mul(x, y))))
+        assert x.grad.dtype == np.float32 and y.grad.dtype == np.float64
+        assert np.array_equal(x.grad, [0.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("embedding_first", [True, False])
+    def test_tied_embedding_and_matmul(self, embedding_first):
+        # the table is read by embedding and, transposed, by a matmul; its
+        # .grad starts as a view of the transpose node's gradient when the
+        # matmul path runs first, so the scatter must not write into it
+        rng = np.random.default_rng(40)
+        ids = np.array([0, 2, 2, 4])
+        xs = rng.standard_normal((3, 2))
+        c1 = rng.standard_normal((3, 5))
+        c2 = rng.standard_normal((4, 2))
+
+        def loss_of(t):
+            tied = reduce_sum(mul(matmul(Tensor(xs), transpose(t, (1, 0))), c1))
+            lookup = reduce_sum(mul(embedding(t, ids), c2))
+            return add(lookup, tied) if embedding_first else add(tied, lookup)
+
+        table = rng.standard_normal((5, 2))
+        t = Tensor(table.copy(), requires_grad=True)
+        backward_checking_ownership(loss_of(t))
+        expected = (c1.T @ xs)
+        np.add.at(expected, ids, c2)
+        np.testing.assert_allclose(t.grad, expected, rtol=1e-12, atol=1e-12)
+        check_gradients(loss_of, table)
+
+    def test_two_backward_calls_accumulate_exactly(self):
+        config = ModelConfig(vocab_size=7, seq_len=5, d_model=8, n_layers=1,
+                             n_heads=2, d_ff=16)
+        params = init_encoder_params(config, np.random.default_rng(41),
+                                     dtype=np.float64)
+        ids = np.random.default_rng(42).integers(0, 7, 5)
+
+        def step():
+            logits = encoder_forward(ids, params, config)
+            cross_entropy(logits, np.roll(ids, -1)).backward()
+
+        step()
+        once = {k: p.grad.copy() for k, p in params.items()}
+        step()
+        for name, p in params.items():
+            assert np.array_equal(p.grad, 2.0 * once[name]), name
+
+    def test_no_backward_mutates_another_gradient(self):
+        config = ModelConfig(vocab_size=7, seq_len=5, d_model=8, n_layers=2,
+                             n_heads=2, d_ff=16)
+        params = init_encoder_params(config, np.random.default_rng(43),
+                                     dtype=np.float64)
+        ids = np.random.default_rng(44).integers(0, 7, (2, 5))
+        logits = encoder_forward(ids, params, config)
+        loss = cross_entropy(reshape(logits, (10, 7)), ids.reshape(-1))
+        assert backward_checking_ownership(loss) > 40

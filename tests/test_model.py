@@ -6,6 +6,7 @@ import pytest
 from strokegen.autodiff import Tensor, cross_entropy, reshape
 from strokegen.model import (
     ModelConfig,
+    causal_bias,
     causal_mask,
     encoder_forward,
     init_encoder_params,
@@ -56,6 +57,14 @@ class TestCausalMask:
         for i in range(9):
             assert mask[i].sum() == i + 1
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_is_cached_read_only_and_matches_mask(self, dtype):
+        bias = causal_bias(6, np.dtype(dtype))
+        assert bias is causal_bias(6, np.dtype(dtype))
+        assert bias.dtype == dtype and not bias.flags.writeable
+        assert np.array_equal(bias == 0.0, causal_mask(6))
+        assert np.all(np.isneginf(bias[~causal_mask(6)]))
+
 
 class TestMultiHeadAttention:
     def test_single_position_weight_is_one(self):
@@ -66,7 +75,7 @@ class TestMultiHeadAttention:
         wq, wk, wv, wo = (rng.standard_normal((d, d)) for _ in range(4))
         out = multi_head_attention(
             Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv), Tensor(wo),
-            n_heads=2, mask=causal_mask(1),
+            n_heads=2, bias=causal_bias(1, x.dtype),
         )
         assert np.allclose(out.data, x[0] @ wv @ wo, atol=1e-12)
 
@@ -92,7 +101,7 @@ class TestMultiHeadAttention:
 
         out = multi_head_attention(
             Tensor(x[None]), Tensor(wq), Tensor(wk), Tensor(wv), Tensor(wo),
-            n_heads=heads, mask=mask,
+            n_heads=heads, bias=causal_bias(length, x.dtype),
         )
         assert np.max(np.abs(out.data[0] - expected)) < 1e-6
 
