@@ -8,7 +8,6 @@ minimizes pen travel between consecutive paths.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from .geometry import (
     Path,
     StrokeImage,
-    _array_to_path,
     fit_paths_to_boundary_with_scale,
     reverse_path,
 )
@@ -165,12 +163,12 @@ def _apply_affine(paths: list[Path], m: np.ndarray, shift: np.ndarray) -> list[P
         # elementwise form keeps shared joint coordinates bitwise equal
         nx = m[0, 0] * xs + m[0, 1] * ys + shift[0]
         ny = m[1, 0] * xs + m[1, 1] * ys + shift[1]
-        out.append(_array_to_path(np.stack([nx, ny], axis=-1)))
+        out.append(Path(np.stack([nx, ny], axis=-1)))
     return out
 
 
 def _clip_path(path: Path, boundary: float) -> Path:
-    return _array_to_path(np.clip(path.control_array(), 0.0, boundary))
+    return Path(np.clip(path.control_array(), 0.0, boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -203,27 +201,34 @@ def order_paths_greedy(image: StrokeImage, rng: np.random.Generator) -> StrokeIm
 
 def greedy_order(paths: list[Path], start: int) -> list[int]:
     """Nearest-start-point visiting order beginning at ``start``."""
-    starts = np.array([[p.start.x, p.start.y] for p in paths])
+    starts = _path_starts(paths)
+    ends = _path_ends(paths)
+    visited = np.zeros(len(paths), dtype=bool)
     order = [start]
-    remaining = set(range(len(paths))) - {start}
-    cur = np.array([paths[start].end.x, paths[start].end.y])
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda i: (np.hypot(*(starts[i] - cur)), i),
-        )
+    visited[start] = True
+    for _ in range(len(paths) - 1):
+        dist = np.hypot(*(starts - ends[order[-1]]).T)
+        dist[visited] = np.inf
+        best = int(np.argmin(dist))  # first minimum: ties go to the lower index
         order.append(best)
-        remaining.remove(best)
-        cur = np.array([paths[best].end.x, paths[best].end.y])
+        visited[best] = True
     return order
 
 
 def pen_travel(paths: list[Path]) -> float:
     """Total pen-up distance between consecutive paths."""
-    total = 0.0
-    for a, b in zip(paths, paths[1:]):
-        total += math.hypot(b.start.x - a.end.x, b.start.y - a.end.y)
-    return total
+    if len(paths) < 2:
+        return 0.0
+    gaps = _path_starts(paths[1:]) - _path_ends(paths[:-1])
+    return float(np.hypot(*gaps.T).sum())
+
+
+def _path_starts(paths: list[Path]) -> np.ndarray:
+    return np.array([p.control_array()[0, 0] for p in paths])
+
+
+def _path_ends(paths: list[Path]) -> np.ndarray:
+    return np.array([p.control_array()[-1, 3] for p in paths])
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +287,8 @@ def generate_patch_with_params(
 
 
 def generate_patch_set(image: StrokeImage, n: int, cfg: AugmentConfig,
-                       rng: np.random.Generator, jobs: int = 1) -> list[StrokeImage]:
-    """n independent patches, one spawned rng stream each.
-
-    Streams are derived with Generator.spawn, so the result is identical
-    whether patches are generated serially or across ``jobs`` processes.
-    """
+                       rng: np.random.Generator) -> list[StrokeImage]:
+    """n independent patches, one rng stream each, spawned from ``rng``."""
     if n < 1:
         raise ValueError("patch count must be >= 1")
-    children = rng.spawn(n)
-    if jobs <= 1:
-        return [generate_patch(image, cfg, child) for child in children]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        tasks = [(image, cfg, child) for child in children]
-        return list(pool.map(_patch_worker, tasks, chunksize=max(1, n // jobs)))
-
-
-def _patch_worker(task) -> StrokeImage:
-    image, cfg, child = task
-    return generate_patch(image, cfg, child)
+    return [generate_patch(image, cfg, child) for child in rng.spawn(n)]

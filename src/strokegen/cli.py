@@ -66,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-patch-set", type=int,
                    help="train on one fixed patch set of this size instead "
                         "of fresh sets (overfitting experiment)")
-    p.add_argument("--jobs", type=int,
-                   help="parallel patch-generation processes")
 
     p = sub.add_parser("sample", help="generate images from a checkpoint")
     p.add_argument("checkpoint", type=Path)
@@ -89,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="output SVG file")
     p.add_argument("-n", type=int, default=5, help="patch count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("demo-recording",
                        help="write one of the bundled synthetic recordings")
@@ -107,7 +104,7 @@ def cmd_ingest(args) -> int:
     save_path_image(image, args.out)
     print(f"{len(image.paths)} paths on a {image.boundary:g} unit canvas")
     for i, path in enumerate(image.paths):
-        print(f"  path {i}: {len(path.curves)} curves")
+        print(f"  path {i}: {len(path)} curves")
     print(f"wrote {args.out}")
     return 0
 
@@ -117,8 +114,7 @@ def _train_config(args) -> TrainConfig:
     overrides: dict = {}
     if args.config is not None:
         overrides.update(parse_config_file(args.config))
-    for name in ("seed", "epochs", "patches_per_epoch", "fixed_patch_set",
-                 "jobs"):
+    for name in ("seed", "epochs", "patches_per_epoch", "fixed_patch_set"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -182,7 +178,7 @@ def cmd_augment_preview(args) -> int:
     image = load_path_image(args.pathimage)
     patches = generate_patch_set(
         image, args.n, AugmentConfig(rng_seed=args.seed),
-        np.random.default_rng(args.seed), jobs=args.jobs,
+        np.random.default_rng(args.seed),
     )
     svg = render_svg([image] + patches, columns=3, color_seed=args.seed)
     args.out.write_text(svg)

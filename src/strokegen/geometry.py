@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,9 @@ class Point:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array([self.x, self.y], dtype=float if dtype is None else dtype)
+
 
 @dataclass(frozen=True)
 class CubicBezier:
@@ -48,9 +51,10 @@ class CubicBezier:
     p3: Point
 
     def control_array(self) -> np.ndarray:
-        return np.array(
-            [[p.x, p.y] for p in (self.p0, self.p1, self.p2, self.p3)], dtype=float
-        )
+        return np.array([self.p0, self.p1, self.p2, self.p3], dtype=float)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array([self.p0, self.p1, self.p2, self.p3], dtype=dtype)
 
     def evaluate(self, t) -> np.ndarray:
         """Curve position at parameter(s) t; returns [2] or [len(t), 2]."""
@@ -64,48 +68,65 @@ class CubicBezier:
         return CubicBezier(self.p3, self.p2, self.p1, self.p0)
 
 
-@dataclass
 class Path:
     """Contiguous chain of cubic Bezier curves approximating one pen stroke.
 
-    Treated as immutable after construction; the control-point array is
-    built lazily and cached.
+    A path is its read-only control-point array of shape [n_curves, 4, 2],
+    built from anything array-like of that shape (an array, nested lists or
+    a list of CubicBezier). Curve i ends exactly where curve i + 1 starts.
+    ``curves``, ``start`` and ``end`` are views built on demand.
     """
 
-    curves: list[CubicBezier]
-    _array: np.ndarray | None = field(default=None, init=False, repr=False,
-                                      compare=False)
+    __slots__ = ("_controls",)
 
-    def __post_init__(self):
-        if not self.curves:
+    def __init__(self, controls):
+        c = np.array(controls, dtype=float)
+        if c.size == 0:
             raise ValueError("path must contain at least one curve")
-        for a, b in zip(self.curves, self.curves[1:]):
-            if a.p3 != b.p0:
-                raise ValueError(f"path is not contiguous at {a.p3} -> {b.p0}")
+        if c.ndim != 3 or c.shape[1:] != (4, 2):
+            raise ValueError(f"path controls must have shape [n, 4, 2], "
+                             f"got {c.shape}")
+        bad = np.flatnonzero(~np.isfinite(c).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"curve {bad[0]} has a non-finite coordinate")
+        gaps = np.flatnonzero(np.any(c[1:, 0] != c[:-1, 3], axis=1))
+        if gaps.size:
+            i = gaps[0]
+            raise ValueError(f"path is not contiguous at curve {i} -> {i + 1}: "
+                             f"{c[i, 3].tolist()} -> {c[i + 1, 0].tolist()}")
+        c.flags.writeable = False
+        self._controls = c
+
+    def control_array(self) -> np.ndarray:
+        """All control points as a read-only array of shape [n_curves, 4, 2]."""
+        return self._controls
+
+    def __len__(self) -> int:
+        return len(self._controls)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Path):
+            return NotImplemented
+        return np.array_equal(self._controls, other._controls)
+
+    def __repr__(self) -> str:
+        return f"Path({self._controls.tolist()})"
+
+    @property
+    def curves(self) -> list[CubicBezier]:
+        return [CubicBezier(*(Point(x, y) for x, y in curve))
+                for curve in self._controls.tolist()]
 
     @property
     def start(self) -> Point:
-        return self.curves[0].p0
+        return Point(*self._controls[0, 0].tolist())
 
     @property
     def end(self) -> Point:
-        return self.curves[-1].p3
-
-    def control_array(self) -> np.ndarray:
-        """All control points as an array of shape [n_curves, 4, 2]."""
-        if self._array is None:
-            self._array = np.array(
-                [
-                    [[c.p0.x, c.p0.y], [c.p1.x, c.p1.y],
-                     [c.p2.x, c.p2.y], [c.p3.x, c.p3.y]]
-                    for c in self.curves
-                ],
-                dtype=float,
-            )
-        return self._array
+        return Point(*self._controls[-1, 3].tolist())
 
     def arc_length(self) -> float:
-        return float(np.sum(_curve_arc_lengths(self.control_array())))
+        return float(np.sum(_curve_arc_lengths(self._controls)))
 
 
 @dataclass
@@ -212,32 +233,22 @@ def fit_path(points, max_error: float) -> Path:
     """
     if max_error <= 0:
         raise ValueError("max_error must be positive")
-    pts = _as_point_array(points)
+    pts = np.array(points, dtype=float)
+    if pts.size == 0:
+        pts = pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must be [N, 2], got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("input points contain non-finite coordinates")
     pts = _dedupe_consecutive(pts)
     if len(pts) < 2:
         raise ValueError("need at least 2 distinct points to fit a path")
     t_left = _unit(pts[1] - pts[0])
     t_right = _unit(pts[-2] - pts[-1])
-    segments = _fit_cubic(pts, t_left, t_right, max_error)
-    return _segments_to_path(segments)
-
-
-def _as_point_array(points) -> np.ndarray:
-    rows = []
-    for p in points:
-        if isinstance(p, Point):
-            rows.append((p.x, p.y))
-        else:
-            rows.append((float(p[0]), float(p[1])))
-    arr = np.array(rows, dtype=float)
-    if arr.size and not np.isfinite(arr).all():
-        raise ValueError("input points contain non-finite coordinates")
-    return arr
+    return Path(_fit_cubic(pts, t_left, t_right, max_error))
 
 
 def _dedupe_consecutive(pts: np.ndarray) -> np.ndarray:
-    if len(pts) == 0:
-        return pts
     keep = np.ones(len(pts), dtype=bool)
     keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
     return pts[keep]
@@ -248,22 +259,6 @@ def _unit(v: np.ndarray) -> np.ndarray:
     if n == 0.0:
         return np.array([0.0, 0.0])
     return v / n
-
-
-def _segments_to_path(segments: list[np.ndarray]) -> Path:
-    curves = []
-    prev_end: Point | None = None
-    for seg in segments:
-        p0 = prev_end if prev_end is not None else Point(seg[0, 0], seg[0, 1])
-        c = CubicBezier(
-            p0,
-            Point(seg[1, 0], seg[1, 1]),
-            Point(seg[2, 0], seg[2, 1]),
-            Point(seg[3, 0], seg[3, 1]),
-        )
-        curves.append(c)
-        prev_end = c.p3
-    return Path(curves)
 
 
 def _fit_cubic(pts: np.ndarray, t_left: np.ndarray, t_right: np.ndarray,
@@ -366,9 +361,10 @@ def flatten_path(path: Path, max_error: float) -> Polyline:
     """
     if max_error <= 0:
         raise ValueError("max_error must be positive")
-    pts: list[np.ndarray] = [path.curves[0].control_array()[0]]
-    for curve in path.curves:
-        _flatten_curve(curve.control_array(), max_error, pts)
+    controls = path.control_array()
+    pts: list[np.ndarray] = [controls[0, 0]]
+    for curve in controls:
+        _flatten_curve(curve, max_error, pts)
     out = [pts[0]]
     for p in pts[1:]:
         if p[0] != out[-1][0] or p[1] != out[-1][1]:
@@ -419,7 +415,7 @@ def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> floa
 
 def reverse_path(path: Path) -> Path:
     """Traverse the same geometry from the other end."""
-    return Path([c.reversed() for c in reversed(path.curves)])
+    return Path(path.control_array()[::-1, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -460,28 +456,7 @@ def fit_paths_to_boundary_with_scale(
 
     shift = np.where(lo < 0.0, -lo, 0.0) + np.where(hi > boundary,
                                                     boundary - hi, 0.0)
-    out = []
-    for a in arrays:
-        moved = np.clip(a + shift, 0.0, boundary)
-        out.append(_array_to_path(moved))
-    return out, scale
-
-
-def _array_to_path(arr: np.ndarray) -> Path:
-    """Rebuild a Path from a [n, 4, 2] control array, keeping joints exact."""
-    values = arr.tolist()
-    curves = []
-    prev_end: Point | None = None
-    for row in values:
-        p0 = prev_end if prev_end is not None else Point(row[0][0], row[0][1])
-        c = CubicBezier(p0, Point(row[1][0], row[1][1]),
-                        Point(row[2][0], row[2][1]),
-                        Point(row[3][0], row[3][1]))
-        curves.append(c)
-        prev_end = c.p3
-    path = Path(curves)
-    path._array = np.asarray(arr, dtype=float)
-    return path
+    return [Path(np.clip(a + shift, 0.0, boundary)) for a in arrays], scale
 
 
 # ---------------------------------------------------------------------------
@@ -524,30 +499,35 @@ def recording_to_image(source, fit_error: float = 1.0) -> StrokeImage:
 def image_to_json(image: StrokeImage) -> dict:
     return {
         "boundary": image.boundary,
-        "paths": [[c.control_array().tolist() for c in p.curves]
-                  for p in image.paths],
+        "paths": [p.control_array().tolist() for p in image.paths],
     }
 
 
 def image_from_json(data: dict) -> StrokeImage:
-    if not isinstance(data, dict) or "paths" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("paths"), list):
         raise ValueError("path image must be an object with a 'paths' list")
     boundary = float(data.get("boundary", DEFAULT_BOUNDARY))
-    paths = []
-    for raw_path in data["paths"]:
-        curves = []
-        prev_end: Point | None = None
-        for raw in raw_path:
-            pts = [Point(float(q[0]), float(q[1])) for q in raw]
-            if len(pts) != 4:
-                raise ValueError("each curve needs exactly 4 control points")
-            if prev_end is not None and pts[0] == prev_end:
-                pts[0] = prev_end
-            c = CubicBezier(*pts)
-            curves.append(c)
-            prev_end = c.p3
-        paths.append(Path(curves))
+    paths = [_path_from_json(raw, i) for i, raw in enumerate(data["paths"])]
     return StrokeImage(paths, boundary)
+
+
+def _path_from_json(raw, index: int) -> Path:
+    """One stored path; a malformed one raises ValueError naming path and curve."""
+    try:
+        return Path(raw)
+    except (TypeError, ValueError) as exc:
+        if not isinstance(raw, list):
+            raise ValueError(f"path {index}: expected a list of curves, "
+                             f"got {raw!r}") from None
+        for j, curve in enumerate(raw):
+            try:
+                shape = np.array(curve, dtype=float).shape
+            except (TypeError, ValueError):
+                shape = None
+            if shape != (4, 2):
+                raise ValueError(f"path {index}, curve {j}: expected 4 [x, y] "
+                                 f"points, got {curve!r}") from None
+        raise ValueError(f"path {index}: {exc}") from None
 
 
 def save_path_image(image: StrokeImage, path):

@@ -59,12 +59,11 @@ class TrainConfig:
     n_heads: int = 4
     d_ff: int = 2048
     double_attention: bool = True
-    jobs: int = 1  # parallel patch generation; never changes results
 
     def __post_init__(self):
         for name in ("epochs", "patches_per_epoch", "batch_size",
                      "warmup_steps", "heldout_patches", "seq_ceiling",
-                     "max_move_len", "jobs"):
+                     "max_move_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.flatten_error <= 0:
@@ -77,6 +76,11 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrainConfig":
+        # "jobs" (parallel patch generation) is kept by older checkpoints
+        data = {k: v for k, v in data.items() if k != "jobs"}
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown train settings in checkpoint: {unknown}")
         return cls(**data)
 
 
@@ -322,8 +326,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
     )
 
     heldout = generate_patch_set(image, cfg.heldout_patches, aug_cfg,
-                                 derived_rng(cfg.seed, SEED_HELDOUT),
-                                 jobs=cfg.jobs)
+                                 derived_rng(cfg.seed, SEED_HELDOUT))
     heldout_windows = stream_windows(
         tokenize_patches(heldout, vocab, cfg.flatten_error, cfg.max_move_len),
         seq_len,
@@ -332,8 +335,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
     fixed_sequences: list[list[int]] | None = None
     if cfg.fixed_patch_set is not None:
         fixed = generate_patch_set(image, cfg.fixed_patch_set, aug_cfg,
-                                   derived_rng(cfg.seed, SEED_FIXED),
-                                   jobs=cfg.jobs)
+                                   derived_rng(cfg.seed, SEED_FIXED))
         fixed_sequences = tokenize_patches(fixed, vocab, cfg.flatten_error,
                                            cfg.max_move_len)
 
@@ -346,7 +348,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
         else:
             patches = generate_patch_set(
                 image, cfg.patches_per_epoch, aug_cfg,
-                derived_rng(cfg.seed, SEED_EPOCH, epoch), jobs=cfg.jobs,
+                derived_rng(cfg.seed, SEED_EPOCH, epoch),
             )
             sequences = tokenize_patches(patches, vocab, cfg.flatten_error,
                                          cfg.max_move_len)

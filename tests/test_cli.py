@@ -85,6 +85,26 @@ class TestIngest:
                      "-o", str(tmp_path / "x.json")]) == 2
 
 
+GOOD_CURVE = [[10, 10], [20, 10], [30, 10], [40, 10]]
+
+
+@pytest.mark.parametrize("paths, where", [
+    ([5], "path 0: expected a list of curves"),
+    ([[GOOD_CURVE, [[40, 10], [50, None], [60, 10], [70, 10]]]],
+     "path 0: curve 1 has a non-finite coordinate"),
+    ([[GOOD_CURVE], [[[3, 3, 7], [5, 5], [6, 6], [8, 8]]]],
+     "path 1, curve 0: expected 4 [x, y] points"),
+], ids=["number-path", "null-coordinate", "three-coordinates"])
+def test_malformed_path_image_exit_2(workdir, tmp_path, capsys, paths, where):
+    bad = tmp_path / "bad-img.json"
+    bad.write_text(json.dumps({"boundary": 180, "paths": paths}))
+    assert main([
+        "train", str(bad), "-o", str(tmp_path / "x"),
+        "--config", str(workdir / "micro.cfg"),
+    ]) == 2
+    assert where in capsys.readouterr().err
+
+
 class TestTrain:
     def test_outputs_written(self, workdir):
         run = workdir / "run"
@@ -138,18 +158,6 @@ class TestTrain:
             "--config", str(workdir / "micro.cfg"),
         ]) == 3
 
-    def test_parallel_jobs_match_serial(self, workdir, tmp_path):
-        for d, jobs in (("s", "1"), ("p", "2")):
-            assert main([
-                "train", str(workdir / "img.json"), "-o", str(tmp_path / d),
-                "--config", str(workdir / "micro.cfg"), "--seed", "3",
-                "--jobs", jobs,
-            ]) == 0
-        a = json.loads((tmp_path / "s" / "checkpoint.json").read_text())
-        b = json.loads((tmp_path / "p" / "checkpoint.json").read_text())
-        b["train"]["jobs"] = a["train"]["jobs"]  # only the knob may differ
-        assert a == b
-
 
 class TestSample:
     def test_sample_grid_and_metadata(self, workdir, tmp_path):
@@ -179,6 +187,28 @@ class TestSample:
             "--out", str(out), "--count", "1", "--init-len", "1",
             "--max-moves", "30",
         ]) == 0
+
+    def test_checkpoint_with_legacy_jobs_key_samples(self, workdir, tmp_path):
+        data = json.loads((workdir / "run" / "checkpoint.json").read_text())
+        data["train"]["jobs"] = 2
+        ckpt = tmp_path / "legacy.json"
+        ckpt.write_text(json.dumps(data))
+        assert main([
+            "sample", str(ckpt), "--out", str(tmp_path / "x.svg"),
+            "--count", "1", "--max-moves", "20",
+        ]) == 0
+
+    def test_checkpoint_unknown_train_key_exit_2(self, workdir, tmp_path,
+                                                 capsys):
+        data = json.loads((workdir / "run" / "checkpoint.json").read_text())
+        data["train"]["learning_rate"] = 0.1
+        ckpt = tmp_path / "unknown.json"
+        ckpt.write_text(json.dumps(data))
+        assert main([
+            "sample", str(ckpt), "--out", str(tmp_path / "x.svg"),
+            "--count", "1", "--max-moves", "20",
+        ]) == 2
+        assert "learning_rate" in capsys.readouterr().err
 
     def test_k_above_vocab_exit_2(self, workdir, tmp_path):
         assert main([

@@ -198,6 +198,34 @@ class TestTypes:
         with pytest.raises(ValueError):
             Path([])
 
+    def test_path_from_curves_equals_path_from_array(self):
+        a, b = quarter_circle_curve(), quarter_circle_curve(cx=10.0, cy=110.0)
+        b = CubicBezier(a.p3, b.p1, b.p2, b.p3)
+        from_curves = Path([a, b])
+        from_array = Path(np.stack([a.control_array(), b.control_array()]))
+        assert from_curves == from_array
+        assert len(from_curves) == 2
+        assert from_curves.curves == [a, b]
+        assert from_curves.start == a.p0 and from_curves.end == b.p3
+
+    def test_path_control_array_is_read_only(self):
+        source = quarter_circle_curve().control_array()[None]
+        path = Path(source)
+        with pytest.raises(ValueError):
+            path.control_array()[0, 0, 0] = 1.0
+        source[0, 1, 0] = -5.0  # the path holds its own copy
+        assert path.control_array()[0, 1, 0] != -5.0
+
+    @pytest.mark.parametrize("controls", [
+        np.zeros((2, 3, 2)),
+        np.zeros((1, 4, 3)),
+        np.zeros((4, 2)),
+        np.full((1, 4, 2), np.inf),
+    ])
+    def test_path_rejects_bad_arrays(self, controls):
+        with pytest.raises(ValueError):
+            Path(controls)
+
     def test_polyline_needs_two_points(self):
         with pytest.raises(ValueError):
             Polyline(np.array([[0.0, 0.0]]))
