@@ -15,8 +15,11 @@ import numpy as np
 from .geometry import (
     Path,
     StrokeImage,
+    controls_bbox,
     fit_paths_to_boundary_with_scale,
     reverse_path,
+    split_paths,
+    stack_paths,
 )
 
 MIRROR_AXES = ("horizontal", "vertical")
@@ -113,27 +116,27 @@ def transform_image(image: StrokeImage, t: Transform) -> StrokeImage:
     back onto the canvas and, only if the canvas cannot hold it at all,
     uniformly shrunk to fit.
     """
-    return _transform_with_shrink(image, t)[0]
-
-
-def _transform_with_shrink(image: StrokeImage,
-                           t: Transform) -> tuple[StrokeImage, float]:
     if not image.paths:
-        return StrokeImage([], image.boundary), 1.0
-    center = _bbox_center(image)
+        return StrokeImage([], image.boundary)
+    controls, splits = stack_paths(image.paths)
+    controls, _ = _transform(controls, image.boundary, t)
+    return StrokeImage(split_paths(controls, splits), image.boundary)
 
+
+def _transform(controls: np.ndarray, boundary: float,
+               t: Transform) -> tuple[np.ndarray, float]:
+    """One manipulation of stacked [C, 4, 2] controls, and the fit's shrink."""
+    lo, hi = controls_bbox(controls)
     if t.kind == "translate":
-        lo_x, lo_y, hi_x, hi_y = image.bbox()
         dx, dy = t.offset
         tol = 1e-9
-        if (lo_x + dx < -tol or hi_x + dx > image.boundary + tol
-                or lo_y + dy < -tol or hi_y + dy > image.boundary + tol):
+        if (lo[0] + dx < -tol or hi[0] + dx > boundary + tol
+                or lo[1] + dy < -tol or hi[1] + dy > boundary + tol):
             raise ContainmentError(
                 f"offset ({dx}, {dy}) moves content outside the canvas"
             )
-        paths = _apply_affine(image.paths, np.eye(2), np.array([dx, dy]))
-        paths = [_clip_path(p, image.boundary) for p in paths]
-        return StrokeImage(paths, image.boundary), 1.0
+        moved = _apply_affine(controls, np.eye(2), np.array([dx, dy]))
+        return np.clip(moved, 0.0, boundary), 1.0
 
     if t.kind == "rotate":
         c, s = math.cos(t.angle), math.sin(t.angle)
@@ -143,32 +146,20 @@ def _transform_with_shrink(image: StrokeImage,
     else:  # scale
         m = np.eye(2) * t.factor
 
+    center = (lo + hi) / 2.0
     shift = center - m @ center
-    paths = _apply_affine(image.paths, m, shift)
-    fitted, shrink = fit_paths_to_boundary_with_scale(paths, image.boundary)
-    return StrokeImage(fitted, image.boundary), shrink
+    return fit_paths_to_boundary_with_scale(_apply_affine(controls, m, shift),
+                                            boundary)
 
 
-def _bbox_center(image: StrokeImage) -> np.ndarray:
-    lo_x, lo_y, hi_x, hi_y = image.bbox()
-    return np.array([(lo_x + hi_x) / 2.0, (lo_y + hi_y) / 2.0])
-
-
-def _apply_affine(paths: list[Path], m: np.ndarray, shift: np.ndarray) -> list[Path]:
-    out = []
-    for p in paths:
-        a = p.control_array()  # [n, 4, 2]
-        xs = a[..., 0]
-        ys = a[..., 1]
-        # elementwise form keeps shared joint coordinates bitwise equal
-        nx = m[0, 0] * xs + m[0, 1] * ys + shift[0]
-        ny = m[1, 0] * xs + m[1, 1] * ys + shift[1]
-        out.append(Path(np.stack([nx, ny], axis=-1)))
-    return out
-
-
-def _clip_path(path: Path, boundary: float) -> Path:
-    return Path(np.clip(path.control_array(), 0.0, boundary))
+def _apply_affine(controls: np.ndarray, m: np.ndarray,
+                  shift: np.ndarray) -> np.ndarray:
+    xs = controls[..., 0]
+    ys = controls[..., 1]
+    # elementwise form keeps shared joint coordinates bitwise equal
+    nx = m[0, 0] * xs + m[0, 1] * ys + shift[0]
+    ny = m[1, 0] * xs + m[1, 1] * ys + shift[1]
+    return np.stack([nx, ny], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +246,27 @@ def generate_patch_with_params(
                              (), ())
         return StrokeImage([], image.boundary), params
 
+    boundary = image.boundary
+    controls, splits = stack_paths(image.paths)
     # content too large to rotate in place gets shrunk by the boundary fit
-    img, fit_shrink = _transform_with_shrink(image, Transform.rotate(angle))
+    controls, fit_shrink = _transform(controls, boundary, Transform.rotate(angle))
     if mirror_h:
-        img = transform_image(img, Transform.mirror("horizontal"))
+        controls, _ = _transform(controls, boundary, Transform.mirror("horizontal"))
     if mirror_v:
-        img = transform_image(img, Transform.mirror("vertical"))
-    img = transform_image(img, Transform.scale(factor))
+        controls, _ = _transform(controls, boundary, Transform.mirror("vertical"))
+    controls, _ = _transform(controls, boundary, Transform.scale(factor))
 
-    lo_x, lo_y, hi_x, hi_y = img.bbox()
-    dx = rng.uniform(-lo_x, img.boundary - hi_x)
-    dy = rng.uniform(-lo_y, img.boundary - hi_y)
-    img = transform_image(img, Transform.translate(dx, dy))
+    lo, hi = controls_bbox(controls)
+    dx = rng.uniform(-lo[0], boundary - hi[0])
+    dy = rng.uniform(-lo[1], boundary - hi[1])
+    controls, _ = _transform(controls, boundary, Transform.translate(dx, dy))
 
-    flags = rng.random(len(img.paths)) < cfg.reversal_probability
-    paths = [reverse_path(q) if f else q for q, f in zip(img.paths, flags)]
+    flags = rng.random(len(image.paths)) < cfg.reversal_probability
+    paths = [Path(a[::-1, ::-1] if f else a)
+             for a, f in zip(np.split(controls, splits), flags)]
 
     order = greedy_order(paths, int(rng.integers(len(paths))))
-    patch = StrokeImage([paths[i] for i in order], image.boundary)
+    patch = StrokeImage([paths[i] for i in order], boundary)
     params = PatchParams(
         angle=angle,
         mirror_horizontal=mirror_h,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +56,6 @@ class CubicBezier:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array([self.p0, self.p1, self.p2, self.p3], dtype=dtype)
-
-    def evaluate(self, t) -> np.ndarray:
-        """Curve position at parameter(s) t; returns [2] or [len(t), 2]."""
-        c = self.control_array()
-        return _bezier_eval(c, np.asarray(t, dtype=float))
 
     def arc_length(self) -> float:
         return float(_curve_arc_lengths(self.control_array()[None, :, :])[0])
@@ -153,8 +149,9 @@ class StrokeImage:
     boundary: float = DEFAULT_BOUNDARY
 
     def __post_init__(self):
-        if self.boundary <= 0:
-            raise ValueError("boundary must be positive")
+        if not (math.isfinite(self.boundary) and self.boundary > 0):
+            raise ValueError(f"boundary must be a finite number > 0, "
+                             f"got {self.boundary!r}")
         for i, p in enumerate(self.paths):
             pts = p.control_array()
             if pts.min() < 0.0 or pts.max() > self.boundary:
@@ -171,15 +168,6 @@ class StrokeImage:
 
     def arc_length(self) -> float:
         return float(sum(p.arc_length() for p in self.paths))
-
-    def bbox(self) -> tuple[float, float, float, float]:
-        """(min_x, min_y, max_x, max_y) over all control points."""
-        pts = self.control_array()
-        if len(pts) == 0:
-            return (0.0, 0.0, 0.0, 0.0)
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        return (lo[0], lo[1], hi[0], hi[1])
 
 
 # ---------------------------------------------------------------------------
@@ -429,34 +417,46 @@ def fit_paths_to_boundary(paths: list[Path], boundary: float) -> list[Path]:
     bounding box inside [0, boundary]^2; shrinking happens about the bbox
     center. Coordinates are clipped at the very end to squash float residue.
     """
-    fitted, _ = fit_paths_to_boundary_with_scale(paths, boundary)
-    return fitted
+    if not paths:
+        return []
+    controls, splits = stack_paths(paths)
+    fitted, _ = fit_paths_to_boundary_with_scale(controls, boundary)
+    return split_paths(fitted, splits)
 
 
 def fit_paths_to_boundary_with_scale(
-    paths: list[Path], boundary: float
-) -> tuple[list[Path], float]:
-    """Same as fit_paths_to_boundary, also returning the shrink factor used."""
-    arrays = [p.control_array() for p in paths]
-    if not arrays:
-        return [], 1.0
-    allpts = np.concatenate([a.reshape(-1, 2) for a in arrays])
-    lo = allpts.min(axis=0)
-    hi = allpts.max(axis=0)
+    controls: np.ndarray, boundary: float
+) -> tuple[np.ndarray, float]:
+    """fit_paths_to_boundary on stacked [C, 4, 2] controls, and the shrink used."""
+    lo, hi = controls_bbox(controls)
     size = hi - lo
 
     scale = 1.0
     if size[0] > boundary or size[1] > boundary:
         scale = boundary / max(size[0], size[1])
         center = (lo + hi) / 2.0
-        arrays = [(a - center) * scale + center for a in arrays]
-        allpts = np.concatenate([a.reshape(-1, 2) for a in arrays])
-        lo = allpts.min(axis=0)
-        hi = allpts.max(axis=0)
+        controls = (controls - center) * scale + center
+        lo, hi = controls_bbox(controls)
 
     shift = np.where(lo < 0.0, -lo, 0.0) + np.where(hi > boundary,
                                                     boundary - hi, 0.0)
-    return [Path(np.clip(a + shift, 0.0, boundary)) for a in arrays], scale
+    return np.clip(controls + shift, 0.0, boundary), scale
+
+
+def controls_bbox(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest and highest [x, y] over stacked [C, 4, 2] controls."""
+    return controls.min(axis=(0, 1)), controls.max(axis=(0, 1))
+
+
+def stack_paths(paths: list[Path]) -> tuple[np.ndarray, np.ndarray]:
+    """All curves as one [C, 4, 2] array, and the np.split points between paths."""
+    arrays = [p.control_array() for p in paths]
+    return np.concatenate(arrays), np.cumsum([len(a) for a in arrays[:-1]])
+
+
+def split_paths(controls: np.ndarray, splits: np.ndarray) -> list[Path]:
+    """The Paths that stack_paths stacked, rebuilt from (possibly moved) controls."""
+    return [Path(a) for a in np.split(controls, splits)]
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +469,9 @@ def fit_paths_to_boundary_with_scale(
 def load_recording(source) -> tuple[list[np.ndarray], float]:
     """Read a stroke recording; returns (strokes as [N,2] arrays, boundary)."""
     data = _load_json(source)
-    if not isinstance(data, dict) or "strokes" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("strokes"), list):
         raise ValueError("recording must be an object with a 'strokes' list")
-    boundary = float(data.get("boundary", DEFAULT_BOUNDARY))
+    boundary = _boundary_from_json(data)
     strokes = []
     for i, stroke in enumerate(data["strokes"]):
         arr = np.asarray(stroke, dtype=float)
@@ -506,9 +506,19 @@ def image_to_json(image: StrokeImage) -> dict:
 def image_from_json(data: dict) -> StrokeImage:
     if not isinstance(data, dict) or not isinstance(data.get("paths"), list):
         raise ValueError("path image must be an object with a 'paths' list")
-    boundary = float(data.get("boundary", DEFAULT_BOUNDARY))
+    boundary = _boundary_from_json(data)
     paths = [_path_from_json(raw, i) for i, raw in enumerate(data["paths"])]
     return StrokeImage(paths, boundary)
+
+
+def _boundary_from_json(data: dict) -> float:
+    """The canvas side of a recording or path image: a finite number > 0."""
+    value = data.get("boundary", DEFAULT_BOUNDARY)
+    # bool is not a number here; an int past the float range is not finite
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+        raise ValueError(f"'boundary' must be a finite number > 0, "
+                         f"got {value!r}")
+    return float(value)
 
 
 def _path_from_json(raw, index: int) -> Path:

@@ -161,10 +161,7 @@ def _generate(params: dict[str, Tensor], model_cfg: ModelConfig,
 
 def generate_image(ckpt: Checkpoint, cfg: SamplerConfig) -> GenerationResult:
     """Sample one image; a pure function of (checkpoint, config)."""
-    init_len, max_moves = cfg.resolve(ckpt.model.seq_len)
-    rng = derived_rng(cfg.seed, SEED_SAMPLING, 0)
-    return _generate(ckpt.param_tensors(), ckpt.model, ckpt.vocab, cfg.k,
-                     init_len, max_moves, cfg.seed, rng)
+    return generate_images(ckpt, cfg, 1)[0]
 
 
 def generate_images(ckpt: Checkpoint, cfg: SamplerConfig, count: int,

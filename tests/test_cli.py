@@ -105,6 +105,31 @@ def test_malformed_path_image_exit_2(workdir, tmp_path, capsys, paths, where):
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("augment-preview", {"boundary": None, "paths": [[GOOD_CURVE]]},
+     "'boundary' must be a finite number > 0, got None"),
+    ("augment-preview", {"boundary": float("nan"), "paths": [[GOOD_CURVE]]},
+     "'boundary' must be a finite number > 0, got nan"),
+    ("augment-preview", {"boundary": "180", "paths": [[GOOD_CURVE]]},
+     "'boundary' must be a finite number > 0, got '180'"),
+    ("ingest", {"boundary": float("inf"), "strokes": [[[1, 1], [5, 5]]]},
+     "'boundary' must be a finite number > 0, got inf"),
+    ("ingest", {"boundary": 0, "strokes": [[[1, 1], [5, 5]]]},
+     "'boundary' must be a finite number > 0, got 0"),
+    ("ingest", {"boundary": 10 ** 400, "strokes": [[[1, 1], [5, 5]]]},
+     "'boundary' must be a finite number > 0, got 1000"),
+    ("ingest", {"strokes": 5},
+     "recording must be an object with a 'strokes' list"),
+], ids=["null-boundary", "nan-boundary", "string-boundary", "inf-boundary",
+        "zero-boundary", "huge-boundary", "number-strokes"])
+def test_malformed_canvas_exit_2(tmp_path, capsys, command, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main([command, str(bad), "-o" if command == "ingest" else "--out",
+                 str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 class TestTrain:
     def test_outputs_written(self, workdir):
         run = workdir / "run"

@@ -235,6 +235,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             StrokeImage([Path([c])], boundary=180.0)
 
+    @pytest.mark.parametrize("boundary", [0.0, -5.0, float("nan"),
+                                          float("inf")])
+    def test_image_rejects_bad_boundary(self, boundary):
+        with pytest.raises(ValueError, match="boundary must be a finite number"):
+            StrokeImage([], boundary=boundary)
+
     def test_image_accepts_empty_path_list(self):
         img = StrokeImage([], boundary=180.0)
         assert img.arc_length() == 0.0
