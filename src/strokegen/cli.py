@@ -161,8 +161,8 @@ def cmd_sample(args) -> int:
                          f"{ckpt.vocab.size}")
     results = generate_images(ckpt, cfg, args.count, jobs=args.jobs)
     svg = render_svg(
-        [center_polylines(r.polylines, 180.0) for r in results],
-        columns=args.columns, boundary=180.0,
+        [center_polylines(r.polylines, ckpt.boundary) for r in results],
+        columns=args.columns, boundary=ckpt.boundary,
     )
     args.out.write_text(svg)
     meta_path = args.out.with_suffix(".meta.json")

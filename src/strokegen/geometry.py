@@ -342,59 +342,80 @@ def _reparameterize(bez: np.ndarray, pts: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def flatten_path(path: Path, max_error: float) -> Polyline:
-    """Flatten a path to a polyline within ``max_error`` units of the curves.
+    """Flatten one path to a polyline within ``max_error`` units of the curves."""
+    points, _ = flatten_controls(path.control_array(), np.zeros(0), max_error)
+    return Polyline(points)
 
+
+def flatten_controls(controls: np.ndarray, splits: np.ndarray,
+                     max_error: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the stacked [C, 4, 2] curves of several paths at once.
+
+    ``splits`` are the np.split points between paths, as from stack_paths.
     Each curve is split at t=0.5 while a control point lies farther than
-    ``max_error`` from the chord; endpoints are preserved exactly.
+    ``max_error`` from the chord, all curves of one subdivision level at a
+    time; endpoints are preserved exactly. Returns every path's polyline
+    points [M, 2], consecutive duplicates dropped (a path that collapses to
+    one point keeps two), and the np.split points between the polylines.
     """
     if max_error <= 0:
         raise ValueError("max_error must be positive")
-    controls = path.control_array()
-    pts: list[np.ndarray] = [controls[0, 0]]
-    for curve in controls:
-        _flatten_curve(curve, max_error, pts)
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p[0] != out[-1][0] or p[1] != out[-1][1]:
-            out.append(p)
-    if len(out) < 2:
-        out.append(pts[-1])
-    return Polyline(np.array(out))
+    pieces, curve = _flat_pieces(controls, max_error)
+    path = np.searchsorted(splits, curve, side="right")
+    # each path is its first point, then the end of each of its pieces
+    first = np.flatnonzero(np.append(True, path[1:] != path[:-1]))
+    points = np.insert(pieces[:, 3], first, pieces[first, 0], axis=0)
+    path = np.insert(path, first, path[first])
+    keep = np.append(True, (path[1:] != path[:-1])
+                     | np.any(points[1:] != points[:-1], axis=1))
+    # a path that collapses to one point keeps its last point as well
+    kept = np.bincount(path, weights=keep).astype(np.int64)
+    last = np.append(np.flatnonzero(path[1:] != path[:-1]), len(path) - 1)
+    keep[last[kept < 2]] = True
+    return points[keep], np.cumsum(np.maximum(kept, 2))[:-1]
 
 
-def _flatten_curve(c: np.ndarray, max_error: float, out: list[np.ndarray]):
-    stack = [c]
-    while stack:
-        cur = stack.pop()
-        d1 = _point_segment_distance(cur[1], cur[0], cur[3])
-        d2 = _point_segment_distance(cur[2], cur[0], cur[3])
-        if max(d1, d2) <= max_error:
-            out.append(cur[3])
-        else:
-            left, right = _split_curve(cur)
-            stack.append(right)
-            stack.append(left)
+def _flat_pieces(controls: np.ndarray,
+                 max_error: float) -> tuple[np.ndarray, np.ndarray]:
+    """The flat-enough pieces [L, 4, 2] of every curve, in curve order and
+    left to right along each curve, and the curve each piece belongs to."""
+    pieces, curve = controls, np.arange(len(controls))
+    flat = np.zeros(len(controls), dtype=bool)
+    while not flat.all():
+        flat[~flat] = _control_distance(pieces[~flat]).max(axis=1) <= max_error
+        # every piece that is not flat is replaced by its two halves, in place
+        n = 2 - flat
+        at = (np.cumsum(n) - n)[~flat]
+        left, right = _split_curves(pieces[~flat])
+        pieces, curve, flat = (np.repeat(a, n, axis=0)
+                               for a in (pieces, curve, flat))
+        pieces[at], pieces[at + 1] = left, right
+    return pieces, curve
 
 
-def _split_curve(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p01 = (c[0] + c[1]) / 2.0
-    p12 = (c[1] + c[2]) / 2.0
-    p23 = (c[2] + c[3]) / 2.0
+def _control_distance(c: np.ndarray) -> np.ndarray:
+    """Distances [K, 2] of control points 1 and 2 from the chord of each curve."""
+    a = c[:, None, 0]
+    ab = c[:, None, 3] - a
+    len_sq = ab[..., 0] * ab[..., 0] + ab[..., 1] * ab[..., 1]
+    ap = c[:, 1:3] - a
+    dot = ap[..., 0] * ab[..., 0] + ap[..., 1] * ab[..., 1]
+    # a zero-length chord gives t = 0: the distance to its start point
+    t = np.clip(dot / np.where(len_sq == 0.0, 1.0, len_sq), 0.0, 1.0)
+    d = c[:, 1:3] - (a + t[..., None] * ab)
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def _split_curves(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """De Casteljau halves at t=0.5 of every curve in [K, 4, 2]."""
+    p01 = (c[:, 0] + c[:, 1]) / 2.0
+    p12 = (c[:, 1] + c[:, 2]) / 2.0
+    p23 = (c[:, 2] + c[:, 3]) / 2.0
     p012 = (p01 + p12) / 2.0
     p123 = (p12 + p23) / 2.0
     mid = (p012 + p123) / 2.0
-    return (np.array([c[0], p01, p012, mid]), np.array([mid, p123, p23, c[3]]))
-
-
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    len_sq = ab[0] * ab[0] + ab[1] * ab[1]
-    if len_sq == 0.0:
-        return math.hypot(*(p - a))
-    t = ((p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]) / len_sq
-    t = min(1.0, max(0.0, t))
-    proj = a + t * ab
-    return math.hypot(*(p - proj))
+    return (np.stack([c[:, 0], p01, p012, mid], axis=1),
+            np.stack([mid, p123, p23, c[:, 3]], axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -114,36 +114,42 @@ def causal_bias(length: int, dtype) -> np.ndarray:
 # Parameters
 # ---------------------------------------------------------------------------
 
-def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
-                        dtype=np.float32) -> dict[str, Tensor]:
-    """Fresh parameter tensors, uniform in +-1/sqrt(fan_in)."""
+def parameter_table(config: ModelConfig) -> dict[str, tuple[tuple, object]]:
+    """Name -> (shape, init) of every encoder parameter, in the order
+    init_encoder_params draws them. ``init`` is "ones", "zeros" or the fan-in
+    of a uniform draw in +-1/sqrt(fan_in)."""
     d, v, ff = config.d_model, config.vocab_size, config.d_ff
-
-    def uniform(fan_in, shape):
-        bound = 1.0 / math.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, shape).astype(dtype),
-                      requires_grad=True)
-
-    params: dict[str, Tensor] = {"embedding": uniform(d, (v, d))}
+    norm = {"norm_gain": ((d,), "ones"), "norm_bias": ((d,), "zeros")}
+    table: dict[str, tuple[tuple, object]] = {"embedding": ((v, d), d)}
     for i in range(config.n_layers):
         for j in range(config.attn_sublayers):
             p = f"layer{i}.attn{j}."
             for name in ("wq", "wk", "wv", "wo"):
-                params[p + name] = uniform(d, (d, d))
-            params[p + "norm_gain"] = Tensor(np.ones(d, dtype=dtype),
-                                             requires_grad=True)
-            params[p + "norm_bias"] = Tensor(np.zeros(d, dtype=dtype),
-                                             requires_grad=True)
+                table[p + name] = ((d, d), d)
+            table.update({p + k: spec for k, spec in norm.items()})
         p = f"layer{i}.ff."
-        params[p + "w1"] = uniform(d, (d, ff))
-        params[p + "b1"] = Tensor(np.zeros(ff, dtype=dtype), requires_grad=True)
-        params[p + "w2"] = uniform(ff, (ff, d))
-        params[p + "b2"] = Tensor(np.zeros(d, dtype=dtype), requires_grad=True)
-        params[p + "norm_gain"] = Tensor(np.ones(d, dtype=dtype),
-                                         requires_grad=True)
-        params[p + "norm_bias"] = Tensor(np.zeros(d, dtype=dtype),
-                                         requires_grad=True)
-    params["output.w"] = uniform(d, (d, v))
+        table[p + "w1"] = ((d, ff), d)
+        table[p + "b1"] = ((ff,), "zeros")
+        table[p + "w2"] = ((ff, d), ff)
+        table[p + "b2"] = ((d,), "zeros")
+        table.update({p + k: spec for k, spec in norm.items()})
+    table["output.w"] = ((d, v), d)
+    return table
+
+
+def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
+                        dtype=np.float32) -> dict[str, Tensor]:
+    """Fresh parameter tensors, uniform in +-1/sqrt(fan_in)."""
+    params: dict[str, Tensor] = {}
+    for name, (shape, init) in parameter_table(config).items():
+        if init == "ones":
+            data = np.ones(shape, dtype=dtype)
+        elif init == "zeros":
+            data = np.zeros(shape, dtype=dtype)
+        else:
+            bound = 1.0 / math.sqrt(init)
+            data = rng.uniform(-bound, bound, shape).astype(dtype)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 

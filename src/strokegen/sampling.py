@@ -17,7 +17,7 @@ from .autodiff import Tensor, no_grad
 from .geometry import Polyline
 from .model import ModelConfig, encoder_forward
 from .svgout import render_svg  # re-exported: grids of sampled images
-from .tokenizer import MoveToken, Vocabulary, decode, moves_to_image
+from .tokenizer import Vocabulary, decode, moves_to_image
 from .training import SEED_SAMPLING, Checkpoint, derived_rng
 
 __all__ = [
@@ -60,7 +60,7 @@ class SamplerConfig:
 @dataclass
 class GenerationResult:
     token_ids: list[int]
-    moves: list[MoveToken]
+    moves: np.ndarray  # [N, 3] (pen, dx, dy) rows
     polylines: list[Polyline]
     hit_cap: bool
     seed: int

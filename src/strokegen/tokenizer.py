@@ -1,38 +1,24 @@
 """Discrete pen-move tokenization.
 
-A stroke image becomes a flat sequence of "moves": relative integer
-displacements with a pen state (draw or travel), terminated by a special
-image-end token. The vocabulary maps moves to dense token ids.
+A stroke image becomes one read-only int64 array of moves, one row
+(pen, dx, dy) per move in the stroke-3 layout: pen 0 travels, pen 1 draws,
+and the last row, (2, 0, 0), ends the image. The vocabulary maps moves to
+dense token ids by arithmetic on the closed move grid.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
-from .geometry import Polyline, StrokeImage, flatten_path
+from .geometry import Polyline, StrokeImage, flatten_controls, stack_paths
 
 DEFAULT_MAX_MOVE_LEN = 15
 DEFAULT_FLATTEN_ERROR = 1.0
 
-
-class SpecialMove(enum.Enum):
-    IMAGE_END = "image_end"
-
-
-IMAGE_END = SpecialMove.IMAGE_END
-
-
-class Move(NamedTuple):
-    pen: bool  # True = draw, False = travel
-    dx: int
-    dy: int
-
-
-MoveToken = Move | SpecialMove
+TRAVEL, DRAW, END = 0, 1, 2
+IMAGE_END = (END, 0, 0)
 
 
 def _round_half_up(values: np.ndarray) -> np.ndarray:
@@ -43,69 +29,79 @@ def _round_half_up(values: np.ndarray) -> np.ndarray:
 # Image -> moves
 # ---------------------------------------------------------------------------
 
-def polyline_to_moves(polyline: Polyline, pen: bool,
-                      max_len: int = DEFAULT_MAX_MOVE_LEN) -> list[Move]:
-    """Quantize a polyline into integer moves no longer than ``max_len``.
+def _quantise(a: np.ndarray, b: np.ndarray, first: np.ndarray,
+              pen: np.ndarray, max_len: int) -> np.ndarray:
+    """Moves [N, 3] along segments a -> b [S, 2] of consecutive polylines.
 
-    Segments longer than ``max_len`` are split into equal sub-segments.
-    Cumulative waypoints are rounded to the integer grid and moves are
-    differences of consecutive rounded positions, so rounding error never
-    accumulates. Moves that round to (0, 0) are dropped.
+    ``first`` marks the segments that start a polyline and ``pen`` is each
+    segment's pen. Segments longer than ``max_len`` are split into equal
+    sub-segments. Waypoints are rounded to the integer grid and moves are
+    differences of consecutive rounded waypoints, counted from the rounded
+    start of each polyline, so rounding error never accumulates. Moves that
+    round to (0, 0) are dropped.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    seg = b - a
+    k = np.maximum(1, np.ceil(np.hypot(seg[:, 0], seg[:, 1]) / max_len))
+    k = k.astype(np.int64)
+    of = np.repeat(np.arange(len(a)), k)
+    i = np.arange(len(of)) - np.repeat(np.cumsum(k) - k, k) + 1
+    pos = _round_half_up(a[of] + seg[of] * (i / k[of])[:, None])
+    prev = np.empty_like(pos)
+    prev[1:] = pos[:-1]
+    prev[first[of] & (i == 1)] = _round_half_up(a[first])
+    d = pos - prev
+    # float noise at split boundaries can spill one unit past max_len: such a
+    # move is split in two halves
+    spill = np.abs(d).max(axis=1, initial=0) > max_len
+    rows = np.repeat(np.arange(len(d)), 1 + spill)
+    moves = np.column_stack([pen[of][rows], d[rows]])
+    halves = (np.cumsum(1 + spill) - 2)[spill]
+    moves[halves, 1:] //= 2
+    moves[halves + 1, 1:] -= moves[halves, 1:]
+    return moves[np.any(moves[:, 1:] != 0, axis=1)]
+
+
+def polyline_to_moves(polyline: Polyline, pen: int,
+                      max_len: int = DEFAULT_MAX_MOVE_LEN) -> np.ndarray:
+    """Quantize one polyline into integer moves no longer than ``max_len``."""
     pts = polyline.points
-    prev = _round_half_up(pts[0])
-    moves: list[Move] = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        seg = b - a
-        length = math.hypot(seg[0], seg[1])
-        k = max(1, math.ceil(length / max_len))
-        for i in range(1, k + 1):
-            waypoint = a + seg * (i / k)
-            pos = _round_half_up(waypoint)
-            dx = int(pos[0] - prev[0])
-            dy = int(pos[1] - prev[1])
-            if dx == 0 and dy == 0:
-                continue
-            # float noise at split boundaries can spill one unit past max_len
-            for part in _bound_chebyshev(dx, dy, max_len):
-                moves.append(Move(pen, part[0], part[1]))
-            prev = pos
-    return moves
-
-
-def _bound_chebyshev(dx: int, dy: int, max_len: int) -> list[tuple[int, int]]:
-    if max(abs(dx), abs(dy)) <= max_len:
-        return [(dx, dy)]
-    half_x, half_y = dx // 2, dy // 2
-    first = (half_x, half_y)
-    second = (dx - half_x, dy - half_y)
-    return [p for p in (first, second) if p != (0, 0)]
+    n = len(pts) - 1
+    return _quantise(pts[:-1], pts[1:], np.arange(n) == 0,
+                     np.full(n, int(pen)), max_len)
 
 
 def image_to_move_sequence(
     image: StrokeImage,
     flatten_error: float = DEFAULT_FLATTEN_ERROR,
     max_len: int = DEFAULT_MAX_MOVE_LEN,
-) -> list[MoveToken]:
-    """Flatten and tokenize a whole image, ending with IMAGE_END.
+) -> np.ndarray:
+    """Flatten and tokenize a whole image into read-only [N, 3] moves.
 
-    The pen starts at the canvas origin. Each path contributes pen-up travel
-    moves from the current position to its first point, then pen-down moves
-    along its flattened polyline. Stroke endings carry no token of their
-    own; they are implied by the next pen-state change.
+    The pen starts at the canvas origin. Each path contributes travel moves
+    from the current position to its first point, then draw moves along its
+    flattened polyline; the current position is then the rounded last
+    point. Stroke endings carry no token of their own; they are implied by
+    the next pen-state change. The last row is IMAGE_END.
     """
-    cursor = np.zeros(2, dtype=np.int64)
-    moves: list[MoveToken] = []
-    for path in image.paths:
-        poly = flatten_path(path, flatten_error)
-        travel = Polyline(np.array([cursor.astype(float), poly.points[0]]))
-        moves.extend(polyline_to_moves(travel, False, max_len))
-        cursor = _round_half_up(poly.points[0])
-        moves.extend(polyline_to_moves(poly, True, max_len))
-        cursor = _round_half_up(poly.points[-1])
-    moves.append(IMAGE_END)
+    moves = np.empty((0, 3), dtype=np.int64)
+    if image.paths:
+        pts, splits = flatten_controls(*stack_paths(image.paths), flatten_error)
+        # one point sequence: cursor_0, path 0, cursor_1, path 1, ...
+        cursors = np.zeros((len(splits) + 1, 2))
+        cursors[1:] = _round_half_up(pts[splits - 1])
+        starts = np.concatenate([[0], splits])
+        seq = np.insert(pts, starts, cursors, axis=0)
+        is_cursor = np.zeros(len(seq), dtype=bool)
+        is_cursor[starts + np.arange(len(starts))] = True
+        # drop the segments from a path's last point to the next cursor
+        seg = ~is_cursor[1:]
+        first = (is_cursor | np.append(False, is_cursor[:-1]))[:-1][seg]
+        pen = np.where(is_cursor[:-1], TRAVEL, DRAW)[seg]
+        moves = _quantise(seq[:-1][seg], seq[1:][seg], first, pen, max_len)
+    moves = np.vstack([moves, IMAGE_END])
+    moves.flags.writeable = False
     return moves
 
 
@@ -113,33 +109,25 @@ def image_to_move_sequence(
 # Moves -> image
 # ---------------------------------------------------------------------------
 
-def moves_to_image(moves: Iterable[MoveToken]) -> list[Polyline]:
-    """Replay moves turtle-style from the origin into pen-down polylines.
+def moves_to_image(moves) -> list[Polyline]:
+    """Replay [N, 3] moves from the origin into pen-down polylines.
 
-    Pen-up moves only translate the cursor; IMAGE_END stops the replay (a
+    Travel moves only translate the cursor; IMAGE_END stops the replay (a
     missing IMAGE_END simply consumes every move).
     """
-    x, y = 0, 0
-    polylines: list[Polyline] = []
-    current: list[tuple[int, int]] | None = None
-    for mv in moves:
-        if mv is IMAGE_END:
-            break
-        if not isinstance(mv, Move):
-            raise ValueError(f"unknown token {mv!r} in move sequence")
-        if mv.pen:
-            if current is None:
-                current = [(x, y)]
-            x, y = x + mv.dx, y + mv.dy
-            current.append((x, y))
-        else:
-            if current is not None:
-                polylines.append(Polyline(np.array(current, dtype=float)))
-                current = None
-            x, y = x + mv.dx, y + mv.dy
-    if current is not None:
-        polylines.append(Polyline(np.array(current, dtype=float)))
-    return polylines
+    m = np.asarray(moves, dtype=np.int64).reshape(-1, 3)
+    m = m[:np.argmax(np.append(m[:, 0] == END, True))]
+    bad = np.flatnonzero((m[:, 0] != TRAVEL) & (m[:, 0] != DRAW))
+    if bad.size:
+        raise ValueError(f"unknown move {m[bad[0]].tolist()} in move sequence")
+    after = np.cumsum(m[:, 1:], axis=0)
+    draw = m[:, 0] == DRAW
+    run_start = draw & ~np.append(False, draw[:-1])
+    # a draw run is the position before its first move, then after each move
+    at = np.cumsum(draw)[run_start] - 1
+    points = np.insert(after[draw], at, (after - m[:, 1:])[run_start], axis=0)
+    pieces = np.split(points.astype(float), (at + np.arange(len(at)))[1:])
+    return [Polyline(p) for p in pieces] if len(at) else []
 
 
 # ---------------------------------------------------------------------------
@@ -149,117 +137,104 @@ def moves_to_image(moves: Iterable[MoveToken]) -> list[Polyline]:
 class Vocabulary:
     """Bijection between moves (plus IMAGE_END) and dense token ids.
 
-    Regular moves are sorted by (pen, dx, dy) and numbered from 0;
-    IMAGE_END always takes the last id.
+    The regular moves are the closed grid: every (pen, dx, dy) with pen 0 or
+    1 and Chebyshev length 1..max_move_length, numbered from 0 in
+    (pen, dx, dy) order. IMAGE_END takes the last id.
     """
 
-    def __init__(self, moves: Iterable[Move], max_move_length: int):
-        regular = sorted(set(moves))
-        for m in regular:
-            if m.dx == 0 and m.dy == 0:
-                raise ValueError("(0, 0) is not a valid move")
-            if max(abs(m.dx), abs(m.dy)) > max_move_length:
-                raise ValueError(f"move {m} exceeds max length {max_move_length}")
+    def __init__(self, max_move_length: int):
+        if max_move_length < 1:
+            raise ValueError("max_move_length must be >= 1")
         self.max_move_length = int(max_move_length)
-        self._moves: list[Move] = regular
-        self._ids: dict[Move, int] = {m: i for i, m in enumerate(regular)}
+        self._side = 2 * self.max_move_length + 1
+        self._per_pen = self._side ** 2 - 1  # the grid without (0, 0)
 
     @property
     def size(self) -> int:
-        return len(self._moves) + 1
+        return self.n_regular + 1
 
     @property
     def n_regular(self) -> int:
-        return len(self._moves)
+        return 2 * self._per_pen
 
     @property
     def image_end_id(self) -> int:
-        return len(self._moves)
-
-    def encode_move(self, token: MoveToken) -> int:
-        if token is IMAGE_END:
-            return self.image_end_id
-        try:
-            return self._ids[token]
-        except (KeyError, TypeError):
-            raise KeyError(f"move {token!r} is not in the vocabulary") from None
-
-    def decode_id(self, token_id: int) -> MoveToken:
-        if token_id == self.image_end_id:
-            return IMAGE_END
-        if 0 <= token_id < len(self._moves):
-            return self._moves[token_id]
-        raise KeyError(f"token id {token_id} out of range (V={self.size})")
-
-    def __contains__(self, token: MoveToken) -> bool:
-        return token is IMAGE_END or token in self._ids
+        return self.n_regular
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Vocabulary)
-                and self.max_move_length == other.max_move_length
-                and self._moves == other._moves)
+                and self.max_move_length == other.max_move_length)
 
     def to_json_dict(self) -> dict:
+        moves = decode(range(self.n_regular), self).tolist()
         return {
             "max_move_length": self.max_move_length,
             "entries": [
-                {"pen": m.pen, "dx": m.dx, "dy": m.dy, "id": i}
-                for i, m in enumerate(self._moves)
+                {"pen": bool(pen), "dx": dx, "dy": dy, "id": i}
+                for i, (pen, dx, dy) in enumerate(moves)
             ],
             "specials": {"IMAGE_END": self.image_end_id},
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Vocabulary":
-        entries = sorted(data["entries"], key=lambda e: e["id"])
-        moves = [Move(bool(e["pen"]), int(e["dx"]), int(e["dy"])) for e in entries]
-        vocab = cls(moves, int(data["max_move_length"]))
-        expected_ids = [e["id"] for e in entries]
-        if expected_ids != list(range(len(moves))):
-            raise ValueError("vocabulary ids must be dense from 0")
-        if data.get("specials", {}).get("IMAGE_END") != vocab.image_end_id:
-            raise ValueError("IMAGE_END must take the last id")
+        length = data.get("max_move_length")
+        if type(length) is not int or length < 1:
+            raise ValueError(f"vocabulary max_move_length must be an integer "
+                             f">= 1, got {length!r}")
+        vocab = cls(length)
+        if data != vocab.to_json_dict():
+            raise ValueError(f"vocabulary entries are not the closed move grid "
+                             f"of max_move_length {length} with IMAGE_END "
+                             f"last")
         return vocab
 
 
-def build_vocabulary(corpora: Iterable[Iterable[MoveToken]],
-                     max_len: int = DEFAULT_MAX_MOVE_LEN,
-                     closed: bool = True) -> Vocabulary:
-    """Build the token vocabulary from observed move sequences.
-
-    With ``closed=True`` (default) the vocabulary contains every grid move
-    with Chebyshev length <= max_len for both pen states, so any augmented
-    patch stays encodable. ``closed=False`` keeps only observed moves (for
-    ablation).
-    """
-    observed: set[Move] = set()
-    count = 0
-    for seq in corpora:
-        count += 1
-        for token in seq:
-            if isinstance(token, Move):
-                observed.add(token)
-    if count == 0:
+def build_vocabulary(corpora: Iterable, max_len: int = DEFAULT_MAX_MOVE_LEN
+                     ) -> Vocabulary:
+    """The closed vocabulary for ``max_len``: every grid move with Chebyshev
+    length <= max_len for both pen states, so any augmented patch stays
+    encodable. The observed move sequences must all be encodable in it."""
+    sequences = list(corpora)
+    if not sequences:
         raise ValueError("need at least one move sequence")
-    if closed:
-        moves = [
-            Move(pen, dx, dy)
-            for pen in (False, True)
-            for dx in range(-max_len, max_len + 1)
-            for dy in range(-max_len, max_len + 1)
-            if (dx, dy) != (0, 0)
-        ]
-        vocab = Vocabulary(moves, max_len)
-        for m in observed:  # sanity: observed moves must all be encodable
-            if m not in vocab:
-                raise ValueError(f"observed move {m} exceeds max length {max_len}")
-        return vocab
-    return Vocabulary(observed, max_len)
+    vocab = Vocabulary(max_len)
+    for seq in sequences:
+        try:
+            encode(seq, vocab)
+        except KeyError as exc:
+            raise ValueError(f"observed {exc.args[0]}") from None
+    return vocab
 
 
-def encode(moves: Iterable[MoveToken], vocab: Vocabulary) -> list[int]:
-    return [vocab.encode_move(m) for m in moves]
+def encode(moves, vocab: Vocabulary) -> np.ndarray:
+    """Token ids (int64) of [N, 3] moves."""
+    m = np.asarray(moves, dtype=np.int64).reshape(-1, 3)
+    pen, dx, dy = m.T
+    side, per_pen, length = vocab._side, vocab._per_pen, vocab.max_move_length
+    cell = (dx + length) * side + (dy + length)
+    centre = per_pen // 2  # the cell of (0, 0)
+    ids = np.where(pen == END, vocab.image_end_id,
+                   pen * per_pen + cell - (cell > centre))
+    regular = (((pen == TRAVEL) | (pen == DRAW))
+               & (np.maximum(np.abs(dx), np.abs(dy)) <= length)
+               & (cell != centre))
+    bad = np.flatnonzero(~regular & np.any(m != IMAGE_END, axis=1))
+    if bad.size:
+        raise KeyError(f"move {m[bad[0]].tolist()} is not in the vocabulary")
+    return ids
 
 
-def decode(token_ids: Iterable[int], vocab: Vocabulary) -> list[MoveToken]:
-    return [vocab.decode_id(int(i)) for i in token_ids]
+def decode(token_ids, vocab: Vocabulary) -> np.ndarray:
+    """[N, 3] moves of token ids; the inverse of encode."""
+    ids = np.fromiter(token_ids, dtype=np.int64)
+    bad = np.flatnonzero((ids < 0) | (ids > vocab.image_end_id))
+    if bad.size:
+        raise KeyError(f"token id {ids[bad[0]]} out of range (V={vocab.size})")
+    pen, rest = np.divmod(ids, vocab._per_pen)
+    cell = rest + (rest >= vocab._per_pen // 2)
+    dx, dy = np.divmod(cell, vocab._side)
+    length = vocab.max_move_length
+    moves = np.column_stack([pen, dx - length, dy - length])
+    moves[ids == vocab.image_end_id] = IMAGE_END
+    return moves

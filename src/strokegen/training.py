@@ -8,6 +8,7 @@ import base64
 import dataclasses
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -15,8 +16,13 @@ import numpy as np
 
 from .augment import AugmentConfig, generate_patch_set
 from .autodiff import NonFiniteError, Tensor, cross_entropy, no_grad, reshape
-from .geometry import StrokeImage
-from .model import ModelConfig, encoder_forward, init_encoder_params
+from .geometry import DEFAULT_BOUNDARY, StrokeImage, _boundary_from_json
+from .model import (
+    ModelConfig,
+    encoder_forward,
+    init_encoder_params,
+    parameter_table,
+)
 from .tokenizer import Vocabulary, build_vocabulary, encode, image_to_move_sequence
 
 logger = logging.getLogger(__name__)
@@ -215,6 +221,7 @@ class Checkpoint:
     loss_history: list[EpochStats]
     rng_state: dict
     version: int = CHECKPOINT_VERSION
+    boundary: float = DEFAULT_BOUNDARY  # canvas side of the training image
 
     def param_tensors(self) -> dict[str, Tensor]:
         return {k: Tensor(v) for k, v in self.params.items()}
@@ -223,6 +230,7 @@ class Checkpoint:
 def checkpoint_to_json(ckpt: Checkpoint) -> dict:
     return {
         "version": ckpt.version,
+        "boundary": ckpt.boundary,
         "model": ckpt.model.to_json_dict(),
         "train": ckpt.train.to_json_dict(),
         "vocabulary": ckpt.vocab.to_json_dict(),
@@ -245,23 +253,44 @@ def checkpoint_to_json(ckpt: Checkpoint) -> dict:
 
 
 def checkpoint_from_json(data: dict) -> Checkpoint:
+    """Load a checkpoint, checking that its vocabulary is the closed grid,
+    that it matches the model's vocab_size and that the parameters have the
+    names and shapes of that model and are finite. A checkpoint without a
+    canvas boundary is for the default canvas."""
     if data.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {data.get('version')}")
+    model = ModelConfig.from_json_dict(data["model"])
+    vocab = Vocabulary.from_json_dict(data["vocabulary"])
+    if model.vocab_size != vocab.size:
+        raise ValueError(f"model.vocab_size {model.vocab_size} does not match "
+                         f"the vocabulary size {vocab.size}")
+    table = parameter_table(model)
+    names = set(data["params"])
+    if names != set(table):
+        raise ValueError(f"checkpoint params differ from the model's: missing "
+                         f"{sorted(set(table) - names)}, unexpected "
+                         f"{sorted(names - set(table))}")
     params = {}
-    for name, entry in data["params"].items():
-        raw = base64.b64decode(entry["data"])
-        arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"])
-        params[name] = arr.astype(np.float32)
+    for name, (shape, _) in table.items():
+        entry = data["params"][name]
+        raw = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f4")
+        if list(entry["shape"]) != list(shape) or raw.size != math.prod(shape):
+            raise ValueError(f"parameter {name!r} has shape {entry['shape']} "
+                             f"and {raw.size} values, expected {list(shape)}")
+        if not np.isfinite(raw).all():
+            raise ValueError(f"parameter {name!r} has non-finite values")
+        params[name] = raw.reshape(shape).astype(np.float32)
     return Checkpoint(
-        model=ModelConfig.from_json_dict(data["model"]),
+        model=model,
         train=TrainConfig.from_json_dict(data["train"]),
-        vocab=Vocabulary.from_json_dict(data["vocabulary"]),
+        vocab=vocab,
         params=params,
         epoch=int(data["epoch"]),
         loss_history=[EpochStats(int(e), float(t), float(h))
                       for e, t, h in data["loss_history"]],
         rng_state=data["rng_state"],
         version=int(data["version"]),
+        boundary=_boundary_from_json(data),
     )
 
 
@@ -288,7 +317,7 @@ def write_loss_csv(history: list[EpochStats], path):
 # ---------------------------------------------------------------------------
 
 def tokenize_patches(patches: list[StrokeImage], vocab: Vocabulary,
-                     flatten_error: float, max_len: int) -> list[list[int]]:
+                     flatten_error: float, max_len: int) -> list[np.ndarray]:
     return [
         encode(image_to_move_sequence(p, flatten_error, max_len), vocab)
         for p in patches
@@ -332,7 +361,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
         seq_len,
     )
 
-    fixed_sequences: list[list[int]] | None = None
+    fixed_sequences: list[np.ndarray] | None = None
     if cfg.fixed_patch_set is not None:
         fixed = generate_patch_set(image, cfg.fixed_patch_set, aug_cfg,
                                    derived_rng(cfg.seed, SEED_FIXED))
@@ -398,6 +427,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")
             or os.environ.get("OMP_NUM_THREADS") or "default",
         },
+        boundary=image.boundary,
     )
 
 

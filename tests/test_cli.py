@@ -1,3 +1,4 @@
+import base64
 import json
 import xml.etree.ElementTree as ET
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from strokegen.cli import main, parse_config_file
+from strokegen.demo import make_demo_recording
 from strokegen.geometry import load_path_image
 from strokegen.training import load_checkpoint
 
@@ -240,6 +242,95 @@ class TestSample:
             "sample", str(workdir / "run" / "checkpoint.json"),
             "--out", str(tmp_path / "x.svg"), "--k", "99999",
         ]) == 2
+
+
+def _edit_param(data, name, edit):
+    entry = data["params"][name]
+    arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f4")
+    arr = edit(arr.reshape(entry["shape"]).copy()).astype("<f4")
+    entry["shape"] = list(arr.shape)
+    entry["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+
+
+def _add_param(data):
+    data["params"]["extra"] = dict(data["params"]["layer0.ff.b2"])
+
+
+def _add_embedding_row(data):
+    _edit_param(data, "embedding", lambda a: np.vstack([a, a[-1:]]))
+
+
+def _grow_vocab_size(data):
+    # the model and its parameters agree on one more token than the vocabulary
+    data["model"]["vocab_size"] += 1
+    _edit_param(data, "embedding", lambda a: np.vstack([a, a[-1:]]))
+    _edit_param(data, "output.w", lambda a: np.hstack([a, 0 * a[:, -1:]]))
+
+
+def _nan_weight(data):
+    def edit(a):
+        a.flat[0] = np.nan
+        return a
+    _edit_param(data, "layer0.ff.w1", edit)
+
+
+def _swap_vocab_entries(data):
+    a, b = data["vocabulary"]["entries"][:2]
+    a["dy"], b["dy"] = b["dy"], a["dy"]
+
+
+@pytest.mark.parametrize("tamper, field", [
+    (_add_param, "unexpected ['extra']"),
+    (_add_embedding_row, "parameter 'embedding' has shape"),
+    (_grow_vocab_size, "model.vocab_size"),
+    (_nan_weight, "parameter 'layer0.ff.w1' has non-finite values"),
+    (_swap_vocab_entries, "vocabulary entries are not the closed move grid"),
+], ids=["extra-param", "embedding-shape", "vocab-size", "non-finite",
+        "vocab-entries"])
+def test_tampered_checkpoint_exit_2(workdir, tmp_path, capsys, tamper, field):
+    data = json.loads((workdir / "run" / "checkpoint.json").read_text())
+    tamper(data)
+    ckpt = tmp_path / "tampered.json"
+    ckpt.write_text(json.dumps(data))
+    assert main([
+        "sample", str(ckpt), "--out", str(tmp_path / "x.svg"),
+        "--count", "1", "--max-moves", "20",
+    ]) == 2
+    assert field in capsys.readouterr().err
+
+
+def _sampled_cells(checkpoint, out):
+    assert main(["sample", str(checkpoint), "--out", str(out), "--count", "3",
+                 "--max-moves", "40", "--seed", "1"]) == 0
+    return ET.fromstring(out.read_text()).findall("{http://www.w3.org/2000/svg}svg")
+
+
+def test_sample_uses_the_training_canvas(workdir, tmp_path):
+    rec = tmp_path / "rec300.json"
+    rec.write_text(json.dumps(make_demo_recording("boxes", 300.0)))
+    assert main(["ingest", str(rec), "-o", str(tmp_path / "img.json")]) == 0
+    assert main(["train", str(tmp_path / "img.json"), "-o", str(tmp_path / "run"),
+                 "--config", str(workdir / "micro.cfg")]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint.json"
+    cells = _sampled_cells(checkpoint, tmp_path / "grid.svg")
+    assert [c.get("width") for c in cells] == ["300"] * 3
+    centred = 0
+    for cell in cells:
+        coords = [float(v) for p in cell.iter("{http://www.w3.org/2000/svg}path")
+                  for v in p.get("d").replace("M", "").replace("L", "").split()]
+        if coords:
+            pts = np.array(coords).reshape(-1, 2)
+            centre = (pts.min(axis=0) + pts.max(axis=0)) / 2.0
+            assert centre == pytest.approx([150.0, 150.0])
+            centred += 1
+    assert centred
+    # a checkpoint written without a canvas is for the default 180 canvas
+    data = json.loads(checkpoint.read_text())
+    del data["boundary"]
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(data))
+    cells = _sampled_cells(legacy, tmp_path / "legacy.svg")
+    assert [c.get("width") for c in cells] == ["180"] * 3
 
 
 class TestAugmentPreview:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from strokegen.geometry import CubicBezier, Path, Point, Polyline, StrokeImage
 from strokegen.tokenizer import (
     IMAGE_END,
-    Move,
     Vocabulary,
     build_vocabulary,
     decode,
@@ -36,31 +35,31 @@ class TestPolylineToMoves:
         # oracle: split 40 at 40/3 intervals, round cumulative x to 13, 27, 40
         poly = Polyline(np.array([[0.0, 0.0], [40.0, 0.0]]))
         moves = polyline_to_moves(poly, True, 15)
-        assert moves == [Move(True, 13, 0), Move(True, 14, 0), Move(True, 13, 0)]
+        assert np.array_equal(moves, [(1, 13, 0), (1, 14, 0), (1, 13, 0)])
 
     def test_short_segment_single_move(self):
         poly = Polyline(np.array([[0.0, 0.0], [10.0, 0.0]]))
-        assert polyline_to_moves(poly, True, 15) == [Move(True, 10, 0)]
+        assert np.array_equal(polyline_to_moves(poly, True, 15), [(1, 10, 0)])
 
     def test_moves_telescope_to_rounded_total(self):
         rng = np.random.default_rng(0)
         pts = np.cumsum(rng.uniform(-30, 30, (20, 2)), axis=0)
         poly = Polyline(pts)
         moves = polyline_to_moves(poly, True, 15)
-        total = np.sum([[m.dx, m.dy] for m in moves], axis=0)
+        total = np.sum([[dx, dy] for _, dx, dy in moves], axis=0)
         expected = np.floor(pts[-1] + 0.5) - np.floor(pts[0] + 0.5)
         assert np.array_equal(total, expected)
 
     def test_zero_moves_dropped(self):
         poly = Polyline(np.array([[0.0, 0.0], [0.2, 0.2], [0.4, 0.0]]))
-        assert polyline_to_moves(poly, True, 15) == []
+        assert len(polyline_to_moves(poly, True, 15)) == 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_chebyshev_bound_holds(self, seed):
         rng = np.random.default_rng(seed)
         pts = np.cumsum(rng.uniform(-60, 60, (30, 2)), axis=0)
         moves = polyline_to_moves(Polyline(pts), True, 15)
-        assert all(max(abs(m.dx), abs(m.dy)) <= 15 for m in moves)
+        assert all(max(abs(dx), abs(dy)) <= 15 for _, dx, dy in moves)
 
     def test_quantization_never_accumulates(self):
         rng = np.random.default_rng(42)
@@ -69,20 +68,21 @@ class TestPolylineToMoves:
             poly = Polyline(pts)
             moves = polyline_to_moves(poly, True, 15)
             pos = np.floor(pts[0] + 0.5)
-            for m in moves:
-                pos = pos + [m.dx, m.dy]
+            for _, dx, dy in moves:
+                pos = pos + [dx, dy]
             # final decoded position is the rounded true position: <=0.5/axis
             assert np.all(np.abs(pos - pts[-1]) <= 0.5)
 
 
 class TestImageToMoveSequence:
     def test_empty_image(self):
-        assert image_to_move_sequence(StrokeImage([], 180.0)) == [IMAGE_END]
+        assert np.array_equal(image_to_move_sequence(StrokeImage([], 180.0)),
+                              [IMAGE_END])
 
     def test_single_short_path(self):
         img = StrokeImage([line_path(5, 5, 15, 5)], 180.0)
         moves = image_to_move_sequence(img)
-        assert moves == [Move(False, 5, 5), Move(True, 10, 0), IMAGE_END]
+        assert np.array_equal(moves, [(0, 5, 5), (1, 10, 0), IMAGE_END])
 
     def test_round_trip_within_quantization_bound(self):
         rng = np.random.default_rng(1)
@@ -106,28 +106,28 @@ class TestImageToMoveSequence:
     def test_exactly_one_image_end_at_tail(self):
         img = StrokeImage([line_path(10, 10, 60, 40)], 180.0)
         moves = image_to_move_sequence(img)
-        assert moves[-1] is IMAGE_END
-        assert sum(1 for m in moves if m is IMAGE_END) == 1
+        assert tuple(moves[-1]) == IMAGE_END
+        assert sum(1 for m in moves if tuple(m) == IMAGE_END) == 1
 
 
 class TestMovesToImage:
     def test_trace_example(self):
-        moves = [Move(False, 5, 5), Move(True, 10, 0), IMAGE_END]
+        moves = [(0, 5, 5), (1, 10, 0), IMAGE_END]
         polylines = moves_to_image(moves)
         assert len(polylines) == 1
         assert np.array_equal(polylines[0].points, [[5, 5], [15, 5]])
 
     def test_all_pen_up_gives_no_polylines(self):
-        moves = [Move(False, 3, 3), Move(False, -2, 5), IMAGE_END]
+        moves = [(0, 3, 3), (0, -2, 5), IMAGE_END]
         assert moves_to_image(moves) == []
 
     def test_tolerates_missing_image_end(self):
-        moves = [Move(False, 1, 1), Move(True, 4, 0)]
+        moves = [(0, 1, 1), (1, 4, 0)]
         polylines = moves_to_image(moves)
         assert len(polylines) == 1
 
     def test_stops_at_image_end(self):
-        moves = [Move(True, 4, 0), IMAGE_END, Move(True, 9, 9)]
+        moves = [(1, 4, 0), IMAGE_END, (1, 9, 9)]
         polylines = moves_to_image(moves)
         assert np.array_equal(polylines[0].points, [[0, 0], [4, 0]])
 
@@ -144,7 +144,7 @@ class TestVocabulary:
         assert vocab.size == 2 * 8 + 1 == 17
 
     def test_id_assignment_stable(self):
-        seq = [Move(True, 3, -2), Move(False, 1, 1), IMAGE_END]
+        seq = [(1, 3, -2), (0, 1, 1), IMAGE_END]
         a = build_vocabulary([seq], max_len=15)
         b = build_vocabulary([list(reversed(seq))], max_len=15)
         assert a.to_json_dict() == b.to_json_dict()
@@ -152,12 +152,6 @@ class TestVocabulary:
     def test_image_end_has_last_id(self):
         vocab = build_vocabulary([[IMAGE_END]], max_len=2)
         assert vocab.image_end_id == vocab.size - 1
-
-    def test_observed_only_mode(self):
-        seq = [Move(True, 3, -2), Move(False, 1, 1), IMAGE_END]
-        vocab = build_vocabulary([seq], max_len=15, closed=False)
-        assert vocab.size == 3
-        assert vocab.encode_move(Move(False, 1, 1)) == 0  # pen=False sorts first
 
     def test_json_round_trip(self):
         vocab = build_vocabulary([[IMAGE_END]], max_len=3)
@@ -167,7 +161,7 @@ class TestVocabulary:
 
     def test_rejects_oversized_observed_move(self):
         with pytest.raises(ValueError):
-            build_vocabulary([[Move(True, 99, 0)]], max_len=15)
+            build_vocabulary([[(1, 99, 0)]], max_len=15)
 
 
 class TestEncodeDecode:
@@ -176,16 +170,15 @@ class TestEncodeDecode:
         return build_vocabulary([[IMAGE_END]], max_len=15)
 
     def test_round_trip_identity(self, vocab):
-        moves = [Move(True, 1, 2), Move(False, -3, 7), Move(True, 15, -15),
-                 IMAGE_END]
-        assert decode(encode(moves, vocab), vocab) == moves
+        moves = [(1, 1, 2), (0, -3, 7), (1, 15, -15), IMAGE_END]
+        assert np.array_equal(decode(encode(moves, vocab), vocab), moves)
 
     def test_encode_image_end(self, vocab):
-        assert encode([IMAGE_END], vocab) == [vocab.image_end_id]
+        assert encode([IMAGE_END], vocab).tolist() == [vocab.image_end_id]
 
     def test_unknown_move_raises(self, vocab):
         with pytest.raises(KeyError):
-            encode([Move(True, 99, 0)], vocab)
+            encode([(1, 99, 0)], vocab)
 
     def test_bad_id_raises(self, vocab):
         with pytest.raises(KeyError):
@@ -200,9 +193,9 @@ class TestEncodeDecode:
                 dx, dy = 0, 0
                 while dx == 0 and dy == 0:
                     dx, dy = rng.integers(-15, 16, 2)
-                moves.append(Move(bool(rng.integers(2)), int(dx), int(dy)))
+                moves.append((int(rng.integers(2)), int(dx), int(dy)))
             moves.append(IMAGE_END)
-            assert decode(encode(moves, vocab), vocab) == moves
+            assert np.array_equal(decode(encode(moves, vocab), vocab), moves)
 
     @given(st.lists(
         st.tuples(st.booleans(), st.integers(-15, 15), st.integers(-15, 15))
@@ -212,8 +205,8 @@ class TestEncodeDecode:
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, raw):
         vocab = build_vocabulary([[IMAGE_END]], max_len=15)
-        moves = [Move(*r) for r in raw] + [IMAGE_END]
-        assert decode(encode(moves, vocab), vocab) == moves
+        moves = [(int(r[0]), r[1], r[2]) for r in raw] + [IMAGE_END]
+        assert np.array_equal(decode(encode(moves, vocab), vocab), moves)
 
 
 class TestClosedVocabularyCoversAugmentation:
@@ -223,9 +216,7 @@ class TestClosedVocabularyCoversAugmentation:
         img = StrokeImage(
             [line_path(60, 60, 120, 80), line_path(70, 100, 110, 120)], 180.0
         )
-        vocab = build_vocabulary(
-            [image_to_move_sequence(img)], max_len=15, closed=True
-        )
+        vocab = build_vocabulary([image_to_move_sequence(img)], max_len=15)
         rng = np.random.default_rng(0)
         for _ in range(25):
             patch = generate_patch(img, AugmentConfig(), rng.spawn(1)[0])
