@@ -1,19 +1,27 @@
 """Dense-tensor kernel with reverse-mode automatic differentiation.
 
-Covers exactly the operations the encoder needs: matmul (2-d and stacked
-3-d), elementwise arithmetic, ReLU, masked softmax, layer normalization,
-embedding lookup and cross-entropy, plus two fused nodes that the encoder
-uses in place of compositions of those ops: ``feed_forward`` (matmul, bias,
-ReLU, matmul, bias) and ``attention`` (scaled q @ k^T, masked softmax, @ v).
-Each fused node is one tape node with a hand-written backward; the public
-ops stay as its reference.
+Public ops: matmul (``[..., n] @ [n, m]`` and stacked 3-d), elementwise
+arithmetic, ReLU, reshape, transpose, masked softmax, layer normalization,
+embedding lookup and cross-entropy over ``[..., V]`` logits. The encoder
+runs on fused nodes, each one tape node with a hand-written backward, and
+the public ops stay as their reference:
+
+- ``multi_head_attention``: one matmul for q, k and v, head split by views,
+  masked softmax(q @ k^T / sqrt(hd) + bias) @ v, concatenation and ``@ wo``.
+  Checks the scaled scores before the mask bias (exp maps -inf to 0).
+- ``add_layer_norm``: residual connection and normalization, LN(x + y).
+  Checks the per-position variance (an overflow to inf zeroes the
+  normalized values, leaving the finite bias).
+- ``feed_forward``: relu(x @ w1 + b1) @ w2 + b2 over ``[..., d]``. Checks
+  the pre-activation (ReLU maps -inf to 0).
+
+The output head is a single ``matmul`` of ``[b, L, d] @ [d, V]``, and
+``cross_entropy`` works in place on one buffer it owns (in row blocks when
+no tape is recorded).
 
 Every op output is checked for NaN/Inf; a violation raises NonFiniteError,
-naming the op and the output shape, instead of propagating. The fused nodes
-also check the one intermediate whose non-finite values their output would
-hide: the pre-activation ``x @ w1 + b1`` of ``feed_forward`` (ReLU maps -inf
-to 0) and the scaled scores of ``attention`` before the mask bias (exp maps
--inf to 0).
+naming the op, the output or checked intermediate and its shape, instead of
+propagating.
 
 Gradient ownership: a backward hands its gradient arrays to ``_accumulate``,
 which stores the first one as the tensor's ``.grad`` as is and rebinds on
@@ -172,20 +180,37 @@ def backward(loss: Tensor):
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for ``[..., n] @ [n, m]`` or stacked ``[s, n, k] @ [s, k, m]``.
+
+    The first form projects every position of a batch through one weight
+    matrix as one product over the flattened leading axes.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim:
-        raise ValueError(f"matmul needs matching 2-d or 3-d operands, got "
-                         f"{a.data.shape} @ {b.data.shape}")
+    if a.data.ndim < 2 or b.data.ndim not in (2, 3) or (
+            b.data.ndim == 3 and a.data.ndim != 3):
+        raise ValueError(f"matmul needs [..., n] @ [n, m] or stacked 3-d "
+                         f"operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul inner extents differ: "
                          f"{a.data.shape} @ {b.data.shape}")
-    if a.data.ndim == 3 and a.data.shape[0] != b.data.shape[0]:
-        raise ValueError("stacked matmul needs equal leading extents")
-    out_data = a.data @ b.data
+    if b.data.ndim == 3:
+        if a.data.shape[0] != b.data.shape[0]:
+            raise ValueError("stacked matmul needs equal leading extents")
+
+        def grad_stacked(g):
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+
+        return _make(a.data @ b.data, (a, b), grad_stacked)
+
+    n, m = b.data.shape
+    a2 = a.data.reshape(-1, n)
+    out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + (m,))
 
     def grad_fn(g):
-        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+        g2 = g.reshape(-1, m)
+        _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
+        _accumulate(b, a2.T @ g2)
 
     return _make(out_data, (a, b), grad_fn)
 
@@ -344,32 +369,54 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     return _make(out_data, (x, gain, bias), grad_fn)
 
 
+# values per row block of a cross_entropy that records no tape
+_CE_BLOCK_ELEMENTS = 1 << 20
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-softmax probability of the target ids.
 
-    logits: [N, V]; targets: int array [N] with every id < V.
+    logits: [..., V]; targets: int array of the leading shape with every
+    id < V. With a tape, one [N, V] buffer holds the shifted logits, then
+    their exponentials, and becomes the gradient in the backward. Without
+    one, rows are done in blocks of about ``_CE_BLOCK_ELEMENTS`` values, so
+    no second logits-sized array is ever held.
     """
     logits = _as_tensor(logits)
-    if logits.data.ndim != 2:
-        raise ValueError("cross_entropy expects [batch, vocab] logits")
-    n, v = logits.data.shape
+    if logits.data.ndim < 2:
+        raise ValueError("cross_entropy expects [..., vocab] logits")
+    v = logits.data.shape[-1]
     targets = np.asarray(targets)
-    if targets.shape != (n,):
-        raise ValueError(f"targets must have shape ({n},)")
+    if targets.shape != logits.data.shape[:-1]:
+        raise ValueError(f"targets must have shape {logits.data.shape[:-1]}, "
+                         f"got {targets.shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ValueError(f"target id out of range [0, {v})")
 
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    denom = e.sum(axis=1)
-    rows = np.arange(n)
-    out_data = np.asarray((np.log(denom) - z[rows, targets]).mean())
+    z = logits.data.reshape(-1, v)
+    targets = targets.reshape(-1)
+    n = targets.size
+    taped = _grad_enabled and logits.requires_grad
+    # on a tape, one block: e and denom then cover every row for grad_fn
+    block = max(1, n if taped else min(n, _CE_BLOCK_ELEMENTS // v))
+    e = np.empty((block, v), dtype=z.dtype)
+    row_loss = np.empty(n, dtype=z.dtype)
+    for start in range(0, n, block):
+        zb, tb = z[start: start + block], targets[start: start + block]
+        eb = e[: len(zb)]
+        np.subtract(zb, zb.max(axis=1, keepdims=True), out=eb)
+        picked = eb[np.arange(len(zb)), tb]
+        np.exp(eb, out=eb)
+        denom = eb.sum(axis=1)
+        row_loss[start: start + len(zb)] = np.log(denom) - picked
+    out_data = np.asarray(row_loss.mean())
 
     def grad_fn(g):
-        p = e / denom[:, None]
-        p[rows, targets] -= 1.0
+        p = e  # softmax, then the gradient, in the buffer this node owns
+        p /= denom[:, None]
+        p[np.arange(n), targets] -= 1.0
         p *= g / n
-        _accumulate(logits, p)
+        _accumulate(logits, p.reshape(logits.data.shape))
 
     return _make(out_data, (logits,), grad_fn)
 
@@ -383,11 +430,11 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     """Position-wise feed-forward block relu(x @ w1 + b1) @ w2 + b2.
 
     One tape node; equal to the composition of matmul, add, relu, matmul and
-    add. x: [N, d]; w1: [d, ff]; b1: [ff]; w2: [ff, d_out]; b2: [d_out].
+    add. x: [..., d]; w1: [d, ff]; b1: [ff]; w2: [ff, d_out]; b2: [d_out].
     """
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
-    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
-            or w1.data.shape[0] != x.data.shape[1]
+    if (x.data.ndim < 1 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or w1.data.shape[0] != x.data.shape[-1]
             or b1.data.shape != w1.data.shape[1:]
             or w2.data.shape[0] != w1.data.shape[1]
             or b2.data.shape != w2.data.shape[1:]):
@@ -395,7 +442,9 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
             f"feed_forward shapes do not chain: x {x.data.shape}, "
             f"w1 {w1.data.shape}, b1 {b1.data.shape}, w2 {w2.data.shape}, "
             f"b2 {b2.data.shape}")
-    hidden = x.data @ w1.data
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    d_out = w2.data.shape[1]
+    hidden = x2 @ w1.data
     hidden += b1.data
     _check_finite(hidden, "feed_forward", "pre-activation x @ w1 + b1")
     np.maximum(hidden, 0.0, out=hidden)
@@ -403,51 +452,118 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     out_data += b2.data
 
     def grad_fn(g):
+        g = g.reshape(-1, d_out)
         _accumulate(b2, g.sum(axis=0))
         _accumulate(w2, hidden.T @ g)
         dpre = g @ w2.data.T
         dpre *= hidden > 0.0
         _accumulate(b1, dpre.sum(axis=0))
-        _accumulate(w1, x.data.T @ dpre)
-        _accumulate(x, dpre @ w1.data.T)
+        _accumulate(w1, x2.T @ dpre)
+        _accumulate(x, (dpre @ w1.data.T).reshape(x.data.shape))
 
-    return _make(out_data, (x, w1, b1, w2, b2), grad_fn)
+    return _make(out_data.reshape(x.data.shape[:-1] + (d_out,)),
+                 (x, w1, b1, w2, b2), grad_fn)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor,
-              bias: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention softmax(q @ k^T / sqrt(hd) + bias) @ v.
+def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
+                   eps: float = 1e-5) -> Tensor:
+    """Residual connection and normalization ``layer_norm(x + y)`` as one node.
 
-    One tape node; equal to matmul(softmax(mul(matmul(q, transpose(k)),
-    1 / sqrt(hd)), mask=bias == 0), v). q, k, v: [n, L, hd]. ``bias`` is an
-    additive [L, L] array, 0 where position i may attend to j and -inf where
-    it may not, or None for no mask. A row with no allowed entry makes the
-    output non-finite, which raises NonFiniteError.
+    x, y: [..., d] of one shape; gain, bias: [d]. The per-position variance
+    is checked: when it overflows, the normalized values become 0 and the
+    output would be the finite bias.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if (q.data.ndim != 3 or k.data.shape != q.data.shape
-            or v.data.ndim != 3 or v.data.shape[:2] != k.data.shape[:2]):
-        raise ValueError(f"attention needs q and k of one [n, L, hd] shape and "
-                         f"v of [n, L, *], got {q.data.shape}, {k.data.shape}, "
-                         f"{v.data.shape}")
-    scale = np.asarray(1.0 / math.sqrt(q.data.shape[-1]), dtype=q.data.dtype)
-    p = q.data @ np.swapaxes(k.data, -1, -2)
-    p *= scale
-    _check_finite(p, "attention", "scaled scores q @ k^T / sqrt(hd)")
-    if bias is not None:
-        p += bias
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out_data = p @ v.data
+    x, y, gain, bias = (_as_tensor(t) for t in (x, y, gain, bias))
+    if (x.data.shape != y.data.shape or x.data.ndim < 1
+            or gain.data.shape != x.data.shape[-1:]
+            or bias.data.shape != gain.data.shape):
+        raise ValueError(f"add_layer_norm needs x and y of one [..., d] shape "
+                         f"and [d] gain and bias, got {x.data.shape}, "
+                         f"{y.data.shape}, {gain.data.shape}, {bias.data.shape}")
+    d = x.data.shape[-1]
+    xhat = x.data + y.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    _check_finite(var, "add_layer_norm", "variance of x + y")
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    out_data = gain.data * xhat + bias.data
 
     def grad_fn(g):
-        _accumulate(v, np.swapaxes(p, -1, -2) @ g)
-        ds = g @ np.swapaxes(v.data, -1, -2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        _accumulate(q, ds @ k.data)
-        _accumulate(k, np.swapaxes(ds, -1, -2) @ q.data)
+        dxhat = g * gain.data
+        term = (d * dxhat
+                - dxhat.sum(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+        dx = inv / d * term
+        _accumulate(x, dx)
+        _accumulate(y, dx)
+        lead = tuple(range(g.ndim - 1))
+        _accumulate(gain, (g * xhat).sum(axis=lead))
+        _accumulate(bias, g.sum(axis=lead))
 
-    return _make(out_data, (q, k, v), grad_fn)
+    return _make(out_data, (x, y, gain, bias), grad_fn)
+
+
+def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                         wo: Tensor, n_heads: int,
+                         bias: np.ndarray | None) -> Tensor:
+    """Masked multi-head self-attention sub-layer as one tape node.
+
+    Per head h of width hd = d / n_heads: softmax(q_h @ k_h^T / sqrt(hd) +
+    bias) @ v_h with q, k, v = x @ wq, x @ wk, x @ wv; the heads are
+    concatenated and projected by wo. x: [..., L, d]; wq, wk, wv, wo: [d, d].
+    ``bias`` is an additive [L, L] array, 0 where position i may attend to j
+    and -inf where it may not, or None for no mask. A row with no allowed
+    entry makes the output non-finite, which raises NonFiniteError. The
+    caller applies residual connection and norm.
+    """
+    x, wq, wk, wv, wo = (_as_tensor(t) for t in (x, wq, wk, wv, wo))
+    if x.data.ndim < 2 or x.data.shape[-1] % n_heads:
+        raise ValueError(f"multi_head_attention needs x of shape [..., L, d] "
+                         f"with d divisible by {n_heads} heads, got "
+                         f"{x.data.shape}")
+    *lead, l, d = x.data.shape
+    if any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
+        raise ValueError(f"multi_head_attention weights must be [{d}, {d}], "
+                         f"got {[w.data.shape for w in (wq, wk, wv, wo)]}")
+    b, hd = math.prod(lead), d // n_heads
+    scale = np.asarray(1.0 / math.sqrt(hd), dtype=x.data.dtype)
+    x2 = x.data.reshape(b * l, d)
+    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    # [b, l, 3, heads, hd] -> views q, k, v of [b, heads, l, hd]
+    qkv = (x2 @ w_qkv).reshape(b, l, 3, n_heads, hd)
+    q, k, v = qkv.transpose(2, 0, 3, 1, 4)
+    # weights key-major, a[..., j, i] for query i and key j: the softmax
+    # reductions then run across rows, vectorised over the queries
+    a = k @ np.swapaxes(q, -1, -2)
+    a *= scale
+    _check_finite(a, "multi_head_attention", "scaled scores q @ k^T / sqrt(hd)")
+    if bias is not None:
+        a += bias.T
+    a -= a.max(axis=-2, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-2, keepdims=True)
+    ctx = (np.swapaxes(a, -1, -2) @ v).transpose(0, 2, 1, 3).reshape(b * l, d)
+    out_data = (ctx @ wo.data).reshape(x.data.shape)
+
+    def grad_fn(g):
+        g = g.reshape(b * l, d)
+        _accumulate(wo, ctx.T @ g)
+        dctx = (g @ wo.data.T).reshape(b, l, n_heads, hd).transpose(0, 2, 1, 3)
+        dqkv = np.empty_like(qkv)
+        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(a, dctx, out=dv)
+        da = v @ np.swapaxes(dctx, -1, -2)
+        da -= (da * a).sum(axis=-2, keepdims=True)
+        da *= a
+        da *= scale
+        np.matmul(np.swapaxes(da, -1, -2), k, out=dq)
+        np.matmul(da, q, out=dk)
+        dqkv = dqkv.reshape(b * l, 3 * d)
+        dw = x2.T @ dqkv
+        _accumulate(wq, dw[:, :d])
+        _accumulate(wk, dw[:, d: 2 * d])
+        _accumulate(wv, dw[:, 2 * d:])
+        _accumulate(x, (dqkv @ w_qkv.T).reshape(x.data.shape))
+
+    return _make(out_data, (x, wq, wk, wv, wo), grad_fn)

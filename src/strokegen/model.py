@@ -4,7 +4,8 @@ Embedding with sinusoidal positional encoding, stacked layers of masked
 multi-head self-attention (two attention sub-layers per layer by default,
 matching the architecture drawing; collapsible to one for ablation) and a
 position-wise feed-forward block, all post-normalized, followed by a linear
-head to vocabulary logits.
+head to vocabulary logits. ``multi_head_attention`` is the autodiff node
+that computes one attention sub-layer.
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ from functools import lru_cache
 import numpy as np
 
 from .autodiff import (
+    NonFiniteError,
     Tensor,
     add,
-    attention,
+    add_layer_norm,
     embedding,
     feed_forward,
-    layer_norm,
     matmul,
     mul,
-    reshape,
-    transpose,
+    multi_head_attention,
 )
 
 
@@ -157,66 +157,45 @@ def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                         wo: Tensor, n_heads: int,
-                         bias: np.ndarray | None) -> Tensor:
-    """Masked scaled dot-product attention over parallel heads.
-
-    x: [batch, L, d]; ``bias`` is an additive [L, L] mask such as
-    ``causal_bias(L, dtype)``, or None. The caller applies residual
-    connection and norm.
-    """
-    b, l, d = x.shape
-    hd = d // n_heads
-
-    def project(w: Tensor) -> Tensor:
-        p = matmul(reshape(x, (b * l, d)), w)
-        p = transpose(reshape(p, (b, l, n_heads, hd)), (0, 2, 1, 3))
-        return reshape(p, (b * n_heads, l, hd))
-
-    ctx = attention(project(wq), project(wk), project(wv), bias)
-    ctx = transpose(reshape(ctx, (b, n_heads, l, hd)), (0, 2, 1, 3))
-    out = matmul(reshape(ctx, (b * l, d)), wo)
-    return reshape(out, (b, l, d))
-
-
 def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
                     config: ModelConfig) -> Tensor:
-    """Next-token logits for each position; [.., L, vocab_size]."""
+    """Next-token logits for each position; [.., L, vocab_size].
+
+    Each sub-layer is one tape node plus one residual-and-norm node. A
+    NonFiniteError names the sub-layer it came from: ``embedding``,
+    ``layer{i}.attn{j}``, ``layer{i}.ff`` or ``output``.
+    """
     ids = np.asarray(token_ids)
-    single = ids.ndim == 1
-    if single:
-        ids = ids[None, :]
-    if ids.ndim != 2:
+    if ids.ndim not in (1, 2):
         raise ValueError("token ids must be a 1-d or 2-d integer array")
-    b, l = ids.shape
+    l = ids.shape[-1]
     if l > config.seq_len:
         raise ValueError(f"sequence length {l} exceeds model limit "
                          f"{config.seq_len}")
 
-    d, v = config.d_model, config.vocab_size
-    emb = mul(embedding(params["embedding"], ids), math.sqrt(d))
-    pe = positional_encoding(l, d, dtype=emb.dtype)
-    h = add(emb, pe)
-
-    bias = causal_bias(l, emb.dtype)
-    for i in range(config.n_layers):
-        for j in range(config.attn_sublayers):
-            p = f"layer{i}.attn{j}."
-            attn = multi_head_attention(
-                h, params[p + "wq"], params[p + "wk"], params[p + "wv"],
-                params[p + "wo"], config.n_heads, bias,
-            )
-            h = layer_norm(add(h, attn), params[p + "norm_gain"],
-                           params[p + "norm_bias"])
-        p = f"layer{i}.ff."
-        f = feed_forward(reshape(h, (b * l, d)), params[p + "w1"],
-                         params[p + "b1"], params[p + "w2"], params[p + "b2"])
-        h = layer_norm(add(h, reshape(f, (b, l, d))),
-                       params[p + "norm_gain"], params[p + "norm_bias"])
-
-    logits = reshape(matmul(reshape(h, (b * l, d)), params["output.w"]),
-                     (b, l, v))
-    if single:
-        logits = reshape(logits, (l, v))
-    return logits
+    d = config.d_model
+    where = "embedding"
+    try:
+        emb = mul(embedding(params["embedding"], ids), math.sqrt(d))
+        h = add(emb, positional_encoding(l, d, dtype=emb.dtype))
+        bias = causal_bias(l, emb.dtype)
+        for i in range(config.n_layers):
+            for j in range(config.attn_sublayers):
+                where = f"layer{i}.attn{j}"
+                p = where + "."
+                attn = multi_head_attention(
+                    h, params[p + "wq"], params[p + "wk"], params[p + "wv"],
+                    params[p + "wo"], config.n_heads, bias,
+                )
+                h = add_layer_norm(h, attn, params[p + "norm_gain"],
+                                   params[p + "norm_bias"])
+            where = f"layer{i}.ff"
+            p = where + "."
+            f = feed_forward(h, params[p + "w1"], params[p + "b1"],
+                             params[p + "w2"], params[p + "b2"])
+            h = add_layer_norm(h, f, params[p + "norm_gain"],
+                               params[p + "norm_bias"])
+        where = "output"
+        return matmul(h, params["output.w"])
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{where}: {exc}") from exc

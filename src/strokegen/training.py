@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import AugmentConfig, generate_patch_set
-from .autodiff import NonFiniteError, Tensor, cross_entropy, no_grad, reshape
+from .autodiff import NonFiniteError, Tensor, cross_entropy, no_grad
 from .geometry import DEFAULT_BOUNDARY, StrokeImage, _boundary_from_json
 from .model import (
     ModelConfig,
@@ -391,10 +391,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
             for p in params.values():
                 p.grad = None
             logits = encoder_forward(inputs, params, model_cfg)
-            n = inputs.shape[0] * inputs.shape[1]
-            loss = cross_entropy(
-                reshape(logits, (n, model_cfg.vocab_size)), targets.reshape(-1)
-            )
+            loss = cross_entropy(logits, targets)
             loss.backward()
             grads = {k: p.grad for k, p in params.items()}
             adam_step(params, grads, adam, lr, cfg.beta1, cfg.beta2,
@@ -440,14 +437,10 @@ def eval_stream_loss(params: dict[str, Tensor], model_cfg: ModelConfig,
         for i in range(0, len(windows), EVAL_CHUNK):
             chunk = windows[i: i + EVAL_CHUNK]
             inputs = chunk[:, :-1]
-            targets = chunk[:, 1:].reshape(-1)
             logits = encoder_forward(inputs, params, model_cfg)
-            n = inputs.shape[0] * inputs.shape[1]
-            loss = cross_entropy(
-                reshape(logits, (n, model_cfg.vocab_size)), targets
-            )
-            total += float(loss.data) * n
-            tokens += n
+            loss = cross_entropy(logits, chunk[:, 1:])
+            total += float(loss.data) * inputs.size
+            tokens += inputs.size
     return total / tokens
 
 

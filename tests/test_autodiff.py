@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from strokegen.autodiff import (
     NonFiniteError,
     Tensor,
     add,
-    attention,
+    add_layer_norm,
     backward,
     cross_entropy,
     embedding,
@@ -15,6 +16,7 @@ from strokegen.autodiff import (
     layer_norm,
     matmul,
     mul,
+    multi_head_attention,
     no_grad,
     reduce_sum,
     relu,
@@ -216,6 +218,61 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batched_logits_equal_the_2d_form_bitwise(self, dtype):
+        rng = np.random.default_rng(13)
+        logits = rng.standard_normal((3, 4, 9)).astype(dtype)
+        targets = rng.integers(0, 9, (3, 4))
+        t3 = Tensor(logits.copy(), requires_grad=True)
+        t2 = Tensor(logits.reshape(12, 9).copy(), requires_grad=True)
+        loss3 = cross_entropy(t3, targets)
+        loss2 = cross_entropy(t2, targets.reshape(-1))
+        loss3.backward()
+        loss2.backward()
+        assert loss3.data.dtype == dtype
+        assert loss3.data.tobytes() == loss2.data.tobytes()
+        assert t3.grad.shape == (3, 4, 9)
+        assert np.array_equal(t3.grad.reshape(12, 9), t2.grad)
+
+    def test_batched_gradient(self):
+        rng = np.random.default_rng(14)
+        targets = rng.integers(0, 5, (2, 3))
+        check_gradients(lambda t: cross_entropy(t, targets),
+                        rng.standard_normal((2, 3, 5)))
+
+    def test_targets_shape_mismatch(self):
+        logits = Tensor(np.zeros((2, 3, 4)))
+        for targets in (np.zeros(6, dtype=int), np.zeros((3, 2), dtype=int),
+                        np.zeros((2, 3, 1), dtype=int)):
+            with pytest.raises(ValueError, match="targets must have shape"):
+                cross_entropy(logits, targets)
+        with pytest.raises(ValueError):
+            cross_entropy(Tensor(np.zeros(4)), np.zeros((), dtype=int))
+
+    def test_no_grad_row_blocks_equal_the_taped_loss_bitwise(self):
+        # 3000 x 701 values span three row blocks, the last one partial
+        rng = np.random.default_rng(15)
+        logits = (rng.standard_normal((3, 1000, 701)) * 4).astype(np.float32)
+        targets = rng.integers(0, 701, (3, 1000))
+        taped = cross_entropy(Tensor(logits, requires_grad=True), targets)
+        with no_grad():
+            blocked = cross_entropy(Tensor(logits, requires_grad=True), targets)
+        assert blocked._backward_fn is None
+        assert blocked.data.tobytes() == taped.data.tobytes()
+
+    def test_no_grad_holds_no_second_logits_array(self):
+        rng = np.random.default_rng(16)
+        logits = Tensor(rng.standard_normal((128, 100, 257)).astype(np.float32))
+        targets = rng.integers(0, 257, (128, 100))
+        with no_grad():
+            tracemalloc.start()
+            try:
+                cross_entropy(logits, targets)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < logits.data.nbytes / 2
+
 
 class TestEmbedding:
     def test_lookup(self):
@@ -295,10 +352,36 @@ def ff_composition(x, w1, b1, w2, b2):
 
 
 def attention_composition(q, k, v, mask):
-    """The public-op path that attention replaces."""
+    """Scaled dot-product attention from public ops; q, k, v: [n, L, hd]."""
     scale = 1.0 / math.sqrt(q.shape[-1])
     scores = mul(matmul(q, transpose(k, (0, 2, 1))), scale)
     return matmul(softmax(scores, axis=-1, mask=mask), v)
+
+
+def mha_composition(x, wq, wk, wv, wo, heads, mask):
+    """The public-op path that multi_head_attention replaces; x: [b, L, d]."""
+    b, l, d = x.shape
+    hd = d // heads
+
+    def project(w):
+        p = matmul(reshape(x, (b * l, d)), w)
+        p = transpose(reshape(p, (b, l, heads, hd)), (0, 2, 1, 3))
+        return reshape(p, (b * heads, l, hd))
+
+    ctx = attention_composition(project(wq), project(wk), project(wv), mask)
+    ctx = transpose(reshape(ctx, (b, heads, l, hd)), (0, 2, 1, 3))
+    return reshape(matmul(reshape(ctx, (b * l, d)), wo), (b, l, d))
+
+
+def head_composition(x, w):
+    """The reshape-matmul-reshape path that a [b, L, d] @ [d, V] matmul replaces."""
+    b, l, d = x.shape
+    return reshape(matmul(reshape(x, (b * l, d)), w), (b, l, w.shape[1]))
+
+
+def add_ln_composition(x, y, gain, bias):
+    """The public-op path that add_layer_norm replaces."""
+    return layer_norm(add(x, y), gain, bias)
 
 
 def grads_of(build, cotangent, *arrays):
@@ -309,10 +392,15 @@ def grads_of(build, cotangent, *arrays):
     return out.data, [t.grad for t in tensors]
 
 
-def assert_same_node(fused, composed, cotangent, arrays, dtype):
+def assert_same_node(fused, composed, cotangent, arrays, dtype, exact=False):
+    """Fused node and public-op composition agree in output and gradients:
+    bitwise when the node does the same arithmetic, else within a tolerance
+    set by the dtype."""
     out, grads = grads_of(fused, cotangent, *arrays)
     ref_out, ref_grads = grads_of(composed, cotangent, *arrays)
     rtol, atol = (1e-5, 1e-6) if dtype == np.float32 else (1e-12, 1e-12)
+    if exact:
+        rtol = atol = 0.0
     assert out.dtype == ref_out.dtype == dtype
     np.testing.assert_allclose(out, ref_out, rtol=rtol, atol=atol)
     for i, (g, ref) in enumerate(zip(grads, ref_grads)):
@@ -321,8 +409,8 @@ def assert_same_node(fused, composed, cotangent, arrays, dtype):
                                    err_msg=f"operand {i}")
 
 
-def ff_operands(rng, dtype, n=6, d=4, ff=8):
-    x = rng.standard_normal((n, d))
+def ff_operands(rng, dtype, lead=(6,), d=4, ff=8):
+    x = rng.standard_normal(lead + (d,))
     w1 = rng.standard_normal((d, ff))
     b1 = rng.standard_normal(ff)
     w2 = rng.standard_normal((ff, d))
@@ -330,25 +418,40 @@ def ff_operands(rng, dtype, n=6, d=4, ff=8):
     return [a.astype(dtype) for a in (x, w1, b1, w2, b2)]
 
 
-def qkv_operands(rng, dtype, n=3, length=5, hd=4):
-    return [rng.standard_normal((n, length, hd)).astype(dtype)
-            for _ in range(3)]
+def mha_operands(rng, dtype, b=2, length=5, d=6):
+    x = rng.standard_normal((b, length, d))
+    ws = [rng.standard_normal((d, d)) / math.sqrt(d) for _ in range(4)]
+    return [a.astype(dtype) for a in [x, *ws]]
+
+
+def add_ln_operands(rng, dtype, shape=(2, 3, 6)):
+    x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+    gain = rng.standard_normal(shape[-1:])
+    bias = rng.standard_normal(shape[-1:])
+    return [a.astype(dtype) for a in (x, y, gain, bias)]
 
 
 class TestFeedForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_public_ops(self, dtype):
+    @pytest.mark.parametrize("lead", [(6,), (2, 3)], ids=["2d", "3d"])
+    def test_matches_public_ops(self, dtype, lead):
         rng = np.random.default_rng(20)
-        arrays = ff_operands(rng, dtype)
-        cotangent = rng.standard_normal((6, 4)).astype(dtype)
-        assert_same_node(feed_forward, ff_composition, cotangent, arrays, dtype)
+        arrays = ff_operands(rng, dtype, lead)
+        cotangent = rng.standard_normal(lead + (4,)).astype(dtype)
 
-    def test_gradient(self):
+        def composed(x, *w):
+            return reshape(ff_composition(reshape(x, (-1, 4)), *w), lead + (4,))
+
+        assert_same_node(feed_forward, composed, cotangent, arrays, dtype,
+                         exact=True)
+
+    @pytest.mark.parametrize("lead", [(6,), (2, 3)], ids=["2d", "3d"])
+    def test_gradient(self, lead):
         rng = np.random.default_rng(21)
-        arrays = ff_operands(rng, np.float64)
+        arrays = ff_operands(rng, np.float64, lead)
         x, w1, b1 = arrays[:3]
         assert np.abs(x @ w1 + b1).min() > 1e-2  # away from the ReLU kink
-        c = rng.standard_normal((6, 4))
+        c = rng.standard_normal(lead + (4,))
         check_gradients(lambda *t: reduce_sum(mul(feed_forward(*t), c)),
                         *arrays)
 
@@ -373,69 +476,184 @@ class TestFeedForward:
             feed_forward(Tensor(x), Tensor(w1), Tensor(b1[:-1]), Tensor(w2),
                          Tensor(b2))
         with pytest.raises(ValueError):
-            feed_forward(Tensor(x[None]), Tensor(w1), Tensor(b1), Tensor(w2),
+            feed_forward(Tensor(x[:, :-1]), Tensor(w1), Tensor(b1), Tensor(w2),
                          Tensor(b2))
 
 
-class TestAttention:
+class TestOutputHead:
+    """matmul of [b, L, d] @ [d, V]: one node in place of reshape-matmul-reshape."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_public_ops(self, dtype):
+        rng = np.random.default_rng(26)
+        arrays = [rng.standard_normal(s).astype(dtype)
+                  for s in ((2, 3, 4), (4, 5))]
+        cotangent = rng.standard_normal((2, 3, 5)).astype(dtype)
+        assert_same_node(matmul, head_composition, cotangent, arrays, dtype,
+                         exact=True)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(27)
+        c = rng.standard_normal((2, 3, 5))
+        check_gradients(lambda x, w: reduce_sum(mul(matmul(x, w), c)),
+                        rng.standard_normal((2, 3, 4)),
+                        rng.standard_normal((4, 5)))
+
+
+class TestAddLayerNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_public_ops(self, dtype):
+        rng = np.random.default_rng(28)
+        arrays = add_ln_operands(rng, dtype)
+        cotangent = rng.standard_normal(arrays[0].shape).astype(dtype)
+        assert_same_node(add_layer_norm, add_ln_composition, cotangent, arrays,
+                         dtype, exact=True)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(29)
+        arrays = add_ln_operands(rng, np.float64)
+        c = rng.standard_normal(arrays[0].shape)
+        check_gradients(lambda *t: reduce_sum(mul(add_layer_norm(*t), c)),
+                        *arrays)
+
+    def test_hidden_variance_overflow_raises(self):
+        # (x + y - mean)^2 overflows in float32: the variance is inf, the
+        # normalized values are 0 and the output is the finite bias
+        x = np.array([[1e20, -1e20, 0.0, 0.0]], dtype=np.float32)
+        y = np.zeros_like(x)
+        gain = np.ones(4, dtype=np.float32)
+        bias = np.full(4, 0.5, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            xc = x + y - (x + y).mean(axis=-1, keepdims=True)
+            var = (xc * xc).mean(axis=-1, keepdims=True)
+            assert np.isfinite(gain * xc / np.sqrt(var + 1e-5) + bias).all()
+            with pytest.raises(NonFiniteError,
+                               match=r"^add_layer_norm .*variance"):
+                add_layer_norm(*(Tensor(a) for a in (x, y, gain, bias)))
+
+    def test_shape_mismatch(self):
+        x = Tensor(np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            add_layer_norm(x, Tensor(np.zeros((1, 4))), Tensor(np.ones(4)),
+                           Tensor(np.zeros(4)))
+        with pytest.raises(ValueError):
+            add_layer_norm(x, x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+
+class TestMultiHeadAttention:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("masked", [True, False])
     def test_matches_public_ops(self, dtype, masked):
         rng = np.random.default_rng(23)
-        arrays = qkv_operands(rng, dtype)
+        arrays = mha_operands(rng, dtype)
         length = arrays[0].shape[1]
         bias = causal_bias(length, dtype) if masked else None
         mask = causal_mask(length) if masked else None
-        cotangent = rng.standard_normal(arrays[2].shape).astype(dtype)
+        cotangent = rng.standard_normal(arrays[0].shape).astype(dtype)
         assert_same_node(
-            lambda q, k, v: attention(q, k, v, bias),
-            lambda q, k, v: attention_composition(q, k, v, mask),
+            lambda *t: multi_head_attention(*t, 3, bias),
+            lambda *t: mha_composition(*t, 3, mask),
             cotangent, arrays, dtype,
         )
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_gradient(self, masked):
         rng = np.random.default_rng(24)
-        arrays = qkv_operands(rng, np.float64)
+        arrays = mha_operands(rng, np.float64)
         bias = causal_bias(arrays[0].shape[1], np.float64) if masked else None
-        c = rng.standard_normal(arrays[2].shape)
+        c = rng.standard_normal(arrays[0].shape)
         check_gradients(
-            lambda q, k, v: reduce_sum(mul(attention(q, k, v, bias), c)),
+            lambda *t: reduce_sum(mul(multi_head_attention(*t, 2, bias), c)),
             *arrays,
         )
 
+    def test_unbatched_input_matches_batch_of_one(self):
+        rng = np.random.default_rng(30)
+        x, *ws = mha_operands(rng, np.float64, b=1)
+        bias = causal_bias(x.shape[1], np.float64)
+        one = multi_head_attention(Tensor(x[0]), *map(Tensor, ws), 3, bias)
+        batch = multi_head_attention(Tensor(x), *map(Tensor, ws), 3, bias)
+        assert np.array_equal(one.data, batch.data[0])
+
     def test_masked_positions_get_no_weight(self):
-        # v rows after position i must not reach output row i
+        # inputs after position i must not reach output row i
         rng = np.random.default_rng(25)
-        q, k, v = qkv_operands(rng, np.float64, n=1, length=4)
+        x, *ws = mha_operands(rng, np.float64, b=1, length=4)
         bias = causal_bias(4, np.float64)
-        out = attention(Tensor(q), Tensor(k), Tensor(v), bias).data
-        v2 = v.copy()
-        v2[0, 2:] += 100.0
-        out2 = attention(Tensor(q), Tensor(k), Tensor(v2), bias).data
+        out = multi_head_attention(Tensor(x), *map(Tensor, ws), 2, bias).data
+        x2 = x.copy()
+        x2[0, 2:] += 100.0
+        out2 = multi_head_attention(Tensor(x2), *map(Tensor, ws), 2, bias).data
         assert np.array_equal(out[0, :2], out2[0, :2])
 
     def test_hidden_score_overflow_raises(self):
-        # score (1, 0) is -inf in float32: exp maps it to weight 0, so the
-        # output is finite and only the scaled-score check sees it
-        q = np.array([[[0.0, 1.0], [1e30, 0.0]]], dtype=np.float32)
-        k = np.array([[[-1e30, 0.0], [0.0, 1.0]]], dtype=np.float32)
-        v = np.ones((1, 2, 2), dtype=np.float32)
+        # q = x @ wq and k = x @ wk make score (1, 0) -inf in float32: exp
+        # maps it to weight 0, so the output is finite and only the
+        # scaled-score check sees it
+        x = np.array([[[0.0, 1.0], [1e30, 0.0]]], dtype=np.float32)
+        wq = np.eye(2, dtype=np.float32)
+        wk = np.array([[0.0, 1e-30], [-1e30, 0.0]], dtype=np.float32)
+        wv = np.eye(2, dtype=np.float32) * np.float32(1e-30)
+        wo = np.eye(2, dtype=np.float32)
         bias = causal_bias(2, np.float32)
         with np.errstate(over="ignore"):
+            q, k, v = x @ wq, x @ wk, x @ wv
             s = q @ np.swapaxes(k, -1, -2) / np.float32(math.sqrt(2)) + bias
+            assert np.isneginf(s[0, 1, 0])
             e = np.exp(s - s.max(axis=-1, keepdims=True))
-            assert np.isfinite(e / e.sum(axis=-1, keepdims=True) @ v).all()
+            assert np.isfinite(e / e.sum(axis=-1, keepdims=True) @ v @ wo).all()
             with pytest.raises(NonFiniteError,
-                               match=r"^attention .*scaled scores"):
-                attention(Tensor(q), Tensor(k), Tensor(v), bias)
+                               match=r"^multi_head_attention .*scaled scores"):
+                multi_head_attention(Tensor(x), *map(Tensor, (wq, wk, wv, wo)),
+                                     1, bias)
 
     def test_shape_mismatch(self):
-        q = Tensor(np.zeros((2, 3, 4)))
+        x = Tensor(np.zeros((2, 3, 4)))
+        w = Tensor(np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            attention(q, Tensor(np.zeros((2, 3, 5))), q)
+            multi_head_attention(x, w, w, Tensor(np.zeros((4, 5))), w, 2, None)
         with pytest.raises(ValueError):
-            attention(q, q, Tensor(np.zeros((2, 4, 4))))
+            multi_head_attention(x, w, w, w, w, 3, None)
+
+
+def node_cases():
+    """(name, build, arrays) for every fused node and the [..., V] forms."""
+    rng = np.random.default_rng(45)
+    targets = rng.integers(0, 5, (2, 3))
+    c_mha = rng.standard_normal((2, 5, 6))
+    c_ff = rng.standard_normal((2, 3, 4))
+    c_head = rng.standard_normal((2, 3, 5))
+    c_ln = rng.standard_normal((2, 3, 6))
+    bias = causal_bias(5, np.float64)
+    return [
+        ("multi_head_attention",
+         lambda *t: reduce_sum(mul(multi_head_attention(*t, 2, bias), c_mha)),
+         mha_operands(rng, np.float64)),
+        ("add_layer_norm",
+         lambda *t: reduce_sum(mul(add_layer_norm(*t), c_ln)),
+         add_ln_operands(rng, np.float64)),
+        ("feed_forward", lambda *t: reduce_sum(mul(feed_forward(*t), c_ff)),
+         ff_operands(rng, np.float64, (2, 3))),
+        ("output_head", lambda x, w: reduce_sum(mul(matmul(x, w), c_head)),
+         [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5))]),
+        ("cross_entropy", lambda t: cross_entropy(t, targets),
+         [rng.standard_normal((2, 3, 5))]),
+    ]
+
+
+@pytest.mark.parametrize("name,build,arrays", node_cases(),
+                         ids=[c[0] for c in node_cases()])
+def test_two_backward_passes_double_the_gradient(name, build, arrays):
+    """A second forward and backward into the same leaves gives exactly 2x,
+    and no backward writes into an array it did not allocate: not the
+    operands, not the cotangent it receives, not another node's gradient."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    backward_checking_ownership(build(*tensors))
+    once = [t.grad.copy() for t in tensors]
+    backward_checking_ownership(build(*tensors))
+    for i, (t, a, g) in enumerate(zip(tensors, arrays, once)):
+        assert np.array_equal(t.data, a), f"{name} operand {i} data"
+        assert np.array_equal(t.grad, 2.0 * g), f"{name} operand {i} grad"
 
 
 # -- the encoder against its public-op reference --------------------------------
@@ -443,33 +661,23 @@ class TestAttention:
 def reference_encoder_forward(ids, params, config):
     """encoder_forward built only from the public ops, without fused nodes."""
     b, l = ids.shape
-    d, hd, heads = config.d_model, config.head_dim, config.n_heads
+    d = config.d_model
     h = add(mul(embedding(params["embedding"], ids), math.sqrt(d)),
             positional_encoding(l, d, dtype=params["embedding"].dtype))
-
-    def project(x, w):
-        p = matmul(reshape(x, (b * l, d)), w)
-        p = transpose(reshape(p, (b, l, heads, hd)), (0, 2, 1, 3))
-        return reshape(p, (b * heads, l, hd))
-
     for i in range(config.n_layers):
         for j in range(config.attn_sublayers):
             p = f"layer{i}.attn{j}."
-            ctx = attention_composition(project(h, params[p + "wq"]),
-                                        project(h, params[p + "wk"]),
-                                        project(h, params[p + "wv"]),
-                                        causal_mask(l))
-            ctx = transpose(reshape(ctx, (b, heads, l, hd)), (0, 2, 1, 3))
-            out = matmul(reshape(ctx, (b * l, d)), params[p + "wo"])
-            h = layer_norm(add(h, reshape(out, (b, l, d))),
-                           params[p + "norm_gain"], params[p + "norm_bias"])
+            out = mha_composition(h, params[p + "wq"], params[p + "wk"],
+                                  params[p + "wv"], params[p + "wo"],
+                                  config.n_heads, causal_mask(l))
+            h = add_ln_composition(h, out, params[p + "norm_gain"],
+                                   params[p + "norm_bias"])
         p = f"layer{i}.ff."
         f = ff_composition(reshape(h, (b * l, d)), params[p + "w1"],
                            params[p + "b1"], params[p + "w2"], params[p + "b2"])
-        h = layer_norm(add(h, reshape(f, (b, l, d))),
-                       params[p + "norm_gain"], params[p + "norm_bias"])
-    return reshape(matmul(reshape(h, (b * l, d)), params["output.w"]),
-                   (b, l, config.vocab_size))
+        h = add_ln_composition(h, reshape(f, (b, l, d)),
+                               params[p + "norm_gain"], params[p + "norm_bias"])
+    return head_composition(h, params["output.w"])
 
 
 def encoder_loss_and_grads(forward, config, dtype):
@@ -596,6 +804,30 @@ class TestGradientOwnership:
         params = init_encoder_params(config, np.random.default_rng(43),
                                      dtype=np.float64)
         ids = np.random.default_rng(44).integers(0, 7, (2, 5))
-        logits = encoder_forward(ids, params, config)
-        loss = cross_entropy(reshape(logits, (10, 7)), ids.reshape(-1))
-        assert backward_checking_ownership(loss) > 40
+        loss = cross_entropy(encoder_forward(ids, params, config), ids)
+        assert backward_checking_ownership(loss) == tape_nodes_per_loss(config)
+
+
+def tape_nodes_per_loss(config) -> int:
+    """Embedding lookup, scale and positional add (3); per layer, one
+    attention node and one residual-and-norm node per attention sub-layer,
+    then the same two for the feed-forward block; output head and
+    cross-entropy (2)."""
+    return 3 + config.n_layers * (2 * config.attn_sublayers + 2) + 2
+
+
+@pytest.mark.parametrize("double_attention", [True, False])
+def test_tape_nodes_of_one_loss(double_attention):
+    config = ModelConfig(vocab_size=7, seq_len=5, d_model=8, n_layers=3,
+                         n_heads=2, d_ff=16, double_attention=double_attention)
+    params = init_encoder_params(config, np.random.default_rng(46))
+    ids = np.random.default_rng(47).integers(0, 7, (2, 5))
+    loss = cross_entropy(encoder_forward(ids, params, config), ids)
+    stack, seen = [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward_fn is not None:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) == tape_nodes_per_loss(config) == (
+        23 if double_attention else 17)

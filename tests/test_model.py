@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from strokegen.autodiff import Tensor, cross_entropy, reshape
+from strokegen.autodiff import NonFiniteError, Tensor, cross_entropy, reshape
 from strokegen.model import (
     ModelConfig,
     causal_bias,
@@ -150,6 +150,22 @@ class TestEncoderForward:
         out = encoder_forward(perturbed, params, TINY).data
         assert np.array_equal(base[:j], out[:j])
         assert not np.array_equal(base[j:], out[j:])
+
+    @pytest.mark.parametrize("param,sublayer,detail", [
+        ("layer1.attn1.wq", "layer1.attn1",
+         r"multi_head_attention .*scaled scores"),
+        ("layer0.ff.w1", "layer0.ff", r"feed_forward .*pre-activation"),
+        ("output.w", "output", r"matmul .*output of shape \(2, 5, 7\)"),
+    ])
+    def test_numeric_error_names_the_sublayer(self, param, sublayer, detail):
+        rng = np.random.default_rng(5)
+        params = init_encoder_params(TINY, rng)
+        params[param].data[...] = 3e38  # float32: products overflow to inf
+        ids = rng.integers(0, TINY.vocab_size, (2, TINY.seq_len))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NonFiniteError, match=rf"^{sublayer}: {detail}") as info:
+            encoder_forward(ids, params, TINY)
+        assert isinstance(info.value.__cause__, NonFiniteError)
 
     def test_single_attention_variant_runs(self):
         cfg = ModelConfig(vocab_size=7, seq_len=5, d_model=8, n_layers=2,
