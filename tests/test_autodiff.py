@@ -625,7 +625,7 @@ def node_cases():
     c_head = rng.standard_normal((2, 3, 5))
     c_ln = rng.standard_normal((2, 3, 6))
     bias = causal_bias(5, np.float64)
-    return [
+    cases = [
         ("multi_head_attention",
          lambda *t: reduce_sum(mul(multi_head_attention(*t, 2, bias), c_mha)),
          mha_operands(rng, np.float64)),
@@ -639,10 +639,10 @@ def node_cases():
         ("cross_entropy", lambda t: cross_entropy(t, targets),
          [rng.standard_normal((2, 3, 5))]),
     ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
 
 
-@pytest.mark.parametrize("name,build,arrays", node_cases(),
-                         ids=[c[0] for c in node_cases()])
+@pytest.mark.parametrize("name,build,arrays", node_cases())
 def test_two_backward_passes_double_the_gradient(name, build, arrays):
     """A second forward and backward into the same leaves gives exactly 2x,
     and no backward writes into an array it did not allocate: not the
