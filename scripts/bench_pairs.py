@@ -1,11 +1,12 @@
 """Alternate benchmark runs between a parent commit and the working tree.
 
-    python3 scripts/bench_pairs.py --label pr6 --parent HEAD --pairs 10 \
-        --seed 301 --seconds 30 --workload train-desk train-full sample-full
+    python3 scripts/bench_pairs.py --label pr6 --parent HEAD --seed 301
 
-For each workload and pair i, ``perfbench/run.py --seed <seed + i>`` runs
-once on the parent and once on the working tree, each from its own checkout,
-with the side that runs first alternating between pairs. The parent's
+For each workload of BENCHMARK.json (or the subset ``--workload`` names) and
+pair i, ``perfbench/run.py --seed <seed + i>`` runs untraced for the
+benchmark's ``run_seconds``, once on the parent and once on the working tree,
+each from its own checkout, with the side that runs first alternating
+between pairs. The parent's
 committed files are exported with ``git archive`` into a temporary directory,
 so the parent side runs exactly what that commit holds and nothing is
 registered in ``.git``. Runs are serial.
@@ -43,12 +44,10 @@ def export_commit(ref: str, dest: Path):
     subprocess.run(("tar", "-x", "-C", str(dest)), input=archive, check=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float,
-             trace: int) -> dict:
-    """One perfbench run: its env line, result line and wall time."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run: its env line, result line and wall time."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds)]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = time.perf_counter() - t0
@@ -107,20 +106,24 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True,
                     help="seed of the first pair; pair i uses seed + i")
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--workload", nargs="+", required=True)
+    ap.add_argument("--workload", nargs="+",
+                    help="run only these workloads (default: all of them)")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = spec["per_layer" if args.trace else "end_to_end"]
+    names = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or names
+    unknown = sorted(set(workloads) - set(names))
+    if unknown:
+        ap.error(f"unknown workload(s) {unknown}; BENCHMARK.json has {names}")
+    seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
     change_sha = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     report = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace {args.trace}",
+                   f"--seconds {seconds:g}",
         "parent_sha": parent_sha,
         "change_sha": change_sha,
         "change_has_uncommitted_changes": dirty,
@@ -133,20 +136,19 @@ def main(argv=None) -> int:
         parent_dir = Path(tmp)
         export_commit(parent_sha, parent_dir)
         sides = {"parent": parent_dir, "change": ROOT}
-        for workload in args.workload:
+        for workload in workloads:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change",
                                                                   "parent")
                 for side in order:
-                    run = run_once(sides[side], workload, seed, args.seconds,
-                                   args.trace)
+                    run = run_once(sides[side], workload, seed, seconds)
                     runs[side].append(run)
                     print(f"{workload} pair {i} seed {seed} {side}: "
                           + json.dumps(run["metrics"]), flush=True)
             report["workloads"][workload] = {
-                "metrics": summarize(runs, metrics),
+                "metrics": summarize(runs, spec["end_to_end"]),
                 "failed": {side: [r["failed"] for r in rs]
                            for side, rs in runs.items()},
                 "runs": runs,

@@ -28,7 +28,9 @@ which stores the first one as the tensor's ``.grad`` as is and rebinds on
 later writes (``grad = grad + g``). Gradients therefore alias one another
 (``add`` gives the same array to both operands, ``reshape`` a view of its
 own), so no backward writes in place into an array it did not allocate, and
-callers treat ``.grad`` as read-only.
+callers treat ``.grad`` as read-only. ``cross_entropy`` hands its one buffer
+to the logits as their gradient, so its backward runs once per forward: a
+second ``backward()`` over the same tape raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -412,7 +414,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     out_data = np.asarray(row_loss.mean())
 
     def grad_fn(g):
-        p = e  # softmax, then the gradient, in the buffer this node owns
+        nonlocal e
+        if e is None:
+            raise RuntimeError("cross_entropy: backward already ran; its "
+                               "buffer is now the logits' gradient")
+        p, e = e, None  # softmax, then the gradient, in the buffer it owns
         p /= denom[:, None]
         p[np.arange(n), targets] -= 1.0
         p *= g / n

@@ -234,6 +234,18 @@ class TestCrossEntropy:
         assert t3.grad.shape == (3, 4, 9)
         assert np.array_equal(t3.grad.reshape(12, 9), t2.grad)
 
+    def test_second_backward_over_the_same_tape_raises(self):
+        # the first backward hands the node's buffer to the logits as their
+        # gradient; a second one must not divide and publish it again
+        rng = np.random.default_rng(17)
+        logits = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+        loss = cross_entropy(logits, rng.integers(0, 6, 4))
+        loss.backward()
+        first = logits.grad.copy()
+        with pytest.raises(RuntimeError, match="backward already ran"):
+            loss.backward()
+        assert np.array_equal(logits.grad, first)
+
     def test_batched_gradient(self):
         rng = np.random.default_rng(14)
         targets = rng.integers(0, 5, (2, 3))
