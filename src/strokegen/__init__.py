@@ -8,9 +8,7 @@ on the flattened move stream, then sample new style-preserving images as SVG.
 __version__ = "0.1.0"
 
 from .geometry import (
-    CubicBezier,
     Path,
-    Point,
     Polyline,
     StrokeImage,
     fit_path,
@@ -19,9 +17,7 @@ from .geometry import (
 )
 
 __all__ = [
-    "CubicBezier",
     "Path",
-    "Point",
     "Polyline",
     "StrokeImage",
     "fit_path",

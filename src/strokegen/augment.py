@@ -13,13 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Path,
     StrokeImage,
     controls_bbox,
     fit_paths_to_boundary_with_scale,
-    reverse_path,
-    split_paths,
-    stack_paths,
 )
 
 MIRROR_AXES = ("horizontal", "vertical")
@@ -81,7 +77,7 @@ class Transform:
 class AugmentConfig:
     reversal_probability: float = 0.5
     scale_min: float = 0.5
-    rng_seed: int = 0
+    rng_seed: int = 0  # unused: patches draw from the rng they are given
 
     def __post_init__(self):
         if not 0.0 <= self.reversal_probability <= 1.0:
@@ -116,11 +112,10 @@ def transform_image(image: StrokeImage, t: Transform) -> StrokeImage:
     back onto the canvas and, only if the canvas cannot hold it at all,
     uniformly shrunk to fit.
     """
-    if not image.paths:
-        return StrokeImage([], image.boundary)
-    controls, splits = stack_paths(image.paths)
-    controls, _ = _transform(controls, image.boundary, t)
-    return StrokeImage(split_paths(controls, splits), image.boundary)
+    if not len(image):
+        return image
+    controls, _ = _transform(image.controls, image.boundary, t)
+    return StrokeImage.from_controls(controls, image.splits, image.boundary)
 
 
 def _transform(controls: np.ndarray, boundary: float,
@@ -171,9 +166,10 @@ def reverse_paths_random(image: StrokeImage, p: float,
     """Reverse each path independently with probability p; order unchanged."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("reversal probability must be in [0, 1]")
-    flags = rng.random(len(image.paths)) < p
-    paths = [reverse_path(q) if f else q for q, f in zip(image.paths, flags)]
-    return StrokeImage(paths, image.boundary)
+    flags = rng.random(len(image)) < p
+    return StrokeImage.from_controls(
+        _reverse(image.controls, image.splits, flags), image.splits,
+        image.boundary)
 
 
 def order_paths_greedy(image: StrokeImage, rng: np.random.Generator) -> StrokeImage:
@@ -183,21 +179,22 @@ def order_paths_greedy(image: StrokeImage, rng: np.random.Generator) -> StrokeIm
     unvisited one whose start point is nearest to the current end point,
     ties broken by lower original index.
     """
-    n = len(image.paths)
+    n = len(image)
     if n == 0:
-        return StrokeImage([], image.boundary)
-    order = greedy_order(image.paths, int(rng.integers(n)))
-    return StrokeImage([image.paths[i] for i in order], image.boundary)
+        return image
+    order = greedy_order(*path_endpoints(image.controls, image.splits),
+                         int(rng.integers(n)))
+    return StrokeImage.from_controls(
+        *_reorder(image.controls, image.splits, order), image.boundary)
 
 
-def greedy_order(paths: list[Path], start: int) -> list[int]:
-    """Nearest-start-point visiting order beginning at ``start``."""
-    starts = _path_starts(paths)
-    ends = _path_ends(paths)
-    visited = np.zeros(len(paths), dtype=bool)
+def greedy_order(starts: np.ndarray, ends: np.ndarray, start: int) -> list[int]:
+    """Nearest-start-point visiting order of paths with [P, 2] start and end
+    points, beginning at path ``start``."""
+    visited = np.zeros(len(starts), dtype=bool)
     order = [start]
     visited[start] = True
-    for _ in range(len(paths) - 1):
+    for _ in range(len(starts) - 1):
         dist = np.hypot(*(starts - ends[order[-1]]).T)
         dist[visited] = np.inf
         best = int(np.argmin(dist))  # first minimum: ties go to the lower index
@@ -206,20 +203,32 @@ def greedy_order(paths: list[Path], start: int) -> list[int]:
     return order
 
 
-def pen_travel(paths: list[Path]) -> float:
-    """Total pen-up distance between consecutive paths."""
-    if len(paths) < 2:
-        return 0.0
-    gaps = _path_starts(paths[1:]) - _path_ends(paths[:-1])
-    return float(np.hypot(*gaps.T).sum())
+def pen_travel(starts: np.ndarray, ends: np.ndarray) -> float:
+    """Total pen-up distance between consecutive paths with [P, 2] start and
+    end points."""
+    return float(np.hypot(*(starts[1:] - ends[:-1]).T).sum())
 
 
-def _path_starts(paths: list[Path]) -> np.ndarray:
-    return np.array([p.control_array()[0, 0] for p in paths])
+def path_endpoints(controls: np.ndarray,
+                   splits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points [P, 2] of the paths of stacked [C, 4, 2] controls."""
+    return (controls[np.append(0, splits), 0],
+            controls[np.append(splits, len(controls)) - 1, 3])
 
 
-def _path_ends(paths: list[Path]) -> np.ndarray:
-    return np.array([p.control_array()[-1, 3] for p in paths])
+def _reverse(controls: np.ndarray, splits: np.ndarray,
+             flags: np.ndarray) -> np.ndarray:
+    """Stacked controls with each flagged path traversed from its other end."""
+    return np.concatenate([a[::-1, ::-1] if f else a
+                           for a, f in zip(np.split(controls, splits), flags)])
+
+
+def _reorder(controls: np.ndarray, splits: np.ndarray,
+             order: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked controls and their splits with the paths taken in ``order``."""
+    parts = np.split(controls, splits)
+    return (np.concatenate([parts[i] for i in order]),
+            np.cumsum([len(parts[i]) for i in order[:-1]], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +250,12 @@ def generate_patch_with_params(
     mirror_v = bool(rng.random() < 0.5)
     factor = rng.uniform(cfg.scale_min, 1.0)
 
-    if not image.paths:
+    if not len(image):
         params = PatchParams(angle, mirror_h, mirror_v, factor, 1.0, (0.0, 0.0),
                              (), ())
-        return StrokeImage([], image.boundary), params
+        return image, params
 
-    boundary = image.boundary
-    controls, splits = stack_paths(image.paths)
+    boundary, controls, splits = image.boundary, image.controls, image.splits
     # content too large to rotate in place gets shrunk by the boundary fit
     controls, fit_shrink = _transform(controls, boundary, Transform.rotate(angle))
     if mirror_h:
@@ -261,12 +269,12 @@ def generate_patch_with_params(
     dy = rng.uniform(-lo[1], boundary - hi[1])
     controls, _ = _transform(controls, boundary, Transform.translate(dx, dy))
 
-    flags = rng.random(len(image.paths)) < cfg.reversal_probability
-    paths = [Path(a[::-1, ::-1] if f else a)
-             for a, f in zip(np.split(controls, splits), flags)]
-
-    order = greedy_order(paths, int(rng.integers(len(paths))))
-    patch = StrokeImage([paths[i] for i in order], boundary)
+    flags = rng.random(len(image)) < cfg.reversal_probability
+    controls = _reverse(controls, splits, flags)
+    order = greedy_order(*path_endpoints(controls, splits),
+                         int(rng.integers(len(image))))
+    patch = StrokeImage.from_controls(*_reorder(controls, splits, order),
+                                      boundary)
     params = PatchParams(
         angle=angle,
         mirror_horizontal=mirror_h,

@@ -177,7 +177,7 @@ def cmd_sample(args) -> int:
 def cmd_augment_preview(args) -> int:
     image = load_path_image(args.pathimage)
     patches = generate_patch_set(
-        image, args.n, AugmentConfig(rng_seed=args.seed),
+        image, args.n, AugmentConfig(),
         np.random.default_rng(args.seed),
     )
     svg = render_svg([image] + patches, columns=3, color_seed=args.seed)

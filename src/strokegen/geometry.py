@@ -26,51 +26,12 @@ _GL_T = (_GL_X + 1.0) / 2.0
 _GL_W = _GL_W / 2.0
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float if dtype is None else dtype)
-
-
-@dataclass(frozen=True)
-class CubicBezier:
-    """One cubic segment: anchors p0/p3, control points p1/p2."""
-
-    p0: Point
-    p1: Point
-    p2: Point
-    p3: Point
-
-    def control_array(self) -> np.ndarray:
-        return np.array([self.p0, self.p1, self.p2, self.p3], dtype=float)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array([self.p0, self.p1, self.p2, self.p3], dtype=dtype)
-
-    def arc_length(self) -> float:
-        return float(_curve_arc_lengths(self.control_array()[None, :, :])[0])
-
-    def reversed(self) -> "CubicBezier":
-        return CubicBezier(self.p3, self.p2, self.p1, self.p0)
-
-
 class Path:
     """Contiguous chain of cubic Bezier curves approximating one pen stroke.
 
     A path is its read-only control-point array of shape [n_curves, 4, 2],
-    built from anything array-like of that shape (an array, nested lists or
-    a list of CubicBezier). Curve i ends exactly where curve i + 1 starts.
-    ``curves``, ``start`` and ``end`` are views built on demand.
+    built from anything array-like of that shape. Curve i ends exactly where
+    curve i + 1 starts.
     """
 
     __slots__ = ("_controls",)
@@ -79,17 +40,7 @@ class Path:
         c = np.array(controls, dtype=float)
         if c.size == 0:
             raise ValueError("path must contain at least one curve")
-        if c.ndim != 3 or c.shape[1:] != (4, 2):
-            raise ValueError(f"path controls must have shape [n, 4, 2], "
-                             f"got {c.shape}")
-        bad = np.flatnonzero(~np.isfinite(c).all(axis=(1, 2)))
-        if bad.size:
-            raise ValueError(f"curve {bad[0]} has a non-finite coordinate")
-        gaps = np.flatnonzero(np.any(c[1:, 0] != c[:-1, 3], axis=1))
-        if gaps.size:
-            i = gaps[0]
-            raise ValueError(f"path is not contiguous at curve {i} -> {i + 1}: "
-                             f"{c[i, 3].tolist()} -> {c[i + 1, 0].tolist()}")
+        _check_controls(c, np.zeros(0, dtype=np.int64))
         c.flags.writeable = False
         self._controls = c
 
@@ -107,19 +58,6 @@ class Path:
 
     def __repr__(self) -> str:
         return f"Path({self._controls.tolist()})"
-
-    @property
-    def curves(self) -> list[CubicBezier]:
-        return [CubicBezier(*(Point(x, y) for x, y in curve))
-                for curve in self._controls.tolist()]
-
-    @property
-    def start(self) -> Point:
-        return Point(*self._controls[0, 0].tolist())
-
-    @property
-    def end(self) -> Point:
-        return Point(*self._controls[-1, 3].tolist())
 
     def arc_length(self) -> float:
         return float(np.sum(_curve_arc_lengths(self._controls)))
@@ -141,33 +79,102 @@ class Polyline:
             raise ValueError("polyline contains non-finite coordinates")
 
 
-@dataclass
 class StrokeImage:
-    """Ordered list of paths on a square canvas of side ``boundary``."""
+    """Ordered paths on a square canvas of side ``boundary``.
 
-    paths: list[Path]
-    boundary: float = DEFAULT_BOUNDARY
+    An image is one read-only control array ``controls`` [C, 4, 2] holding
+    the curves of all its paths in drawing order, and ``splits``, the
+    np.split points between the paths. ``StrokeImage(paths, boundary)``
+    stacks Paths; ``from_controls`` takes the arrays. ``paths`` are Path
+    views built on demand and ``len(image)`` is the path count.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.boundary) and self.boundary > 0):
+    __slots__ = ("controls", "splits", "boundary")
+
+    def __init__(self, paths, boundary: float = DEFAULT_BOUNDARY):
+        self._set(*_stacked([p.control_array() for p in paths]), boundary)
+
+    @classmethod
+    def from_controls(cls, controls, splits,
+                      boundary: float = DEFAULT_BOUNDARY) -> "StrokeImage":
+        """The image of stacked [C, 4, 2] ``controls`` split into paths at
+        ``splits``; checked and copied once, without building a Path."""
+        image = cls.__new__(cls)
+        image._set(controls, splits, boundary)
+        return image
+
+    def _set(self, controls, splits, boundary: float):
+        if not (math.isfinite(boundary) and boundary > 0):
             raise ValueError(f"boundary must be a finite number > 0, "
-                             f"got {self.boundary!r}")
-        for i, p in enumerate(self.paths):
-            pts = p.control_array()
-            if pts.min() < 0.0 or pts.max() > self.boundary:
-                raise ValueError(
-                    f"path {i} exceeds the [0, {self.boundary}] canvas "
-                    f"(bbox {pts.min(axis=(0, 1))} .. {pts.max(axis=(0, 1))})"
-                )
+                             f"got {boundary!r}")
+        c = np.array(controls, dtype=float)
+        s = np.array(splits, dtype=np.int64)
+        # every path holds at least one curve
+        if s.ndim != 1 or ((len(c) or s.size) and np.any(
+                np.diff(s, prepend=0, append=len(c)) < 1)):
+            raise ValueError(f"splits {s.tolist()} must rise strictly inside "
+                             f"(0, {len(c)})")
+        _check_controls(c, s, boundary)
+        c.flags.writeable = s.flags.writeable = False
+        self.controls, self.splits, self.boundary = c, s, boundary
+
+    @property
+    def paths(self) -> list[Path]:
+        return [Path(a) for a in
+                (np.split(self.controls, self.splits) if len(self) else [])]
+
+    def __len__(self) -> int:
+        return len(self.splits) + 1 if len(self.controls) else 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StrokeImage):
+            return NotImplemented
+        return (self.boundary == other.boundary
+                and np.array_equal(self.splits, other.splits)
+                and np.array_equal(self.controls, other.controls))
+
+    def __repr__(self) -> str:
+        return (f"StrokeImage.from_controls({self.controls.tolist()}, "
+                f"{self.splits.tolist()}, {self.boundary!r})")
 
     def control_array(self) -> np.ndarray:
         """All control points of all paths, stacked as [total_curves * 4, 2]."""
-        if not self.paths:
-            return np.zeros((0, 2))
-        return np.concatenate([p.control_array().reshape(-1, 2) for p in self.paths])
+        return self.controls.reshape(-1, 2)
 
     def arc_length(self) -> float:
-        return float(sum(p.arc_length() for p in self.paths))
+        return float(np.sum(_curve_arc_lengths(self.controls)))
+
+
+def _stacked(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path [n, 4, 2] controls as one [C, 4, 2] array and the np.split
+    points between the paths."""
+    return (np.concatenate(arrays) if arrays else np.zeros((0, 4, 2)),
+            np.cumsum([len(a) for a in arrays[:-1]], dtype=np.int64))
+
+
+def _check_controls(c: np.ndarray, splits: np.ndarray,
+                    boundary: float | None = None):
+    """Raise ValueError, naming the path and the curve, unless ``c`` holds
+    finite [C, 4, 2] curves that join exactly inside each path (a path split
+    off at ``splits`` may start anywhere) and, given a ``boundary``, lie on
+    the [0, boundary] canvas."""
+    if c.ndim != 3 or c.shape[1:] != (4, 2):
+        raise ValueError(f"path controls must have shape [n, 4, 2], "
+                         f"got {c.shape}")
+    gap = np.append(np.any(c[1:, 0] != c[:-1, 3], axis=1), False)
+    gap[splits - 1] = False
+    checks = [(~np.isfinite(c).all(axis=(1, 2)), "has a non-finite coordinate"),
+              (gap, "does not end where the next curve starts")]
+    if boundary is not None:
+        checks.append((((c < 0.0) | (c > boundary)).any(axis=(1, 2)),
+                       f"exceeds the [0, {boundary}] canvas"))
+    for bad, what in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            path = int(np.searchsorted(splits, i, side="right"))
+            first = splits[path - 1] if path else 0
+            raise ValueError(f"path {path}: curve {i - first} {what}: "
+                             f"{c[i].tolist()}")
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +358,7 @@ def flatten_controls(controls: np.ndarray, splits: np.ndarray,
                      max_error: float) -> tuple[np.ndarray, np.ndarray]:
     """Flatten the stacked [C, 4, 2] curves of several paths at once.
 
-    ``splits`` are the np.split points between paths, as from stack_paths.
+    ``splits`` are the np.split points between paths, as in StrokeImage.
     Each curve is split at t=0.5 while a control point lies farther than
     ``max_error`` from the chord, all curves of one subdivision level at a
     time; endpoints are preserved exactly. Returns every path's polyline
@@ -431,24 +438,16 @@ def reverse_path(path: Path) -> Path:
 # Boundary fitting
 # ---------------------------------------------------------------------------
 
-def fit_paths_to_boundary(paths: list[Path], boundary: float) -> list[Path]:
-    """Translate (and, only if too large, uniformly shrink) paths into the canvas.
+def fit_paths_to_boundary_with_scale(
+    controls: np.ndarray, boundary: float
+) -> tuple[np.ndarray, float]:
+    """Translate (and, only if too large, uniformly shrink) stacked [C, 4, 2]
+    controls into the canvas; returns them and the shrink used.
 
     The translation is the minimal shift that brings the control-point
     bounding box inside [0, boundary]^2; shrinking happens about the bbox
     center. Coordinates are clipped at the very end to squash float residue.
     """
-    if not paths:
-        return []
-    controls, splits = stack_paths(paths)
-    fitted, _ = fit_paths_to_boundary_with_scale(controls, boundary)
-    return split_paths(fitted, splits)
-
-
-def fit_paths_to_boundary_with_scale(
-    controls: np.ndarray, boundary: float
-) -> tuple[np.ndarray, float]:
-    """fit_paths_to_boundary on stacked [C, 4, 2] controls, and the shrink used."""
     lo, hi = controls_bbox(controls)
     size = hi - lo
 
@@ -468,16 +467,6 @@ def controls_bbox(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lowest and highest [x, y] over stacked [C, 4, 2] controls."""
     return controls.min(axis=(0, 1)), controls.max(axis=(0, 1))
 
-
-def stack_paths(paths: list[Path]) -> tuple[np.ndarray, np.ndarray]:
-    """All curves as one [C, 4, 2] array, and the np.split points between paths."""
-    arrays = [p.control_array() for p in paths]
-    return np.concatenate(arrays), np.cumsum([len(a) for a in arrays[:-1]])
-
-
-def split_paths(controls: np.ndarray, splits: np.ndarray) -> list[Path]:
-    """The Paths that stack_paths stacked, rebuilt from (possibly moved) controls."""
-    return [Path(a) for a in np.split(controls, splits)]
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +502,10 @@ def recording_to_image(source, fit_error: float = 1.0) -> StrokeImage:
     strokes, boundary = load_recording(source)
     if not strokes:
         return StrokeImage([], boundary)
-    paths = [fit_path(s, fit_error) for s in strokes]
-    return StrokeImage(fit_paths_to_boundary(paths, boundary), boundary)
+    controls, splits = _stacked([fit_path(s, fit_error).control_array()
+                                 for s in strokes])
+    controls, _ = fit_paths_to_boundary_with_scale(controls, boundary)
+    return StrokeImage.from_controls(controls, splits, boundary)
 
 
 def image_to_json(image: StrokeImage) -> dict:
@@ -528,8 +519,8 @@ def image_from_json(data: dict) -> StrokeImage:
     if not isinstance(data, dict) or not isinstance(data.get("paths"), list):
         raise ValueError("path image must be an object with a 'paths' list")
     boundary = _boundary_from_json(data)
-    paths = [_path_from_json(raw, i) for i, raw in enumerate(data["paths"])]
-    return StrokeImage(paths, boundary)
+    arrays = [_path_from_json(raw, i) for i, raw in enumerate(data["paths"])]
+    return StrokeImage.from_controls(*_stacked(arrays), boundary)
 
 
 def _boundary_from_json(data: dict) -> float:
@@ -542,23 +533,23 @@ def _boundary_from_json(data: dict) -> float:
     return float(value)
 
 
-def _path_from_json(raw, index: int) -> Path:
-    """One stored path; a malformed one raises ValueError naming path and curve."""
-    try:
-        return Path(raw)
-    except (TypeError, ValueError) as exc:
-        if not isinstance(raw, list):
-            raise ValueError(f"path {index}: expected a list of curves, "
-                             f"got {raw!r}") from None
-        for j, curve in enumerate(raw):
-            try:
-                shape = np.array(curve, dtype=float).shape
-            except (TypeError, ValueError):
-                shape = None
-            if shape != (4, 2):
-                raise ValueError(f"path {index}, curve {j}: expected 4 [x, y] "
-                                 f"points, got {curve!r}") from None
-        raise ValueError(f"path {index}: {exc}") from None
+def _path_from_json(raw, index: int) -> np.ndarray:
+    """One stored path's [n, 4, 2] controls; a malformed shape raises
+    ValueError naming the path and the curve."""
+    if not isinstance(raw, list):
+        raise ValueError(f"path {index}: expected a list of curves, "
+                         f"got {raw!r}")
+    if not raw:
+        raise ValueError(f"path {index}: path must contain at least one curve")
+    for j, curve in enumerate(raw):
+        try:
+            shape = np.array(curve, dtype=float).shape
+        except (TypeError, ValueError):
+            shape = None
+        if shape != (4, 2):
+            raise ValueError(f"path {index}, curve {j}: expected 4 [x, y] "
+                             f"points, got {curve!r}")
+    return np.array(raw, dtype=float)
 
 
 def save_path_image(image: StrokeImage, path):

@@ -44,6 +44,9 @@ class ModelConfig:
             raise ValueError("vocab_size must be >= 2")
         if self.seq_len < 2:
             raise ValueError("seq_len must be >= 2")
+        for name in ("d_model", "n_layers", "n_heads", "d_ff"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by {self.n_heads} heads"

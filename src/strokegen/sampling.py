@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import no_grad
 from .geometry import Polyline
-from .model import ModelConfig, encoder_forward
+from .model import encoder_forward
 from .svgout import render_svg  # re-exported: grids of sampled images
 from .tokenizer import Vocabulary, decode, moves_to_image
 from .training import SEED_SAMPLING, Checkpoint, derived_rng
@@ -126,12 +126,17 @@ def make_init_vector(init_len: int, vocab: Vocabulary,
     return [int(i) for i in ids] + [vocab.image_end_id]
 
 
-def _generate(params: dict[str, Tensor], model_cfg: ModelConfig,
-              vocab: Vocabulary, k: int, init_len: int, max_moves: int,
-              seed: int, rng: np.random.Generator) -> GenerationResult:
+def _sample(task) -> GenerationResult:
+    """Sample image ``index`` of ``(ckpt, cfg, index)`` from its own stream
+    (seed, SAMPLING, index); the body of both the serial and the pool path."""
+    ckpt, cfg, index = task
+    vocab, model_cfg, k = ckpt.vocab, ckpt.model, cfg.k
     if k > vocab.size:
         raise ValueError(f"k={k} exceeds vocabulary size {vocab.size}")
     seq_len = model_cfg.seq_len
+    init_len, max_moves = cfg.resolve(seq_len)
+    params = ckpt.param_tensors()
+    rng = derived_rng(cfg.seed, SEED_SAMPLING, index)
     context = make_init_vector(init_len, vocab, rng)
     generated: list[int] = []
     hit_cap = False
@@ -153,7 +158,7 @@ def _generate(params: dict[str, Tensor], model_cfg: ModelConfig,
         moves=moves,
         polylines=moves_to_image(moves),
         hit_cap=hit_cap,
-        seed=seed,
+        seed=cfg.seed,
         k=k,
         init_len=init_len,
     )
@@ -173,23 +178,9 @@ def generate_images(ckpt: Checkpoint, cfg: SamplerConfig, count: int,
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    init_len, max_moves = cfg.resolve(ckpt.model.seq_len)
+    tasks = [(ckpt, cfg, i) for i in range(count)]
     if jobs > 1 and count > 1:
-        tasks = [(ckpt, cfg, i) for i in range(count)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sample_worker, tasks,
+            return list(pool.map(_sample, tasks,
                                  chunksize=max(1, count // jobs)))
-    params = ckpt.param_tensors()
-    return [
-        _generate(params, ckpt.model, ckpt.vocab, cfg.k, init_len, max_moves,
-                  cfg.seed, derived_rng(cfg.seed, SEED_SAMPLING, i))
-        for i in range(count)
-    ]
-
-
-def _sample_worker(task) -> GenerationResult:
-    ckpt, cfg, index = task
-    init_len, max_moves = cfg.resolve(ckpt.model.seq_len)
-    return _generate(ckpt.param_tensors(), ckpt.model, ckpt.vocab, cfg.k,
-                     init_len, max_moves, cfg.seed,
-                     derived_rng(cfg.seed, SEED_SAMPLING, index))
+    return [_sample(task) for task in tasks]

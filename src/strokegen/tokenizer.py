@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import Polyline, StrokeImage, flatten_controls, stack_paths
+from .geometry import Polyline, StrokeImage, flatten_controls
 
 DEFAULT_MAX_MOVE_LEN = 15
 DEFAULT_FLATTEN_ERROR = 1.0
@@ -86,8 +86,9 @@ def image_to_move_sequence(
     the next pen-state change. The last row is IMAGE_END.
     """
     moves = np.empty((0, 3), dtype=np.int64)
-    if image.paths:
-        pts, splits = flatten_controls(*stack_paths(image.paths), flatten_error)
+    if len(image):
+        pts, splits = flatten_controls(image.controls, image.splits,
+                                       flatten_error)
         # one point sequence: cursor_0, path 0, cursor_1, path 1, ...
         cursors = np.zeros((len(splits) + 1, 2))
         cursors[1:] = _round_half_up(pts[splits - 1])

@@ -69,9 +69,15 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "patches_per_epoch", "batch_size",
                      "warmup_steps", "heldout_patches", "seq_ceiling",
-                     "max_move_len"):
+                     "max_move_len", "d_model", "n_layers", "n_heads", "d_ff"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), "
+                                 f"got {getattr(self, name)!r}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps!r}")
         if self.flatten_error <= 0:
             raise ValueError("flatten_error must be positive")
         if self.fixed_patch_set is not None and self.fixed_patch_set < 1:
@@ -316,6 +322,12 @@ def write_loss_csv(history: list[EpochStats], path):
 # Training
 # ---------------------------------------------------------------------------
 
+def augment_config(cfg: TrainConfig) -> AugmentConfig:
+    """The patch synthesis settings of a training configuration."""
+    return AugmentConfig(reversal_probability=cfg.reversal_probability,
+                         scale_min=cfg.scale_min)
+
+
 def tokenize_patches(patches: list[StrokeImage], vocab: Vocabulary,
                      flatten_error: float, max_len: int) -> list[np.ndarray]:
     return [
@@ -331,7 +343,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
     pins one), makes a single optimizer pass over its stream windows and
     then evaluates the held-out loss. ``on_epoch`` receives each EpochStats.
     """
-    if not image.paths:
+    if not len(image):
         raise ValueError("cannot train on an image without paths")
 
     original_moves = image_to_move_sequence(image, cfg.flatten_error,
@@ -348,11 +360,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
         double_attention=cfg.double_attention,
     )
     params = init_encoder_params(model_cfg, derived_rng(cfg.seed, SEED_INIT))
-    aug_cfg = AugmentConfig(
-        reversal_probability=cfg.reversal_probability,
-        scale_min=cfg.scale_min,
-        rng_seed=cfg.seed,
-    )
+    aug_cfg = augment_config(cfg)
 
     heldout = generate_patch_set(image, cfg.heldout_patches, aug_cfg,
                                  derived_rng(cfg.seed, SEED_HELDOUT))
@@ -454,10 +462,6 @@ def evaluate_held_out(ckpt: Checkpoint, patches: list[StrokeImage]) -> float:
 
 def heldout_patch_set(ckpt: Checkpoint, image: StrokeImage) -> list[StrokeImage]:
     """Regenerate the held-out patch set a training run used."""
-    aug_cfg = AugmentConfig(
-        reversal_probability=ckpt.train.reversal_probability,
-        scale_min=ckpt.train.scale_min,
-        rng_seed=ckpt.train.seed,
-    )
-    return generate_patch_set(image, ckpt.train.heldout_patches, aug_cfg,
+    return generate_patch_set(image, ckpt.train.heldout_patches,
+                              augment_config(ckpt.train),
                               derived_rng(ckpt.train.seed, SEED_HELDOUT))

@@ -13,8 +13,7 @@ def dense_curve_samples(path, n_per_curve: int = 1000) -> np.ndarray:
     """Sample every curve of a path at uniform parameters; [~n*curves, 2]."""
     t = np.linspace(0.0, 1.0, n_per_curve)
     chunks = []
-    for curve in path.curves:
-        c = curve.control_array()
+    for c in path.control_array():
         u = 1.0 - t
         basis = np.stack([u ** 3, 3 * u * u * t, 3 * u * t * t, t ** 3], axis=-1)
         chunks.append(basis @ c)

@@ -12,25 +12,38 @@ from strokegen.augment import (
     generate_patch_with_params,
     greedy_order,
     order_paths_greedy,
+    path_endpoints,
     pen_travel,
     reverse_paths_random,
     transform_image,
 )
-from strokegen.geometry import CubicBezier, Path, Point, StrokeImage
+from strokegen.demo import make_demo_image
+from strokegen.geometry import Path, StrokeImage
+from strokegen.tokenizer import build_vocabulary, image_to_move_sequence
+from strokegen.training import tokenize_patches
 
 
 def segment_path(x0, y0, x1, y1) -> Path:
     third = np.array([x1 - x0, y1 - y0]) / 3.0
-    return Path(
-        [
-            CubicBezier(
-                Point(x0, y0),
-                Point(x0 + third[0], y0 + third[1]),
-                Point(x0 + 2 * third[0], y0 + 2 * third[1]),
-                Point(x1, y1),
-            )
-        ]
-    )
+    return Path([[
+        [x0, y0],
+        [x0 + third[0], y0 + third[1]],
+        [x0 + 2 * third[0], y0 + 2 * third[1]],
+        [x1, y1],
+    ]])
+
+
+def start(path: Path) -> np.ndarray:
+    return path.control_array()[0, 0]
+
+
+def end(path: Path) -> np.ndarray:
+    return path.control_array()[-1, 3]
+
+
+def endpoints(paths: list[Path]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([start(p) for p in paths]),
+            np.array([end(p) for p in paths]))
 
 
 @pytest.fixture
@@ -51,7 +64,7 @@ def images_close(a: StrokeImage, b: StrokeImage, tol=1e-12) -> bool:
     if len(a.paths) != len(b.paths):
         return False
     for pa, pb in zip(a.paths, b.paths):
-        if len(pa.curves) != len(pb.curves):
+        if len(pa) != len(pb):
             return False
         if np.max(np.abs(pa.control_array() - pb.control_array())) > tol:
             return False
@@ -76,9 +89,9 @@ class TestTransformImage:
             boundary=180.0,
         )
         out = transform_image(img, Transform.rotate(math.pi / 2.0))
-        moved = out.paths[0].end
-        assert moved.x == pytest.approx(90.0, abs=1e-9)
-        assert moved.y == pytest.approx(100.0, abs=1e-9)
+        moved = end(out.paths[0])
+        assert moved[0] == pytest.approx(90.0, abs=1e-9)
+        assert moved[1] == pytest.approx(100.0, abs=1e-9)
 
     def test_translate_moves_exactly(self, small_image):
         out = transform_image(small_image, Transform.translate(5.0, -7.0))
@@ -122,7 +135,8 @@ class TestReversePathsRandom:
         rng = np.random.default_rng(0)
         once = reverse_paths_random(small_image, 1.0, rng)
         for orig, rev in zip(small_image.paths, once.paths):
-            assert rev.start == orig.end and rev.end == orig.start
+            assert np.array_equal(start(rev), end(orig))
+            assert np.array_equal(end(rev), start(orig))
         twice = reverse_paths_random(once, 1.0, rng)
         assert images_close(twice, small_image)
 
@@ -132,7 +146,8 @@ class TestReversePathsRandom:
         img = StrokeImage(paths, boundary=180.0)
         out = reverse_paths_random(img, 0.5, np.random.default_rng(123))
         reversed_count = sum(
-            1 for a, b in zip(img.paths, out.paths) if a.start != b.start
+            1 for a, b in zip(img.paths, out.paths)
+            if not np.array_equal(start(a), start(b))
         )
         assert 0.47 <= reversed_count / 10_000 <= 0.53
 
@@ -141,14 +156,14 @@ class TestReversePathsRandom:
             reverse_paths_random(small_image, 1.5, np.random.default_rng(0))
 
 
-def scalar_greedy_order(paths, start):
+def scalar_greedy_order(paths, first):
     """Reference: one point at a time, ties to the lower index."""
-    order = [start]
-    remaining = set(range(len(paths))) - {start}
+    order = [first]
+    remaining = set(range(len(paths))) - {first}
     while remaining:
-        end = paths[order[-1]].end
+        x, y = end(paths[order[-1]])
         best = min(remaining, key=lambda i: (
-            np.hypot(paths[i].start.x - end.x, paths[i].start.y - end.y), i))
+            np.hypot(start(paths[i])[0] - x, start(paths[i])[1] - y), i))
         order.append(best)
         remaining.remove(best)
     return order
@@ -160,13 +175,14 @@ class TestGreedyOrdering:
         # endpoints on a coarse grid make equal distances, i.e. ties, common
         coords = np.random.default_rng(seed).integers(0, 4, (10, 4))
         paths = [segment_path(*c) for c in coords]
-        for start in range(len(paths)):
-            assert greedy_order(paths, start) == \
-                scalar_greedy_order(paths, start)
-        expected = sum(math.hypot(b.start.x - a.end.x, b.start.y - a.end.y)
+        for first in range(len(paths)):
+            assert greedy_order(*endpoints(paths), first) == \
+                scalar_greedy_order(paths, first)
+        expected = sum(math.hypot(*(start(b) - end(a)))
                        for a, b in zip(paths, paths[1:]))
-        assert pen_travel(paths) == pytest.approx(expected, rel=1e-12)
-        assert pen_travel(paths[:1]) == 0.0
+        assert pen_travel(*endpoints(paths)) == pytest.approx(expected,
+                                                              rel=1e-12)
+        assert pen_travel(*endpoints(paths[:1])) == 0.0
 
     def test_single_path_unchanged(self):
         img = StrokeImage([segment_path(10, 10, 40, 40)], boundary=180.0)
@@ -179,7 +195,7 @@ class TestGreedyOrdering:
             segment_path(40, 10, 60, 10),
             segment_path(80, 10, 100, 10),
         ]
-        assert greedy_order(paths, 0) == [0, 1, 2]
+        assert greedy_order(*endpoints(paths), 0) == [0, 1, 2]
         # via the public op, with a seed whose first draw picks index 0
         seed = next(
             s for s in range(100)
@@ -187,7 +203,7 @@ class TestGreedyOrdering:
         )
         img = StrokeImage(paths, boundary=180.0)
         out = order_paths_greedy(img, np.random.default_rng(seed))
-        assert [p.start.x for p in out.paths] == [0.0, 40.0, 80.0]
+        assert [start(p)[0] for p in out.paths] == [0.0, 40.0, 80.0]
 
     def test_tie_breaks_to_lower_index(self):
         # paths 1 and 2 start equally far from path 0's end point
@@ -196,13 +212,18 @@ class TestGreedyOrdering:
             segment_path(10, 40, 20, 40),
             segment_path(10, 0, 20, 0),
         ]
-        assert greedy_order(paths, 0) == [0, 1, 2]
+        assert greedy_order(*endpoints(paths), 0) == [0, 1, 2]
 
     def test_greedy_beats_interleaved_identity_order(self):
         xs = [0, 100, 10, 110, 20, 120]
         paths = [segment_path(x, 50, x + 5, 50) for x in xs]
-        greedy = [paths[i] for i in greedy_order(paths, 0)]
-        assert pen_travel(greedy) <= pen_travel(paths)
+        greedy = [paths[i] for i in greedy_order(*endpoints(paths), 0)]
+        assert pen_travel(*endpoints(greedy)) <= pen_travel(*endpoints(paths))
+
+    def test_path_endpoints_read_the_stacked_array(self, small_image):
+        got = path_endpoints(small_image.controls, small_image.splits)
+        expected = endpoints(small_image.paths)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     def test_output_is_permutation(self, small_image):
         out = order_paths_greedy(small_image, np.random.default_rng(7))
@@ -270,3 +291,23 @@ class TestGeneratePatchSet:
         with pytest.raises(ValueError):
             generate_patch_set(small_image, 0, AugmentConfig(),
                                np.random.default_rng(0))
+
+
+def test_patch_set_and_tokenizer_build_no_path(monkeypatch):
+    """The training path carries control arrays: 100 patches of the 9-path
+    boxes image and their tokens are made without constructing a Path."""
+    image = make_demo_image("boxes")
+    vocab = build_vocabulary([image_to_move_sequence(image)], 15)
+    built = []
+    init = Path.__init__
+
+    def counting_init(self, controls):
+        built.append(1)
+        init(self, controls)
+
+    monkeypatch.setattr(Path, "__init__", counting_init)
+    patches = generate_patch_set(image, 100, AugmentConfig(),
+                                 np.random.default_rng(0))
+    tokenize_patches(patches, vocab, 1.0, 15)
+    assert len(patches) == 100 and len(built) == 0
+    assert len(patches[0].paths) == 9 and len(built) == 9  # views on demand

@@ -111,7 +111,9 @@ def ref_generate_patch_with_params(image, cfg, rng):
     img, _ = ref_transform(img, Transform.translate(dx, dy))
     flags = rng.random(len(img.paths)) < cfg.reversal_probability
     paths = [reverse_path(q) if f else q for q, f in zip(img.paths, flags)]
-    order = greedy_order(paths, int(rng.integers(len(paths))))
+    order = greedy_order(np.array([p.control_array()[0, 0] for p in paths]),
+                         np.array([p.control_array()[-1, 3] for p in paths]),
+                         int(rng.integers(len(paths))))
     patch = StrokeImage([paths[i] for i in order], image.boundary)
     params = PatchParams(angle, mirror_h, mirror_v, factor, fit_shrink,
                          (dx, dy), tuple(bool(f) for f in flags), tuple(order))

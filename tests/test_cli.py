@@ -61,7 +61,7 @@ class TestIngest:
         assert main(["ingest", str(rec), "-o", str(out)]) == 0
         image = load_path_image(out)
         assert len(image.paths) == 1
-        assert len(image.paths[0].curves) == 1
+        assert len(image.paths[0]) == 1
         assert "path 0: 1 curves" in capsys.readouterr().out
 
     def test_looser_fit_error_fewer_curves(self, tmp_path):
@@ -73,7 +73,7 @@ class TestIngest:
             assert main(["ingest", str(rec), "-o", str(out),
                          "--fit-error", err]) == 0
             image = load_path_image(out)
-            counts[err] = sum(len(p.curves) for p in image.paths)
+            counts[err] = len(image.controls)
         assert counts["3"] <= counts["1"]
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
@@ -171,6 +171,27 @@ class TestTrain:
             "train", str(workdir / "img.json"), "-o", str(tmp_path / "x"),
             "--config", str(cfg),
         ]) == 2
+
+    @pytest.mark.parametrize("setting, message", [
+        ("n_heads = 0", "n_heads must be >= 1"),
+        ("d_ff = 0", "d_ff must be >= 1"),
+        ("d_model = 0", "d_model must be >= 1"),
+        ("n_layers = 0", "n_layers must be >= 1"),
+        ("beta1 = 1.5", "beta1 must be in [0, 1)"),
+        ("beta1 = -0.1", "beta1 must be in [0, 1)"),
+        ("beta2 = 1.0", "beta2 must be in [0, 1)"),
+        ("adam_eps = 0", "adam_eps must be positive"),
+        ("adam_eps = nan", "adam_eps must be positive"),
+    ])
+    def test_bad_model_or_optimizer_setting_exit_2(self, workdir, tmp_path,
+                                                  capsys, setting, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(setting + "\n")
+        assert main([
+            "train", str(workdir / "img.json"), "-o", str(tmp_path / "x"),
+            "--preset", "desk", "--config", str(cfg),
+        ]) == 2
+        assert message in capsys.readouterr().err
 
     def test_numeric_failure_exit_3(self, workdir, tmp_path, monkeypatch):
         from strokegen import cli
@@ -274,6 +295,10 @@ def _nan_weight(data):
     _edit_param(data, "layer0.ff.w1", edit)
 
 
+def _zero_heads(data):
+    data["model"]["n_heads"] = 0
+
+
 def _swap_vocab_entries(data):
     a, b = data["vocabulary"]["entries"][:2]
     a["dy"], b["dy"] = b["dy"], a["dy"]
@@ -285,8 +310,9 @@ def _swap_vocab_entries(data):
     (_grow_vocab_size, "model.vocab_size"),
     (_nan_weight, "parameter 'layer0.ff.w1' has non-finite values"),
     (_swap_vocab_entries, "vocabulary entries are not the closed move grid"),
+    (_zero_heads, "n_heads must be >= 1"),
 ], ids=["extra-param", "embedding-shape", "vocab-size", "non-finite",
-        "vocab-entries"])
+        "vocab-entries", "zero-heads"])
 def test_tampered_checkpoint_exit_2(workdir, tmp_path, capsys, tamper, field):
     data = json.loads((workdir / "run" / "checkpoint.json").read_text())
     tamper(data)

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strokegen.geometry import (
-    CubicBezier,
     Path,
-    Point,
     Polyline,
     StrokeImage,
     fit_path,
-    fit_paths_to_boundary,
+    fit_paths_to_boundary_with_scale,
     flatten_path,
     image_from_json,
     image_to_json,
@@ -24,22 +22,22 @@ from strokegen.geometry import (
 from conftest import fit_residuals, max_deviation_curve_to_polyline
 
 
-def quarter_circle_curve(radius=50.0, cx=60.0, cy=60.0) -> CubicBezier:
+def quarter_circle_curve(radius=50.0, cx=60.0, cy=60.0) -> np.ndarray:
     # kappa approximation of a quarter arc
     k = 0.5522847498307936 * radius
-    return CubicBezier(
-        Point(cx + radius, cy),
-        Point(cx + radius, cy + k),
-        Point(cx + k, cy + radius),
-        Point(cx, cy + radius),
-    )
+    return np.array([
+        [cx + radius, cy],
+        [cx + radius, cy + k],
+        [cx + k, cy + radius],
+        [cx, cy + radius],
+    ])
 
 
 class TestFitPath:
     def test_collinear_points_single_exact_curve(self):
         pts = [(x, 0.0) for x in np.linspace(0.0, 100.0, 10)]
         path = fit_path(pts, 1.0)
-        assert len(path.curves) == 1
+        assert len(path) == 1
         assert fit_residuals(pts, path).max() <= 1e-9
 
     def test_points_from_known_cubic(self):
@@ -62,14 +60,14 @@ class TestFitPath:
             axis=1,
         )
         path = fit_path(pts, 1.0)
-        assert len(path.curves) > 1
+        assert len(path) > 1
         assert fit_residuals(pts, path).max() <= 1.0
 
     def test_duplicate_points_are_deduped(self):
         pts = [(0, 0), (0, 0), (10, 0), (10, 0), (20, 5)]
         path = fit_path(pts, 1.0)
-        assert path.start == Point(0.0, 0.0)
-        assert path.end == Point(20.0, 5.0)
+        assert path.control_array()[0, 0].tolist() == [0.0, 0.0]
+        assert path.control_array()[-1, 3].tolist() == [20.0, 5.0]
 
     def test_degenerate_input_raises(self):
         with pytest.raises(ValueError):
@@ -101,16 +99,7 @@ class TestFitPath:
 
 class TestFlattenPath:
     def test_already_flat_curve(self):
-        path = Path(
-            [
-                CubicBezier(
-                    Point(0.0, 0.0),
-                    Point(10.0, 0.0),
-                    Point(30.0, 0.0),
-                    Point(40.0, 0.0),
-                )
-            ]
-        )
+        path = Path([[[0.0, 0.0], [10.0, 0.0], [30.0, 0.0], [40.0, 0.0]]])
         poly = flatten_path(path, 1.0)
         assert np.array_equal(poly.points, [[0.0, 0.0], [40.0, 0.0]])
 
@@ -128,8 +117,8 @@ class TestFlattenPath:
     def test_endpoints_exact(self):
         path = Path([quarter_circle_curve()])
         poly = flatten_path(path, 2.0)
-        assert np.array_equal(poly.points[0], path.start.as_array())
-        assert np.array_equal(poly.points[-1], path.end.as_array())
+        assert np.array_equal(poly.points[0], path.control_array()[0, 0])
+        assert np.array_equal(poly.points[-1], path.control_array()[-1, 3])
 
     @given(err_small=st.floats(0.05, 1.0), ratio=st.floats(1.0, 10.0))
     @settings(max_examples=30, deadline=None)
@@ -143,7 +132,7 @@ class TestFlattenPath:
     def test_random_curves_within_budget(self, seed):
         rng = np.random.default_rng(100 + seed)
         ctrl = rng.uniform(0.0, 180.0, (4, 2))
-        path = Path([CubicBezier(*(Point(*q) for q in ctrl))])
+        path = Path([ctrl])
         for err in (0.5, 1.0, 3.0):
             poly = flatten_path(path, err)
             assert max_deviation_curve_to_polyline(path, poly.points) <= err
@@ -151,11 +140,8 @@ class TestFlattenPath:
 
 class TestReversePath:
     def test_single_curve_swaps_controls(self):
-        c = CubicBezier(Point(0, 0), Point(1, 2), Point(3, 4), Point(5, 6))
-        r = reverse_path(Path([c]))
-        assert r.curves[0] == CubicBezier(
-            Point(5, 6), Point(3, 4), Point(1, 2), Point(0, 0)
-        )
+        r = reverse_path(Path([[[0, 0], [1, 2], [3, 4], [5, 6]]]))
+        assert r.control_array().tolist() == [[[5, 6], [3, 4], [1, 2], [0, 0]]]
 
     def test_involution_exact(self):
         rng = np.random.default_rng(3)
@@ -164,15 +150,14 @@ class TestReversePath:
         assert reverse_path(reverse_path(path)) == path
 
     def test_three_curve_endpoint_order(self):
-        a, b, c, d = Point(0, 0), Point(10, 0), Point(20, 10), Point(30, 0)
-        mk = lambda p, q: CubicBezier(
-            p, Point(p.x + 1, p.y), Point(q.x - 1, q.y), q
-        )
+        a, b, c, d = [0, 0], [10, 0], [20, 10], [30, 0]
+        mk = lambda p, q: [p, [p[0] + 1, p[1]], [q[0] - 1, q[1]], q]
         path = Path([mk(a, b), mk(b, c), mk(c, d)])
         # oracle: endpoints listed before/after
-        before = [path.curves[0].p0] + [cv.p3 for cv in path.curves]
-        rev = reverse_path(path)
-        after = [rev.curves[0].p0] + [cv.p3 for cv in rev.curves]
+        curves = path.control_array().tolist()
+        before = [curves[0][0]] + [cv[3] for cv in curves]
+        rev = reverse_path(path).control_array().tolist()
+        after = [rev[0][0]] + [cv[3] for cv in rev]
         assert after == list(reversed(before))
 
     def test_arc_length_preserved(self):
@@ -184,13 +169,13 @@ class TestReversePath:
 
 
 class TestTypes:
-    def test_point_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Point(float("nan"), 0.0)
+    def test_path_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="curve 0 has a non-finite"):
+            Path([[[float("nan"), 0.0], [1, 0], [2, 0], [3, 0]]])
 
     def test_path_rejects_gap(self):
-        c1 = CubicBezier(Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0))
-        c2 = CubicBezier(Point(9, 9), Point(10, 9), Point(11, 9), Point(12, 9))
+        c1 = [[0, 0], [1, 0], [2, 0], [3, 0]]
+        c2 = [[9, 9], [10, 9], [11, 9], [12, 9]]
         with pytest.raises(ValueError):
             Path([c1, c2])
 
@@ -198,18 +183,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             Path([])
 
-    def test_path_from_curves_equals_path_from_array(self):
+    def test_path_from_lists_equals_path_from_array(self):
         a, b = quarter_circle_curve(), quarter_circle_curve(cx=10.0, cy=110.0)
-        b = CubicBezier(a.p3, b.p1, b.p2, b.p3)
-        from_curves = Path([a, b])
-        from_array = Path(np.stack([a.control_array(), b.control_array()]))
-        assert from_curves == from_array
-        assert len(from_curves) == 2
-        assert from_curves.curves == [a, b]
-        assert from_curves.start == a.p0 and from_curves.end == b.p3
+        b[0] = a[3]
+        from_lists = Path([a.tolist(), b.tolist()])
+        from_array = Path(np.stack([a, b]))
+        assert from_lists == from_array
+        assert len(from_lists) == 2
+        assert np.array_equal(from_lists.control_array(), [a, b])
 
     def test_path_control_array_is_read_only(self):
-        source = quarter_circle_curve().control_array()[None]
+        source = quarter_circle_curve()[None]
         path = Path(source)
         with pytest.raises(ValueError):
             path.control_array()[0, 0, 0] = 1.0
@@ -231,7 +215,7 @@ class TestTypes:
             Polyline(np.array([[0.0, 0.0]]))
 
     def test_image_rejects_out_of_bounds(self):
-        c = CubicBezier(Point(0, 0), Point(50, 0), Point(150, 0), Point(200, 0))
+        c = [[0, 0], [50, 0], [150, 0], [200, 0]]
         with pytest.raises(ValueError):
             StrokeImage([Path([c])], boundary=180.0)
 
@@ -246,19 +230,78 @@ class TestTypes:
         assert img.arc_length() == 0.0
 
 
+def segment(x0, y0, x1, y1) -> list:
+    """One straight curve as a [4, 2] control list."""
+    return [[x0 + (x1 - x0) * i / 3, y0 + (y1 - y0) * i / 3] for i in range(4)]
+
+
+class TestStrokeImageArrays:
+    # path 0 is one curve; path 1 is two joined curves, far from path 0
+    CONTROLS = [segment(10, 10, 20, 10), segment(50, 50, 60, 50),
+                segment(60, 50, 60, 70)]
+
+    def test_gap_across_a_split_is_accepted(self):
+        image = StrokeImage.from_controls(self.CONTROLS, [1], 180.0)
+        assert len(image) == 2
+        assert [len(p) for p in image.paths] == [1, 2]
+        assert image == StrokeImage(image.paths, 180.0)
+        assert np.array_equal(image.control_array(),
+                              np.reshape(self.CONTROLS, (-1, 2)))
+        assert image.arc_length() == pytest.approx(10.0 + 10.0 + 20.0)
+
+    def test_broken_joint_inside_path_1_names_path_and_curve(self):
+        controls = np.array(self.CONTROLS)
+        controls[2, 0] += 0.5
+        with pytest.raises(ValueError, match="path 1: curve 0 does not end "
+                                             "where the next curve starts"):
+            StrokeImage.from_controls(controls, [1], 180.0)
+
+    def test_out_of_canvas_control_is_rejected(self):
+        controls = np.array(self.CONTROLS)
+        controls[2, 2, 1] = 180.5
+        with pytest.raises(ValueError, match=r"path 1: curve 1 exceeds the "
+                                             r"\[0, 180.0\] canvas"):
+            StrokeImage.from_controls(controls, [1], 180.0)
+
+    def test_nan_control_is_rejected(self):
+        controls = np.array(self.CONTROLS)
+        controls[1, 1, 0] = np.nan
+        with pytest.raises(ValueError,
+                           match="path 1: curve 0 has a non-finite coordinate"):
+            StrokeImage.from_controls(controls, [1], 180.0)
+
+    @pytest.mark.parametrize("splits", [[0], [3], [2, 1], [1, 1], [[1]]])
+    def test_splits_must_leave_every_path_a_curve(self, splits):
+        with pytest.raises(ValueError, match="splits"):
+            StrokeImage.from_controls(self.CONTROLS, splits, 180.0)
+
+    def test_controls_are_a_read_only_copy(self):
+        source = np.array(self.CONTROLS)
+        image = StrokeImage.from_controls(source, [1], 180.0)
+        source[0, 0, 0] = 0.0
+        assert image.controls[0, 0, 0] == 10.0
+        with pytest.raises(ValueError):
+            image.controls[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            image.splits[0] = 2
+
+    def test_empty_image_has_no_paths(self):
+        image = StrokeImage.from_controls(np.zeros((0, 4, 2)), [], 180.0)
+        assert len(image) == 0 and image.paths == []
+        assert image == StrokeImage([], 180.0)
+
+
 class TestBoundaryFitting:
     def test_oversized_content_is_shrunk(self):
-        c = CubicBezier(Point(0, 0), Point(100, 0), Point(200, 0), Point(300, 0))
-        fitted = fit_paths_to_boundary([Path([c])], 180.0)
-        pts = fitted[0].control_array().reshape(-1, 2)
+        c = [[0, 0], [100, 0], [200, 0], [300, 0]]
+        fitted, _ = fit_paths_to_boundary_with_scale(np.array([c], float), 180.0)
+        pts = fitted.reshape(-1, 2)
         assert pts.min() >= 0.0 and pts.max() <= 180.0
 
     def test_offset_content_is_translated(self):
-        c = CubicBezier(
-            Point(-20, 10), Point(0, 10), Point(20, 10), Point(40, 10)
-        )
-        fitted = fit_paths_to_boundary([Path([c])], 180.0)
-        pts = fitted[0].control_array().reshape(-1, 2)
+        c = [[-20, 10], [0, 10], [20, 10], [40, 10]]
+        fitted, _ = fit_paths_to_boundary_with_scale(np.array([c], float), 180.0)
+        pts = fitted.reshape(-1, 2)
         assert pts.min() >= 0.0 and pts.max() <= 180.0
         # widths preserved when only translating
         assert pts[:, 0].max() - pts[:, 0].min() == pytest.approx(60.0)

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from strokegen.geometry import CubicBezier, Path, Point, Polyline, StrokeImage
+from strokegen.geometry import Path, Polyline, StrokeImage
 from strokegen.sampling import (
     GenerationResult,
     SamplerConfig,
@@ -24,16 +24,12 @@ from strokegen.training import TrainConfig, train
 
 def segment_path(x0, y0, x1, y1) -> Path:
     t = np.array([x1 - x0, y1 - y0]) / 3.0
-    return Path(
-        [
-            CubicBezier(
-                Point(x0, y0),
-                Point(x0 + t[0], y0 + t[1]),
-                Point(x0 + 2 * t[0], y0 + 2 * t[1]),
-                Point(x1, y1),
-            )
-        ]
-    )
+    return Path([[
+        [x0, y0],
+        [x0 + t[0], y0 + t[1]],
+        [x0 + 2 * t[0], y0 + 2 * t[1]],
+        [x1, y1],
+    ]])
 
 
 @pytest.fixture(scope="module")

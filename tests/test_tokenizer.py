@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strokegen.geometry import CubicBezier, Path, Point, Polyline, StrokeImage
+from strokegen.geometry import Path, Polyline, StrokeImage
 from strokegen.tokenizer import (
     IMAGE_END,
     Vocabulary,
@@ -18,16 +18,12 @@ from strokegen.tokenizer import (
 
 def line_path(x0, y0, x1, y1) -> Path:
     t = np.array([x1 - x0, y1 - y0]) / 3.0
-    return Path(
-        [
-            CubicBezier(
-                Point(x0, y0),
-                Point(x0 + t[0], y0 + t[1]),
-                Point(x0 + 2 * t[0], y0 + 2 * t[1]),
-                Point(x1, y1),
-            )
-        ]
-    )
+    return Path([[
+        [x0, y0],
+        [x0 + t[0], y0 + t[1]],
+        [x0 + 2 * t[0], y0 + 2 * t[1]],
+        [x1, y1],
+    ]])
 
 
 class TestPolylineToMoves:
@@ -98,8 +94,7 @@ class TestImageToMoveSequence:
         assert len(polylines) == len(paths)
         bound = 0.5 * np.sqrt(2.0) + 1e-12
         for path, poly in zip(paths, polylines):
-            src = np.array([[path.start.x, path.start.y],
-                            [path.end.x, path.end.y]])
+            src = path.control_array()[[0, -1], [0, 3]]
             got = np.array([poly.points[0], poly.points[-1]])
             assert np.all(np.hypot(*(got - src).T) <= bound)
 

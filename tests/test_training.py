@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from strokegen.autodiff import NonFiniteError, Tensor
-from strokegen.geometry import CubicBezier, Path, Point, StrokeImage
+from strokegen.geometry import Path, StrokeImage
 from strokegen.training import (
     AdamState,
     Checkpoint,
@@ -29,16 +29,12 @@ from strokegen.training import (
 
 def segment_path(x0, y0, x1, y1) -> Path:
     t = np.array([x1 - x0, y1 - y0]) / 3.0
-    return Path(
-        [
-            CubicBezier(
-                Point(x0, y0),
-                Point(x0 + t[0], y0 + t[1]),
-                Point(x0 + 2 * t[0], y0 + 2 * t[1]),
-                Point(x1, y1),
-            )
-        ]
-    )
+    return Path([[
+        [x0, y0],
+        [x0 + t[0], y0 + t[1]],
+        [x0 + 2 * t[0], y0 + 2 * t[1]],
+        [x1, y1],
+    ]])
 
 
 @pytest.fixture(scope="module")
