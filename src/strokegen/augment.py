@@ -3,22 +3,31 @@
 Five manipulations are available: whole-image translation, rotation,
 mirroring and scaling, plus per-path reversal. A greedy reordering pass then
 minimizes pen travel between consecutive paths.
+
+Every patch of one image has the same curves and paths, so a patch set runs
+as one stacked array: the transforms map each patch's points [2, K] (an x
+row and a y row) with its own parameters, and reversal and reordering are
+one gather. A single patch, or a single transform of one image, is the
+batch of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     StrokeImage,
-    controls_bbox,
-    fit_paths_to_boundary_with_scale,
+    checked_stack,
+    fit_to_canvas,
 )
 
 MIRROR_AXES = ("horizontal", "vertical")
+# horizontal flips y, vertical flips x
+_MIRRORS = {"horizontal": np.diag([1.0, -1.0]), "vertical": np.diag([-1.0, 1.0])}
 
 
 class ContainmentError(ValueError):
@@ -101,6 +110,45 @@ class PatchParams:
 
 
 # ---------------------------------------------------------------------------
+# Patch sets
+# ---------------------------------------------------------------------------
+
+class PatchSet(Sequence):
+    """n augmented variants of one image, as stacked read-only arrays.
+
+    ``controls`` [n, C, 4, 2] holds the curves of every patch in drawing
+    order and ``splits`` [n, P - 1] the np.split points between each
+    patch's paths. The whole set is checked once, like a StrokeImage: finite
+    values, exact joints inside each path and the [0, boundary] canvas; an
+    error names the patch, the path and the curve. Items are StrokeImages
+    built on demand; ``params(i)`` is what augmentation applied to patch i.
+    """
+
+    __slots__ = ("controls", "splits", "boundary", "_applied")
+
+    def __init__(self, controls, splits, boundary: float,
+                 applied: dict[str, np.ndarray] | None = None):
+        self.controls, self.splits = checked_stack(controls, splits, boundary,
+                                                   patches=True)
+        self.boundary, self._applied = boundary, applied
+
+    def __len__(self) -> int:
+        return len(self.controls)
+
+    def __getitem__(self, i: int) -> StrokeImage:
+        return StrokeImage.from_controls(self.controls[i], self.splits[i],
+                                         self.boundary)
+
+    def params(self, i: int) -> PatchParams:
+        """What augmentation applied to patch i."""
+        if self._applied is None:
+            raise ValueError("this patch set carries no augmentation record")
+        values = {k: v[i].tolist() for k, v in self._applied.items()}
+        return PatchParams(**{k: tuple(v) if isinstance(v, list) else v
+                              for k, v in values.items()})
+
+
+# ---------------------------------------------------------------------------
 # Whole-image transforms
 # ---------------------------------------------------------------------------
 
@@ -114,47 +162,66 @@ def transform_image(image: StrokeImage, t: Transform) -> StrokeImage:
     """
     if not len(image):
         return image
-    controls, _ = _transform(image.controls, image.boundary, t)
-    return StrokeImage.from_controls(controls, image.splits, image.boundary)
-
-
-def _transform(controls: np.ndarray, boundary: float,
-               t: Transform) -> tuple[np.ndarray, float]:
-    """One manipulation of stacked [C, 4, 2] controls, and the fit's shrink."""
-    lo, hi = controls_bbox(controls)
+    xy = _points(image.controls)
     if t.kind == "translate":
-        dx, dy = t.offset
-        tol = 1e-9
-        if (lo[0] + dx < -tol or hi[0] + dx > boundary + tol
-                or lo[1] + dy < -tol or hi[1] + dy > boundary + tol):
-            raise ContainmentError(
-                f"offset ({dx}, {dy}) moves content outside the canvas"
-            )
-        moved = _apply_affine(controls, np.eye(2), np.array([dx, dy]))
-        return np.clip(moved, 0.0, boundary), 1.0
-
-    if t.kind == "rotate":
-        c, s = math.cos(t.angle), math.sin(t.angle)
-        m = np.array([[c, -s], [s, c]])
-    elif t.kind == "mirror":
-        m = np.diag([1.0, -1.0]) if t.axis == "horizontal" else np.diag([-1.0, 1.0])
-    else:  # scale
-        m = np.eye(2) * t.factor
-
-    center = (lo + hi) / 2.0
-    shift = center - m @ center
-    return fit_paths_to_boundary_with_scale(_apply_affine(controls, m, shift),
-                                            boundary)
+        xy = _translate(xy, np.array([t.offset]), image.boundary)
+    else:
+        if t.kind == "rotate":
+            c, s = math.cos(t.angle), math.sin(t.angle)
+            m = np.array([[c, -s], [s, c]])
+        elif t.kind == "mirror":
+            m = _MIRRORS[t.axis]
+        else:  # scale
+            m = np.eye(2) * t.factor
+        xy, _ = _map_about_center(xy, m[None], image.boundary)
+    return StrokeImage.from_controls(_controls(xy)[0], image.splits,
+                                     image.boundary)
 
 
-def _apply_affine(controls: np.ndarray, m: np.ndarray,
-                  shift: np.ndarray) -> np.ndarray:
-    xs = controls[..., 0]
-    ys = controls[..., 1]
+def _points(controls: np.ndarray) -> np.ndarray:
+    """The points of one image's [C, 4, 2] controls as a batch of one
+    [1, 2, 4C]: an x row and a y row."""
+    return controls.reshape(1, -1, 2).transpose(0, 2, 1)
+
+
+def _controls(xy: np.ndarray) -> np.ndarray:
+    """Controls [n, C, 4, 2] of n point sets [n, 2, 4C]."""
+    return xy.transpose(0, 2, 1).reshape(len(xy), -1, 4, 2)
+
+
+def _map_about_center(xy: np.ndarray, m: np.ndarray,
+                      boundary: float) -> tuple[np.ndarray, np.ndarray]:
+    """Map each point set of [n, 2, K] by its matrix m [n, 2, 2] about its
+    bbox center, then fit it to the canvas; returns the fit's shrinks too."""
+    center = (xy.min(axis=2) + xy.max(axis=2)) / 2.0
+    # one 2x2 product per set, as a single image computes it, so that the
+    # shift has the same floats
+    shift = np.array([c - mi @ c for mi, c in zip(m, center)])
+    return fit_to_canvas(_affine(xy, m, shift), boundary)
+
+
+def _translate(xy: np.ndarray, offsets: np.ndarray,
+               boundary: float) -> np.ndarray:
+    """Move each point set of [n, 2, K] by its offset [n, 2]."""
+    lo, hi = xy.min(axis=2), xy.max(axis=2)
+    tol = 1e-9
+    bad = ((lo + offsets < -tol) | (hi + offsets > boundary + tol)).any(axis=1)
+    if bad.any():
+        dx, dy = offsets[np.argmax(bad)].tolist()
+        raise ContainmentError(
+            f"offset ({dx}, {dy}) moves content outside the canvas"
+        )
+    eye = np.broadcast_to(np.eye(2), (len(xy), 2, 2))
+    return np.clip(_affine(xy, eye, offsets), 0.0, boundary)
+
+
+def _affine(xy: np.ndarray, m: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    xs, ys = xy[:, 0], xy[:, 1]
+    m, shift = m[..., None], shift[..., None]
     # elementwise form keeps shared joint coordinates bitwise equal
-    nx = m[0, 0] * xs + m[0, 1] * ys + shift[0]
-    ny = m[1, 0] * xs + m[1, 1] * ys + shift[1]
-    return np.stack([nx, ny], axis=-1)
+    nx = m[:, 0, 0] * xs + m[:, 0, 1] * ys + shift[:, 0]
+    ny = m[:, 1, 0] * xs + m[:, 1, 1] * ys + shift[:, 1]
+    return np.stack([nx, ny], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +234,7 @@ def reverse_paths_random(image: StrokeImage, p: float,
     if not 0.0 <= p <= 1.0:
         raise ValueError("reversal probability must be in [0, 1]")
     flags = rng.random(len(image)) < p
-    return StrokeImage.from_controls(
-        _reverse(image.controls, image.splits, flags), image.splits,
-        image.boundary)
+    return _permuted(image, flags, np.arange(len(image)))
 
 
 def order_paths_greedy(image: StrokeImage, rng: np.random.Generator) -> StrokeImage:
@@ -182,24 +247,30 @@ def order_paths_greedy(image: StrokeImage, rng: np.random.Generator) -> StrokeIm
     n = len(image)
     if n == 0:
         return image
-    order = greedy_order(*path_endpoints(image.controls, image.splits),
-                         int(rng.integers(n)))
-    return StrokeImage.from_controls(
-        *_reorder(image.controls, image.splits, order), image.boundary)
+    starts, ends = path_endpoints(image.controls, image.splits)
+    order = greedy_order(starts[None], ends[None], [int(rng.integers(n))])[0]
+    return _permuted(image, np.zeros(n, dtype=bool), order)
 
 
-def greedy_order(starts: np.ndarray, ends: np.ndarray, start: int) -> list[int]:
-    """Nearest-start-point visiting order of paths with [P, 2] start and end
-    points, beginning at path ``start``."""
-    visited = np.zeros(len(starts), dtype=bool)
-    order = [start]
-    visited[start] = True
-    for _ in range(len(starts) - 1):
-        dist = np.hypot(*(starts - ends[order[-1]]).T)
+def greedy_order(starts: np.ndarray, ends: np.ndarray, first) -> np.ndarray:
+    """Nearest-start-point visiting orders [n, P] of n sets of paths with
+    [n, P, 2] start and end points, set i beginning at path ``first[i]``.
+
+    One step per path, for all sets at once.
+    """
+    n, count = starts.shape[:2]
+    rows = np.arange(n)
+    order = np.empty((n, count), dtype=np.int64)
+    order[:, 0] = first
+    visited = np.zeros((n, count), dtype=bool)
+    visited[rows, order[:, 0]] = True
+    for k in range(1, count):
+        d = starts - ends[rows, order[:, k - 1]][:, None]
+        dist = np.hypot(d[..., 0], d[..., 1])
         dist[visited] = np.inf
-        best = int(np.argmin(dist))  # first minimum: ties go to the lower index
-        order.append(best)
-        visited[best] = True
+        # first minimum: ties go to the lower index
+        order[:, k] = best = np.argmin(dist, axis=1)
+        visited[rows, best] = True
     return order
 
 
@@ -216,19 +287,34 @@ def path_endpoints(controls: np.ndarray,
             controls[np.append(splits, len(controls)) - 1, 3])
 
 
-def _reverse(controls: np.ndarray, splits: np.ndarray,
-             flags: np.ndarray) -> np.ndarray:
-    """Stacked controls with each flagged path traversed from its other end."""
-    return np.concatenate([a[::-1, ::-1] if f else a
-                           for a, f in zip(np.split(controls, splits), flags)])
+def _permuted(image: StrokeImage, flags: np.ndarray,
+              order: np.ndarray) -> StrokeImage:
+    """The image with its paths taken in ``order``, each flagged one (by its
+    index in ``image``) traversed from its other end."""
+    if not len(image):
+        return image
+    index, splits = _path_gather(image.splits, len(image.controls),
+                                 flags[None], np.asarray(order)[None])
+    controls = image.controls.reshape(-1, 2)[index[0]].reshape(-1, 4, 2)
+    return StrokeImage.from_controls(controls, splits[0], image.boundary)
 
 
-def _reorder(controls: np.ndarray, splits: np.ndarray,
-             order: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked controls and their splits with the paths taken in ``order``."""
-    parts = np.split(controls, splits)
-    return (np.concatenate([parts[i] for i in order]),
-            np.cumsum([len(parts[i]) for i in order[:-1]], dtype=np.int64))
+def _path_gather(splits: np.ndarray, curves: int, flags: np.ndarray,
+                 order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices [n, 4C] into the points of n copies of one image's
+    paths (split at ``splits``, C curves), and the new splits [n, P - 1]:
+    copy i takes path order[i, q] q-th, from its other end where flags[i]
+    marks it. A path backwards is its point sequence reversed."""
+    n = len(order)
+    first = 4 * np.append(0, splits)
+    length = 4 * np.diff(np.append(splits, curves), prepend=0)
+    run = length[order].ravel()
+    path = np.repeat(order.ravel(), run)
+    back = np.repeat(np.take_along_axis(flags, order, axis=1).ravel(), run)
+    t = np.arange(len(path)) - np.repeat(np.cumsum(run) - run, run)
+    index = first[path] + np.where(back, length[path] - 1 - t, t)
+    new_splits = np.cumsum(length[order] // 4, axis=1)[:, :-1]
+    return index.reshape(n, -1), new_splits
 
 
 # ---------------------------------------------------------------------------
@@ -245,52 +331,67 @@ def generate_patch(image: StrokeImage, cfg: AugmentConfig,
 def generate_patch_with_params(
     image: StrokeImage, cfg: AugmentConfig, rng: np.random.Generator
 ) -> tuple[StrokeImage, PatchParams]:
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    mirror_h = bool(rng.random() < 0.5)
-    mirror_v = bool(rng.random() < 0.5)
-    factor = rng.uniform(cfg.scale_min, 1.0)
-
-    if not len(image):
-        params = PatchParams(angle, mirror_h, mirror_v, factor, 1.0, (0.0, 0.0),
-                             (), ())
-        return image, params
-
-    boundary, controls, splits = image.boundary, image.controls, image.splits
-    # content too large to rotate in place gets shrunk by the boundary fit
-    controls, fit_shrink = _transform(controls, boundary, Transform.rotate(angle))
-    if mirror_h:
-        controls, _ = _transform(controls, boundary, Transform.mirror("horizontal"))
-    if mirror_v:
-        controls, _ = _transform(controls, boundary, Transform.mirror("vertical"))
-    controls, _ = _transform(controls, boundary, Transform.scale(factor))
-
-    lo, hi = controls_bbox(controls)
-    dx = rng.uniform(-lo[0], boundary - hi[0])
-    dy = rng.uniform(-lo[1], boundary - hi[1])
-    controls, _ = _transform(controls, boundary, Transform.translate(dx, dy))
-
-    flags = rng.random(len(image)) < cfg.reversal_probability
-    controls = _reverse(controls, splits, flags)
-    order = greedy_order(*path_endpoints(controls, splits),
-                         int(rng.integers(len(image))))
-    patch = StrokeImage.from_controls(*_reorder(controls, splits, order),
-                                      boundary)
-    params = PatchParams(
-        angle=angle,
-        mirror_horizontal=mirror_h,
-        mirror_vertical=mirror_v,
-        scale=factor,
-        fit_shrink=fit_shrink,
-        offset=(dx, dy),
-        reversed_paths=tuple(bool(f) for f in flags),
-        path_order=tuple(order),
-    )
-    return patch, params
+    patches = _augment(image, cfg, [rng])
+    return patches[0], patches.params(0)
 
 
 def generate_patch_set(image: StrokeImage, n: int, cfg: AugmentConfig,
-                       rng: np.random.Generator) -> list[StrokeImage]:
+                       rng: np.random.Generator) -> PatchSet:
     """n independent patches, one rng stream each, spawned from ``rng``."""
     if n < 1:
         raise ValueError("patch count must be >= 1")
-    return [generate_patch(image, cfg, child) for child in rng.spawn(n)]
+    return _augment(image, cfg, rng.spawn(n))
+
+
+def _augment(image: StrokeImage, cfg: AugmentConfig,
+             rngs: list[np.random.Generator]) -> PatchSet:
+    """One patch per rng, all as one array.
+
+    Each rng draws in its own order: angle, mirrors and scale; then the
+    translation, from the scaled patch's bbox; then the reversal flags and
+    the first path of the greedy order.
+    """
+    n, boundary = len(rngs), image.boundary
+    draws = [(r.uniform(0.0, 2.0 * math.pi), r.random() < 0.5,
+              r.random() < 0.5, r.uniform(cfg.scale_min, 1.0)) for r in rngs]
+    angle, mirror_h, mirror_v, factor = (np.array(d) for d in zip(*draws))
+    curves, count = len(image.controls), len(image)
+    applied = dict(angle=angle, mirror_horizontal=mirror_h,
+                   mirror_vertical=mirror_v, scale=factor,
+                   fit_shrink=np.ones(n), offset=np.zeros((n, 2)),
+                   reversed_paths=np.zeros((n, count), dtype=bool),
+                   path_order=np.zeros((n, count), dtype=np.int64))
+    if not count:
+        return PatchSet(np.zeros((n, 0, 4, 2)), np.zeros((n, 0)), boundary,
+                        applied)
+
+    cos, sin = [math.cos(a) for a in angle], [math.sin(a) for a in angle]
+    rotation = np.array([[[c, -s], [s, c]] for c, s in zip(cos, sin)])
+    xy = np.broadcast_to(_points(image.controls), (n, 2, 4 * curves))
+    # content too large to rotate in place gets shrunk by the boundary fit
+    xy, applied["fit_shrink"] = _map_about_center(xy, rotation, boundary)
+    for mask, axis in ((mirror_h, "horizontal"), (mirror_v, "vertical")):
+        if mask.any():
+            m = np.broadcast_to(_MIRRORS[axis], (int(mask.sum()), 2, 2))
+            xy[mask], _ = _map_about_center(xy[mask], m, boundary)
+    xy, _ = _map_about_center(xy, factor[:, None, None] * np.eye(2), boundary)
+
+    lo, hi = xy.min(axis=2).tolist(), xy.max(axis=2).tolist()
+    offset = np.array([(r.uniform(-l[0], boundary - h[0]),
+                        r.uniform(-l[1], boundary - h[1]))
+                       for r, l, h in zip(rngs, lo, hi)])
+    xy = _translate(xy, offset, boundary)
+
+    flags = np.array([r.random(count) for r in rngs]) < cfg.reversal_probability
+    first = [int(r.integers(count)) for r in rngs]
+    # a reversed path starts at its old end point
+    a = xy[..., 4 * np.append(0, image.splits)].transpose(0, 2, 1)
+    b = xy[..., 4 * np.append(image.splits, curves) - 1].transpose(0, 2, 1)
+    back = flags[..., None]
+    order = greedy_order(np.where(back, b, a), np.where(back, a, b), first)
+    index, splits = _path_gather(image.splits, curves, flags, order)
+    controls = np.take_along_axis(xy.transpose(0, 2, 1), index[..., None],
+                                  axis=1)
+    applied.update(offset=offset, reversed_paths=flags, path_order=order)
+    return PatchSet(controls.reshape(n, curves, 4, 2), splits, boundary,
+                    applied)

@@ -126,11 +126,14 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    def on_epoch(stats):
-        print(f"epoch {stats.epoch:3d}: train {stats.train_loss:.4f} "
-              f"heldout {stats.heldout_loss:.4f}")
+    with open(args.out / "metrics.jsonl", "w") as metrics:
+        def on_epoch(stats):
+            print(f"epoch {stats.epoch:3d}: train {stats.train_loss:.4f} "
+                  f"heldout {stats.heldout_loss:.4f}")
+            metrics.write(json.dumps(dataclasses.asdict(stats)) + "\n")
+            metrics.flush()
 
-    ckpt = train(image, cfg, on_epoch=on_epoch)
+        ckpt = train(image, cfg, on_epoch=on_epoch)
     save_checkpoint(ckpt, args.out / "checkpoint.json")
     write_loss_csv(ckpt.loss_history, args.out / "loss.csv")
     chart = line_chart_svg(
@@ -148,7 +151,8 @@ def cmd_train(args) -> int:
         else "falling"
     note = " (model is overfitting its patch set)" if trend == "rising" else ""
     print(f"held-out trend: {trend}{note}")
-    print(f"wrote {args.out}/checkpoint.json, loss.csv, loss.svg")
+    print(f"wrote {args.out}/checkpoint.json, loss.csv, loss.svg, "
+          f"metrics.jsonl")
     return 0
 
 
@@ -180,7 +184,7 @@ def cmd_augment_preview(args) -> int:
         image, args.n, AugmentConfig(),
         np.random.default_rng(args.seed),
     )
-    svg = render_svg([image] + patches, columns=3, color_seed=args.seed)
+    svg = render_svg([image, *patches], columns=3, color_seed=args.seed)
     args.out.write_text(svg)
     print(f"wrote {args.out} (original + {args.n} patches)")
     return 0

@@ -40,7 +40,7 @@ class Path:
         c = np.array(controls, dtype=float)
         if c.size == 0:
             raise ValueError("path must contain at least one curve")
-        _check_controls(c, np.zeros(0, dtype=np.int64))
+        check_controls(c, np.zeros(0, dtype=np.int64))
         c.flags.writeable = False
         self._controls = c
 
@@ -104,19 +104,9 @@ class StrokeImage:
         return image
 
     def _set(self, controls, splits, boundary: float):
-        if not (math.isfinite(boundary) and boundary > 0):
-            raise ValueError(f"boundary must be a finite number > 0, "
-                             f"got {boundary!r}")
-        c = np.array(controls, dtype=float)
-        s = np.array(splits, dtype=np.int64)
-        # every path holds at least one curve
-        if s.ndim != 1 or ((len(c) or s.size) and np.any(
-                np.diff(s, prepend=0, append=len(c)) < 1)):
-            raise ValueError(f"splits {s.tolist()} must rise strictly inside "
-                             f"(0, {len(c)})")
-        _check_controls(c, s, boundary)
-        c.flags.writeable = s.flags.writeable = False
-        self.controls, self.splits, self.boundary = c, s, boundary
+        c, s = checked_stack(np.asarray(controls, dtype=float)[None],
+                             np.asarray(splits, dtype=np.int64)[None], boundary)
+        self.controls, self.splits, self.boundary = c[0], s[0], boundary
 
     @property
     def paths(self) -> list[Path]:
@@ -152,12 +142,50 @@ def _stacked(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
             np.cumsum([len(a) for a in arrays[:-1]], dtype=np.int64))
 
 
-def _check_controls(c: np.ndarray, splits: np.ndarray,
-                    boundary: float | None = None):
+def checked_stack(controls, splits, boundary: float,
+                  patches: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of the stacked controls [n, C, 4, 2] of n images
+    with the same curve and path counts, and of their splits [n, P - 1],
+    checked at once: every path holds at least one curve and the curves
+    pass check_controls on the canvas of side ``boundary``. Errors name the
+    path and the curve, and with ``patches`` the image too, as the patch."""
+    if not (math.isfinite(boundary) and boundary > 0):
+        raise ValueError(f"boundary must be a finite number > 0, "
+                         f"got {boundary!r}")
+    c = np.array(controls, dtype=float)
+    s = np.array(splits, dtype=np.int64)
+    if c.ndim != 4 or c.shape[2:] != (4, 2):
+        raise ValueError(f"path controls must have shape [n, 4, 2], "
+                         f"got {c.shape[1:]}")
+    curves = c.shape[1]
+    if s.ndim != 2 or len(s) != len(c) or ((curves or s.size) and np.any(
+            np.diff(s, axis=1, prepend=0, append=curves) < 1)):
+        raise ValueError(f"splits {s.tolist()} must rise strictly inside "
+                         f"(0, {curves})")
+    if curves:
+        check_controls(c.reshape(-1, 4, 2), batch_splits(s, curves), boundary,
+                       s.shape[1] + 1 if patches else None)
+    c.flags.writeable = s.flags.writeable = False
+    return c, s
+
+
+def batch_splits(splits: np.ndarray, curves: int) -> np.ndarray:
+    """The np.split points between all paths of n images of ``curves``
+    curves each, stacked as one [n * curves, 4, 2] array, from each image's
+    own splits [n, P - 1]."""
+    offsets = np.arange(len(splits))[:, None] * curves
+    return np.column_stack([offsets, splits + offsets]).ravel()[1:]
+
+
+def check_controls(c: np.ndarray, splits: np.ndarray,
+                   boundary: float | None = None,
+                   paths_per_image: int | None = None):
     """Raise ValueError, naming the path and the curve, unless ``c`` holds
     finite [C, 4, 2] curves that join exactly inside each path (a path split
     off at ``splits`` may start anywhere) and, given a ``boundary``, lie on
-    the [0, boundary] canvas."""
+    the [0, boundary] canvas. Given ``paths_per_image``, ``c`` stacks
+    several images of that many paths each, and the error names the image
+    as the patch."""
     if c.ndim != 3 or c.shape[1:] != (4, 2):
         raise ValueError(f"path controls must have shape [n, 4, 2], "
                          f"got {c.shape}")
@@ -173,7 +201,11 @@ def _check_controls(c: np.ndarray, splits: np.ndarray,
             i = int(np.argmax(bad))
             path = int(np.searchsorted(splits, i, side="right"))
             first = splits[path - 1] if path else 0
-            raise ValueError(f"path {path}: curve {i - first} {what}: "
+            where = f"path {path}"
+            if paths_per_image:
+                where = (f"patch {path // paths_per_image}, "
+                         f"path {path % paths_per_image}")
+            raise ValueError(f"{where}: curve {i - first} {what}: "
                              f"{c[i].tolist()}")
 
 
@@ -226,8 +258,7 @@ def fit_path(points, max_error: float) -> Path:
     assigned curve parameter. Raises ValueError on fewer than 2 distinct
     points or a non-positive error budget.
     """
-    if max_error <= 0:
-        raise ValueError("max_error must be positive")
+    check_error_bound("max_error", max_error)
     pts = np.array(points, dtype=float)
     if pts.size == 0:
         pts = pts.reshape(0, 2)
@@ -241,6 +272,13 @@ def fit_path(points, max_error: float) -> Path:
     t_left = _unit(pts[1] - pts[0])
     t_right = _unit(pts[-2] - pts[-1])
     return Path(_fit_cubic(pts, t_left, t_right, max_error))
+
+
+def check_error_bound(name: str, value: float):
+    """Raise ValueError naming ``name`` unless ``value`` is a number > 0; a
+    NaN bound would split or refit without end."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def _dedupe_consecutive(pts: np.ndarray) -> np.ndarray:
@@ -365,8 +403,7 @@ def flatten_controls(controls: np.ndarray, splits: np.ndarray,
     points [M, 2], consecutive duplicates dropped (a path that collapses to
     one point keeps two), and the np.split points between the polylines.
     """
-    if max_error <= 0:
-        raise ValueError("max_error must be positive")
+    check_error_bound("max_error", max_error)
     pieces, curve = _flat_pieces(controls, max_error)
     path = np.searchsorted(splits, curve, side="right")
     # each path is its first point, then the end of each of its pieces
@@ -442,31 +479,37 @@ def fit_paths_to_boundary_with_scale(
     controls: np.ndarray, boundary: float
 ) -> tuple[np.ndarray, float]:
     """Translate (and, only if too large, uniformly shrink) stacked [C, 4, 2]
-    controls into the canvas; returns them and the shrink used.
+    controls into the canvas; returns them and the shrink used."""
+    xy, scale = fit_to_canvas(controls.reshape(1, -1, 2).transpose(0, 2, 1),
+                              boundary)
+    return xy[0].T.reshape(controls.shape), float(scale[0])
 
-    The translation is the minimal shift that brings the control-point
-    bounding box inside [0, boundary]^2; shrinking happens about the bbox
-    center. Coordinates are clipped at the very end to squash float residue.
+
+def fit_to_canvas(xy: np.ndarray,
+                  boundary: float) -> tuple[np.ndarray, np.ndarray]:
+    """Translate (and, only if too large, uniformly shrink) each of n point
+    sets ``xy`` [n, 2, K] (x row, then y row) into the canvas; returns them
+    and the shrink [n] used for each.
+
+    The translation is the minimal shift that brings the set's bounding box
+    inside [0, boundary]^2; shrinking happens about the bbox center, and a
+    set that fits is not touched by it. Coordinates are clipped at the very
+    end to squash float residue.
     """
-    lo, hi = controls_bbox(controls)
+    lo, hi = xy.min(axis=2), xy.max(axis=2)
     size = hi - lo
-
-    scale = 1.0
-    if size[0] > boundary or size[1] > boundary:
-        scale = boundary / max(size[0], size[1])
-        center = (lo + hi) / 2.0
-        controls = (controls - center) * scale + center
-        lo, hi = controls_bbox(controls)
+    scale = np.ones(len(xy))
+    big = (size > boundary).any(axis=1)
+    if big.any():
+        scale[big] = boundary / size[big].max(axis=1)
+        center = ((lo[big] + hi[big]) / 2.0)[..., None]
+        xy = xy.copy()
+        xy[big] = (xy[big] - center) * scale[big, None, None] + center
+        lo, hi = xy.min(axis=2), xy.max(axis=2)
 
     shift = np.where(lo < 0.0, -lo, 0.0) + np.where(hi > boundary,
                                                     boundary - hi, 0.0)
-    return np.clip(controls + shift, 0.0, boundary), scale
-
-
-def controls_bbox(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest and highest [x, y] over stacked [C, 4, 2] controls."""
-    return controls.min(axis=(0, 1)), controls.max(axis=(0, 1))
-
+    return np.clip(xy + shift[..., None], 0.0, boundary), scale
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +542,7 @@ def recording_to_image(source, fit_error: float = 1.0) -> StrokeImage:
     Fitted control points can overshoot the recorded extent, so the image is
     re-fitted to the boundary afterwards.
     """
+    check_error_bound("fit_error", fit_error)
     strokes, boundary = load_recording(source)
     if not strokes:
         return StrokeImage([], boundary)

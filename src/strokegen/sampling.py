@@ -178,6 +178,8 @@ def generate_images(ckpt: Checkpoint, cfg: SamplerConfig, count: int,
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(ckpt, cfg, i) for i in range(count)]
     if jobs > 1 and count > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

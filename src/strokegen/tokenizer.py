@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import Polyline, StrokeImage, flatten_controls
+from .geometry import Polyline, StrokeImage, batch_splits, flatten_controls
 
 DEFAULT_MAX_MOVE_LEN = 15
 DEFAULT_FLATTEN_ERROR = 1.0
@@ -29,9 +29,10 @@ def _round_half_up(values: np.ndarray) -> np.ndarray:
 # Image -> moves
 # ---------------------------------------------------------------------------
 
-def _quantise(a: np.ndarray, b: np.ndarray, first: np.ndarray,
-              pen: np.ndarray, max_len: int) -> np.ndarray:
-    """Moves [N, 3] along segments a -> b [S, 2] of consecutive polylines.
+def _quantise(a: np.ndarray, b: np.ndarray, first: np.ndarray, pen: np.ndarray,
+              max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moves [N, 3] along segments a -> b [S, 2] of consecutive polylines,
+    and the segment [N] each move belongs to.
 
     ``first`` marks the segments that start a polyline and ``pen`` is each
     segment's pen. Segments longer than ``max_len`` are split into equal
@@ -60,7 +61,8 @@ def _quantise(a: np.ndarray, b: np.ndarray, first: np.ndarray,
     halves = (np.cumsum(1 + spill) - 2)[spill]
     moves[halves, 1:] //= 2
     moves[halves + 1, 1:] -= moves[halves, 1:]
-    return moves[np.any(moves[:, 1:] != 0, axis=1)]
+    keep = np.any(moves[:, 1:] != 0, axis=1)
+    return moves[keep], of[rows][keep]
 
 
 def polyline_to_moves(polyline: Polyline, pen: int,
@@ -69,7 +71,7 @@ def polyline_to_moves(polyline: Polyline, pen: int,
     pts = polyline.points
     n = len(pts) - 1
     return _quantise(pts[:-1], pts[1:], np.arange(n) == 0,
-                     np.full(n, int(pen)), max_len)
+                     np.full(n, int(pen)), max_len)[0]
 
 
 def image_to_move_sequence(
@@ -85,25 +87,49 @@ def image_to_move_sequence(
     point. Stroke endings carry no token of their own; they are implied by
     the next pen-state change. The last row is IMAGE_END.
     """
-    moves = np.empty((0, 3), dtype=np.int64)
-    if len(image):
-        pts, splits = flatten_controls(image.controls, image.splits,
-                                       flatten_error)
-        # one point sequence: cursor_0, path 0, cursor_1, path 1, ...
-        cursors = np.zeros((len(splits) + 1, 2))
-        cursors[1:] = _round_half_up(pts[splits - 1])
-        starts = np.concatenate([[0], splits])
-        seq = np.insert(pts, starts, cursors, axis=0)
-        is_cursor = np.zeros(len(seq), dtype=bool)
-        is_cursor[starts + np.arange(len(starts))] = True
-        # drop the segments from a path's last point to the next cursor
-        seg = ~is_cursor[1:]
-        first = (is_cursor | np.append(False, is_cursor[:-1]))[:-1][seg]
-        pen = np.where(is_cursor[:-1], TRAVEL, DRAW)[seg]
-        moves = _quantise(seq[:-1][seg], seq[1:][seg], first, pen, max_len)
-    moves = np.vstack([moves, IMAGE_END])
+    return move_sequences(image.controls[None], image.splits[None],
+                          flatten_error, max_len)[0]
+
+
+def move_sequences(controls: np.ndarray, splits: np.ndarray,
+                   flatten_error: float = DEFAULT_FLATTEN_ERROR,
+                   max_len: int = DEFAULT_MAX_MOVE_LEN
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The moves of n images of C curves in P paths each, at once.
+
+    ``controls`` [n, C, 4, 2] and ``splits`` [n, P - 1] are the images'
+    stacked curves and the np.split points between their paths. Each image
+    is tokenized as by image_to_move_sequence, from the origin. Returns the
+    read-only moves [N, 3] of all images one after another, each ending in
+    IMAGE_END, and the np.split points between the images.
+    """
+    n, curves = controls.shape[:2]
+    if not curves:
+        moves = np.tile(np.array(IMAGE_END, dtype=np.int64), (n, 1))
+        moves.flags.writeable = False
+        return moves, np.arange(1, n)
+    paths = splits.shape[1] + 1
+    pts, ends = flatten_controls(controls.reshape(-1, 4, 2),
+                                 batch_splits(splits, curves), flatten_error)
+    # one point sequence: cursor_0, path 0, cursor_1, path 1, ...; the
+    # cursor before each image's first path is the origin
+    cursors = np.zeros((n * paths, 2))
+    cursors[1:] = _round_half_up(pts[ends - 1])
+    cursors[::paths] = 0.0
+    starts = np.concatenate([[0], ends])
+    seq = np.insert(pts, starts, cursors, axis=0)
+    is_cursor = np.zeros(len(seq), dtype=bool)
+    is_cursor[starts + np.arange(len(starts))] = True
+    # drop the segments from a path's last point to the next cursor
+    seg = ~is_cursor[1:]
+    first = (is_cursor | np.append(False, is_cursor[:-1]))[:-1][seg]
+    pen = np.where(is_cursor[:-1], TRAVEL, DRAW)[seg]
+    moves, of = _quantise(seq[:-1][seg], seq[1:][seg], first, pen, max_len)
+    image = ((np.cumsum(is_cursor) - 1) // paths)[:-1][seg][of]
+    last = np.cumsum(np.bincount(image, minlength=n))
+    moves = np.insert(moves, last, IMAGE_END, axis=0)
     moves.flags.writeable = False
-    return moves
+    return moves, (last + np.arange(1, n + 1))[:-1]
 
 
 # ---------------------------------------------------------------------------

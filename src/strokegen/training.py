@@ -10,20 +10,32 @@ import json
 import logging
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import AugmentConfig, generate_patch_set
+from .augment import AugmentConfig, PatchSet, generate_patch_set
 from .autodiff import NonFiniteError, Tensor, cross_entropy, no_grad
-from .geometry import DEFAULT_BOUNDARY, StrokeImage, _boundary_from_json
+from .geometry import (
+    DEFAULT_BOUNDARY,
+    StrokeImage,
+    _boundary_from_json,
+    check_error_bound,
+)
 from .model import (
     ModelConfig,
     encoder_forward,
     init_encoder_params,
     parameter_table,
 )
-from .tokenizer import Vocabulary, build_vocabulary, encode, image_to_move_sequence
+from .tokenizer import (
+    Vocabulary,
+    build_vocabulary,
+    encode,
+    image_to_move_sequence,
+    move_sequences,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -78,8 +90,7 @@ class TrainConfig:
                                  f"got {getattr(self, name)!r}")
         if not self.adam_eps > 0:
             raise ValueError(f"adam_eps must be positive, got {self.adam_eps!r}")
-        if self.flatten_error <= 0:
-            raise ValueError("flatten_error must be positive")
+        check_error_bound("flatten_error", self.flatten_error)
         if self.fixed_patch_set is not None and self.fixed_patch_set < 1:
             raise ValueError("fixed_patch_set must be >= 1 when set")
 
@@ -217,6 +228,24 @@ class EpochStats:
     heldout_loss: float
 
 
+@dataclass(frozen=True)
+class EpochMetrics(EpochStats):
+    """One epoch's losses and how the run got there; never checkpointed.
+
+    ``data_s`` is patch generation, tokenizing and batching, ``step_s`` the
+    optimizer steps and ``eval_s`` the held-out loss; ``tokens_per_s`` is
+    the target tokens optimised over all three. ``lr`` and ``grad_norm``
+    (global L2 norm of the gradients) are those of the epoch's last step.
+    """
+
+    data_s: float
+    step_s: float
+    eval_s: float
+    tokens_per_s: float
+    lr: float
+    grad_norm: float
+
+
 @dataclass
 class Checkpoint:
     model: ModelConfig
@@ -328,12 +357,12 @@ def augment_config(cfg: TrainConfig) -> AugmentConfig:
                          scale_min=cfg.scale_min)
 
 
-def tokenize_patches(patches: list[StrokeImage], vocab: Vocabulary,
+def tokenize_patches(patches: PatchSet, vocab: Vocabulary,
                      flatten_error: float, max_len: int) -> list[np.ndarray]:
-    return [
-        encode(image_to_move_sequence(p, flatten_error, max_len), vocab)
-        for p in patches
-    ]
+    """Every patch's token ids, as views into one array tokenized at once."""
+    moves, bounds = move_sequences(patches.controls, patches.splits,
+                                   flatten_error, max_len)
+    return np.split(encode(moves, vocab), bounds)
 
 
 def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
@@ -341,7 +370,8 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
 
     Each epoch regenerates a fresh patch set (unless ``fixed_patch_set``
     pins one), makes a single optimizer pass over its stream windows and
-    then evaluates the held-out loss. ``on_epoch`` receives each EpochStats.
+    then evaluates the held-out loss. ``on_epoch`` receives each epoch's
+    EpochMetrics; the checkpoint keeps only its EpochStats.
     """
     if not len(image):
         raise ValueError("cannot train on an image without paths")
@@ -379,7 +409,9 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
     adam = init_adam_state(params)
     history: list[EpochStats] = []
     step = 0
+    clock = time.perf_counter
     for epoch in range(1, cfg.epochs + 1):
+        t0 = clock()
         if fixed_sequences is not None:
             sequences = fixed_sequences
         else:
@@ -391,6 +423,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
                                          cfg.max_move_len)
         batches = build_stream_batches(sequences, seq_len, cfg.batch_size,
                                        derived_rng(cfg.seed, SEED_SHUFFLE, epoch))
+        t1 = clock()
         loss_sum = 0.0
         window_count = 0
         for inputs, targets in batches:
@@ -406,17 +439,22 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
                       cfg.adam_eps)
             loss_sum += float(loss.data) * inputs.shape[0]
             window_count += inputs.shape[0]
+        # adam_step updates the moments in place and leaves the gradients
+        grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()
+                                  if g is not None))
+        t2 = clock()
+        heldout_loss = eval_stream_loss(params, model_cfg, heldout_windows)
+        t3 = clock()
 
-        stats = EpochStats(
-            epoch=epoch,
-            train_loss=loss_sum / window_count,
-            heldout_loss=eval_stream_loss(params, model_cfg, heldout_windows),
-        )
+        stats = EpochStats(epoch, loss_sum / window_count, heldout_loss)
         history.append(stats)
         logger.info("epoch %d: train %.4f heldout %.4f (%d steps)",
                     epoch, stats.train_loss, stats.heldout_loss, step)
         if on_epoch is not None:
-            on_epoch(stats)
+            on_epoch(EpochMetrics(
+                *dataclasses.astuple(stats), data_s=t1 - t0, step_s=t2 - t1,
+                eval_s=t3 - t2, tokens_per_s=window_count * seq_len / (t3 - t0),
+                lr=lr, grad_norm=grad_norm))
 
     return Checkpoint(
         model=model_cfg,
@@ -452,7 +490,7 @@ def eval_stream_loss(params: dict[str, Tensor], model_cfg: ModelConfig,
     return total / tokens
 
 
-def evaluate_held_out(ckpt: Checkpoint, patches: list[StrokeImage]) -> float:
+def evaluate_held_out(ckpt: Checkpoint, patches: PatchSet) -> float:
     """Held-out mean cross-entropy of a patch set under a checkpoint."""
     sequences = tokenize_patches(patches, ckpt.vocab, ckpt.train.flatten_error,
                                  ckpt.train.max_move_len)
@@ -460,7 +498,7 @@ def evaluate_held_out(ckpt: Checkpoint, patches: list[StrokeImage]) -> float:
     return eval_stream_loss(ckpt.param_tensors(), ckpt.model, windows)
 
 
-def heldout_patch_set(ckpt: Checkpoint, image: StrokeImage) -> list[StrokeImage]:
+def heldout_patch_set(ckpt: Checkpoint, image: StrokeImage) -> PatchSet:
     """Regenerate the held-out patch set a training run used."""
     return generate_patch_set(image, ckpt.train.heldout_patches,
                               augment_config(ckpt.train),

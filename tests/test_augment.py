@@ -6,6 +6,7 @@ import pytest
 from strokegen.augment import (
     AugmentConfig,
     ContainmentError,
+    PatchSet,
     Transform,
     generate_patch,
     generate_patch_set,
@@ -20,7 +21,7 @@ from strokegen.augment import (
 from strokegen.demo import make_demo_image
 from strokegen.geometry import Path, StrokeImage
 from strokegen.tokenizer import build_vocabulary, image_to_move_sequence
-from strokegen.training import tokenize_patches
+from strokegen.training import build_stream_batches, tokenize_patches
 
 
 def segment_path(x0, y0, x1, y1) -> Path:
@@ -44,6 +45,12 @@ def end(path: Path) -> np.ndarray:
 def endpoints(paths: list[Path]) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([start(p) for p in paths]),
             np.array([end(p) for p in paths]))
+
+
+def order_of(paths: list[Path], first: int) -> list[int]:
+    """greedy_order over one set of paths: the batch of one."""
+    starts, ends = endpoints(paths)
+    return greedy_order(starts[None], ends[None], [first])[0].tolist()
 
 
 @pytest.fixture
@@ -176,13 +183,22 @@ class TestGreedyOrdering:
         coords = np.random.default_rng(seed).integers(0, 4, (10, 4))
         paths = [segment_path(*c) for c in coords]
         for first in range(len(paths)):
-            assert greedy_order(*endpoints(paths), first) == \
+            assert order_of(paths, first) == \
                 scalar_greedy_order(paths, first)
         expected = sum(math.hypot(*(start(b) - end(a)))
                        for a, b in zip(paths, paths[1:]))
         assert pen_travel(*endpoints(paths)) == pytest.approx(expected,
                                                               rel=1e-12)
         assert pen_travel(*endpoints(paths[:1])) == 0.0
+
+    def test_sets_ordered_together_match_one_by_one(self):
+        rng = np.random.default_rng(5)
+        sets = [[segment_path(*c) for c in rng.integers(0, 4, (7, 4))]
+                for _ in range(6)]
+        first = rng.integers(7, size=6)
+        starts, ends = (np.array(a) for a in zip(*map(endpoints, sets)))
+        together = greedy_order(starts, ends, first)
+        assert together.tolist() == [order_of(p, f) for p, f in zip(sets, first)]
 
     def test_single_path_unchanged(self):
         img = StrokeImage([segment_path(10, 10, 40, 40)], boundary=180.0)
@@ -195,7 +211,7 @@ class TestGreedyOrdering:
             segment_path(40, 10, 60, 10),
             segment_path(80, 10, 100, 10),
         ]
-        assert greedy_order(*endpoints(paths), 0) == [0, 1, 2]
+        assert order_of(paths, 0) == [0, 1, 2]
         # via the public op, with a seed whose first draw picks index 0
         seed = next(
             s for s in range(100)
@@ -212,12 +228,12 @@ class TestGreedyOrdering:
             segment_path(10, 40, 20, 40),
             segment_path(10, 0, 20, 0),
         ]
-        assert greedy_order(*endpoints(paths), 0) == [0, 1, 2]
+        assert order_of(paths, 0) == [0, 1, 2]
 
     def test_greedy_beats_interleaved_identity_order(self):
         xs = [0, 100, 10, 110, 20, 120]
         paths = [segment_path(x, 50, x + 5, 50) for x in xs]
-        greedy = [paths[i] for i in greedy_order(*endpoints(paths), 0)]
+        greedy = [paths[i] for i in order_of(paths, 0)]
         assert pen_travel(*endpoints(greedy)) <= pen_travel(*endpoints(paths))
 
     def test_path_endpoints_read_the_stacked_array(self, small_image):
@@ -293,21 +309,93 @@ class TestGeneratePatchSet:
                                np.random.default_rng(0))
 
 
-def test_patch_set_and_tokenizer_build_no_path(monkeypatch):
-    """The training path carries control arrays: 100 patches of the 9-path
-    boxes image and their tokens are made without constructing a Path."""
+def test_training_data_path_builds_no_path_or_image(monkeypatch):
+    """The training path carries one array per patch set: 100 patches of the
+    9-path boxes image, their tokens and their batches are made without
+    constructing a Path or a StrokeImage."""
     image = make_demo_image("boxes")
     vocab = build_vocabulary([image_to_move_sequence(image)], 15)
     built = []
-    init = Path.__init__
+    init, set_image = Path.__init__, StrokeImage._set
 
     def counting_init(self, controls):
-        built.append(1)
+        built.append("Path")
         init(self, controls)
 
+    def counting_set(self, *args):
+        built.append("StrokeImage")
+        set_image(self, *args)
+
     monkeypatch.setattr(Path, "__init__", counting_init)
+    monkeypatch.setattr(StrokeImage, "_set", counting_set)
     patches = generate_patch_set(image, 100, AugmentConfig(),
                                  np.random.default_rng(0))
-    tokenize_patches(patches, vocab, 1.0, 15)
-    assert len(patches) == 100 and len(built) == 0
-    assert len(patches[0].paths) == 9 and len(built) == 9  # views on demand
+    sequences = tokenize_patches(patches, vocab, 1.0, 15)
+    build_stream_batches(sequences, 64, 10, np.random.default_rng(1))
+    assert len(patches) == 100 and built == []
+    # items are built on demand
+    assert len(patches[0].paths) == 9
+    assert built == ["StrokeImage"] + ["Path"] * 9
+
+
+class TestPatchSetCheck:
+    """The set is checked once, as one array; an error names the patch, the
+    path and the curve."""
+
+    @pytest.fixture
+    def patches(self):
+        return generate_patch_set(make_demo_image("boxes"), 4, AugmentConfig(),
+                                  np.random.default_rng(3))
+
+    def rebuilt(self, patches, edit):
+        controls = patches.controls.copy()
+        edit(controls)
+        return PatchSet(controls, patches.splits, patches.boundary)
+
+    def where(self, patches, i, curve):
+        path = int(np.searchsorted(patches.splits[i], curve, side="right"))
+        first = patches.splits[i][path - 1] if path else 0
+        return f"patch {i}, path {path}: curve {curve - first} "
+
+    def test_rebuilt_set_passes(self, patches):
+        again = self.rebuilt(patches, lambda c: None)
+        assert np.array_equal(again.controls, patches.controls)
+        assert not again.controls.flags.writeable
+
+    def test_non_finite_value_named(self, patches):
+        def edit(c):
+            c[2, 7, 1, 0] = np.nan
+        with pytest.raises(ValueError, match=self.where(patches, 2, 7)
+                           + "has a non-finite coordinate"):
+            self.rebuilt(patches, edit)
+
+    def test_broken_joint_named(self, patches):
+        # curve 1 of a path that has at least two curves stops short
+        splits = patches.splits[3]
+        curve = int(np.flatnonzero(np.diff(splits, prepend=0) >= 2)[0])
+        curve = (splits[curve - 1] if curve else 0) + 1
+
+        def edit(c):
+            c[3, curve, 3] += 0.5
+        with pytest.raises(ValueError, match=self.where(patches, 3, curve)
+                           + "does not end where the next curve starts"):
+            self.rebuilt(patches, edit)
+
+    def test_off_canvas_point_named(self, patches):
+        def edit(c):
+            c[1, 12, 2, 1] = patches.boundary + 1.0
+        with pytest.raises(ValueError, match=self.where(patches, 1, 12)
+                           + "exceeds the"):
+            self.rebuilt(patches, edit)
+
+    def test_bad_splits_rejected(self, patches):
+        splits = patches.splits.copy()
+        splits[0, 0] = 0
+        with pytest.raises(ValueError, match="rise strictly"):
+            PatchSet(patches.controls, splits, patches.boundary)
+
+    def test_items_and_iteration(self, patches):
+        assert len(list(patches)) == 4
+        assert patches[-1] == patches[3]
+        with pytest.raises(IndexError):
+            patches[4]

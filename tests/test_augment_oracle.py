@@ -1,10 +1,12 @@
-"""Reference oracle for the stacked-array transform chain.
+"""Reference oracle for the batched transform chain.
 
-The functions below are the earlier per-path implementation: every step
-rebuilt one Path per path (``_apply_affine``, the list-based boundary fit,
-``_clip_path``) and a StrokeImage between steps. The stacked [C, 4, 2] chain
-must reproduce them bit for bit: the same control floats, the same
-PatchParams and the same ContainmentError.
+The functions below are the earlier per-patch, per-path implementation:
+every step rebuilt one Path per path (``_apply_affine``, the list-based
+boundary fit, ``_clip_path``) and a StrokeImage between steps, and the
+greedy order visited one patch's paths at a time. A patch set, run as one
+[n, C, 4, 2] array, and its batch of one must reproduce them bit for bit:
+the same control floats, the same PatchParams and the same
+ContainmentError.
 """
 
 import math
@@ -17,8 +19,8 @@ from strokegen.augment import (
     ContainmentError,
     PatchParams,
     Transform,
+    generate_patch_set,
     generate_patch_with_params,
-    greedy_order,
     transform_image,
 )
 from strokegen.demo import DEMO_KINDS, make_demo_image
@@ -67,6 +69,19 @@ def ref_fit_to_boundary(paths, boundary):
     return [Path(np.clip(a + shift, 0.0, boundary)) for a in arrays], scale
 
 
+def ref_greedy_order(starts, ends, start):
+    visited = np.zeros(len(starts), dtype=bool)
+    order = [start]
+    visited[start] = True
+    for _ in range(len(starts) - 1):
+        dist = np.hypot(*(starts - ends[order[-1]]).T)
+        dist[visited] = np.inf
+        best = int(np.argmin(dist))
+        order.append(best)
+        visited[best] = True
+    return order
+
+
 def ref_transform(image, t):
     lo_x, lo_y, hi_x, hi_y = ref_bbox(image)
     center = np.array([(lo_x + hi_x) / 2.0, (lo_y + hi_y) / 2.0])
@@ -111,9 +126,10 @@ def ref_generate_patch_with_params(image, cfg, rng):
     img, _ = ref_transform(img, Transform.translate(dx, dy))
     flags = rng.random(len(img.paths)) < cfg.reversal_probability
     paths = [reverse_path(q) if f else q for q, f in zip(img.paths, flags)]
-    order = greedy_order(np.array([p.control_array()[0, 0] for p in paths]),
-                         np.array([p.control_array()[-1, 3] for p in paths]),
-                         int(rng.integers(len(paths))))
+    order = ref_greedy_order(
+        np.array([p.control_array()[0, 0] for p in paths]),
+        np.array([p.control_array()[-1, 3] for p in paths]),
+        int(rng.integers(len(paths))))
     patch = StrokeImage([paths[i] for i in order], image.boundary)
     params = PatchParams(angle, mirror_h, mirror_v, factor, fit_shrink,
                          (dx, dy), tuple(bool(f) for f in flags), tuple(order))
@@ -169,17 +185,24 @@ def test_containment_error_matches_per_path_chain(demo_image):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_patches_and_params_match_per_path_chain(demo_image, seed):
+    """The 20 patches of a set, made as one array, and each child stream's
+    patch made alone, against the per-patch chain on the same stream."""
     cfg = AugmentConfig()
+    patches = generate_patch_set(demo_image, 20, cfg,
+                                 np.random.default_rng(seed))
     streams = zip(np.random.default_rng(seed).spawn(20),
                   np.random.default_rng(seed).spawn(20))
     shrunk = False
-    for ref_rng, rng in streams:
+    for i, (ref_rng, rng) in enumerate(streams):
         expected, expected_params = ref_generate_patch_with_params(
             demo_image, cfg, ref_rng)
-        patch, params = generate_patch_with_params(demo_image, cfg, rng)
-        assert params == expected_params
-        shrunk = shrunk or params.fit_shrink < 1.0
-        assert [len(p) for p in patch.paths] == [len(p) for p in expected.paths]
-        assert control_bytes(patch) == control_bytes(expected)
+        alone, alone_params = generate_patch_with_params(demo_image, cfg, rng)
+        for patch, params in ((patches[i], patches.params(i)),
+                              (alone, alone_params)):
+            assert params == expected_params
+            assert [len(p) for p in patch.paths] == \
+                [len(p) for p in expected.paths]
+            assert control_bytes(patch) == control_bytes(expected)
+        shrunk = shrunk or expected_params.fit_shrink < 1.0
     # the tight canvases must exercise the shrinking branch of the fit
     assert shrunk == (demo_image.boundary < 180.0)

@@ -1,5 +1,7 @@
 import base64
+import dataclasses
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,7 +10,14 @@ import pytest
 from strokegen.cli import main, parse_config_file
 from strokegen.demo import make_demo_recording
 from strokegen.geometry import load_path_image
-from strokegen.training import load_checkpoint
+from strokegen.training import (
+    EpochMetrics,
+    EpochStats,
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 
 MICRO_CFG = """\
 # micro settings for fast tests
@@ -76,6 +85,15 @@ class TestIngest:
             counts[err] = len(image.controls)
         assert counts["3"] <= counts["1"]
 
+    @pytest.mark.parametrize("err", ["nan", "0", "-1"])
+    def test_bad_fit_error_exit_2(self, tmp_path, capsys, err):
+        rec = tmp_path / "r.json"
+        assert main(["demo-recording", "boxes", "-o", str(rec)]) == 0
+        assert main(["ingest", str(rec), "-o", str(tmp_path / "img.json"),
+                     "--fit-error", err]) == 2
+        assert "fit_error must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "img.json").exists()
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -141,6 +159,28 @@ class TestTrain:
         assert len(csv_lines) == 3  # header + 2 epochs
         ET.fromstring((run / "loss.svg").read_text())
 
+    def test_metrics_jsonl_round_trips_outside_the_checkpoint(self, workdir,
+                                                              tmp_path):
+        run = workdir / "run"
+        lines = (run / "metrics.jsonl").read_text().splitlines()
+        records = [EpochMetrics(**json.loads(line)) for line in lines]
+        assert [json.dumps(dataclasses.asdict(r)) for r in records] == lines
+        ckpt = load_checkpoint(run / "checkpoint.json")
+        assert [EpochStats(r.epoch, r.train_loss, r.heldout_loss)
+                for r in records] == ckpt.loss_history
+        for r in records:
+            assert min(r.data_s, r.step_s, r.eval_s) >= 0.0
+            assert r.tokens_per_s > 0.0 and r.lr > 0.0
+            assert math.isfinite(r.grad_norm) and r.grad_norm > 0.0
+        # the same training without the metrics writes the same bytes
+        cfg = dataclasses.replace(
+            TrainConfig(), seed=3,
+            **parse_config_file(workdir / "micro.cfg"))
+        save_checkpoint(train(load_path_image(workdir / "img.json"), cfg),
+                        tmp_path / "checkpoint.json")
+        assert (tmp_path / "checkpoint.json").read_bytes() == \
+            (run / "checkpoint.json").read_bytes()
+
     def test_checkpoint_loadable(self, workdir):
         ckpt = load_checkpoint(workdir / "run" / "checkpoint.json")
         assert ckpt.epoch == 2
@@ -182,6 +222,8 @@ class TestTrain:
         ("beta2 = 1.0", "beta2 must be in [0, 1)"),
         ("adam_eps = 0", "adam_eps must be positive"),
         ("adam_eps = nan", "adam_eps must be positive"),
+        ("flatten_error = nan", "flatten_error must be positive, got nan"),
+        ("flatten_error = 0", "flatten_error must be positive, got 0.0"),
     ])
     def test_bad_model_or_optimizer_setting_exit_2(self, workdir, tmp_path,
                                                   capsys, setting, message):
@@ -227,6 +269,16 @@ class TestSample:
             "--out", str(out), "--count", "0",
         ]) == 0
         ET.fromstring(out.read_text())
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_2(self, workdir, tmp_path, capsys, jobs):
+        out = tmp_path / "x.svg"
+        assert main([
+            "sample", str(workdir / "run" / "checkpoint.json"),
+            "--out", str(out), "--count", "1", "--jobs", jobs,
+        ]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_init_len_one_accepted(self, workdir, tmp_path):
         out = tmp_path / "short.svg"

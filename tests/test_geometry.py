@@ -11,6 +11,7 @@ from strokegen.geometry import (
     StrokeImage,
     fit_path,
     fit_paths_to_boundary_with_scale,
+    flatten_controls,
     flatten_path,
     image_from_json,
     image_to_json,
@@ -95,6 +96,19 @@ class TestFitPath:
         )
         path = fit_path(pts, 1.0)
         assert fit_residuals(pts, path).max() <= 1.0
+
+
+@pytest.mark.parametrize("bound", [float("nan"), 0.0, -1.0])
+def test_error_bound_must_be_positive(bound):
+    """A NaN bound passes a ``<= 0`` test and would split every piece on
+    every level; each entry point names the field it rejects."""
+    controls = np.array([quarter_circle_curve()])
+    with pytest.raises(ValueError, match="max_error must be positive"):
+        flatten_controls(controls, np.zeros(0, dtype=np.int64), bound)
+    with pytest.raises(ValueError, match="max_error must be positive"):
+        fit_path([(0.0, 0.0), (5.0, 1.0), (10.0, 0.0)], bound)
+    with pytest.raises(ValueError, match="fit_error must be positive"):
+        recording_to_image({"strokes": []}, bound)
 
 
 class TestFlattenPath:

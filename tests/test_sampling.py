@@ -189,6 +189,11 @@ class TestGenerateImage:
         parallel = generate_images(micro_ckpt, cfg, 4, jobs=2)
         assert [r.token_ids for r in serial] == [r.token_ids for r in parallel]
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, micro_ckpt, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            generate_images(micro_ckpt, SamplerConfig(k=3), 2, jobs=jobs)
+
     def test_k_exceeding_vocab_rejected(self, micro_ckpt):
         with pytest.raises(ValueError):
             generate_image(

@@ -14,9 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from strokegen.augment import AugmentConfig, generate_patch
+from strokegen.augment import AugmentConfig, generate_patch, generate_patch_set
 from strokegen.demo import DEMO_KINDS, make_demo_image
 from strokegen.geometry import Path, Polyline, StrokeImage, flatten_path
+from strokegen.training import tokenize_patches
 from strokegen.tokenizer import (
     build_vocabulary,
     decode,
@@ -225,6 +226,20 @@ def test_patches_flatten_and_tokenize_like_scalar_path(demo_image, seed):
     for rng in np.random.default_rng(seed).spawn(20):
         assert_image_matches(generate_patch(demo_image, AugmentConfig(), rng),
                              vocab)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_patch_set_tokenizes_like_scalar_path(demo_image, seed):
+    """A patch set flattened, quantised and encoded as one array gives each
+    patch the ids of the scalar path."""
+    vocab = build_vocabulary([image_to_move_sequence(demo_image)], MAX_LEN)
+    patches = generate_patch_set(demo_image, 20, AugmentConfig(),
+                                 np.random.default_rng(seed))
+    ids = tokenize_patches(patches, vocab, 1.0, MAX_LEN)
+    assert len(ids) == len(patches)
+    for patch, got in zip(patches, ids):
+        assert got.tolist() == REF_VOCAB.encode(
+            ref_image_to_move_sequence(patch))
 
 
 def test_vocabulary_ids_match_dict_vocabulary():

@@ -274,6 +274,11 @@ class TestDeskPreset:
         assert cfg.patches_per_epoch == 100
         assert cfg.d_model % cfg.n_heads == 0
 
+    @pytest.mark.parametrize("bound", [float("nan"), 0.0])
+    def test_flatten_error_must_be_positive(self, bound):
+        with pytest.raises(ValueError, match="flatten_error must be positive"):
+            desk_preset(flatten_error=bound)
+
     def test_overrides(self):
         cfg = desk_preset(epochs=5, fixed_patch_set=100)
         assert cfg.epochs == 5
