@@ -16,6 +16,8 @@ metric of BENCHMARK.json and each side, the per-run values, median and
 quartiles, and the number of pairs the working tree won (ties count for
 neither side); the ``# env`` line of every run; failed-check counts; and both
 commit shas (the working tree's as HEAD plus a flag for uncommitted changes).
+Exits 1 after writing the file when any run crashed or failed a check, and
+lists each such (workload, side, seed) on stderr.
 """
 
 from __future__ import annotations
@@ -156,7 +158,18 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}")
-    return 0
+    failing = failed_runs(report)
+    for workload, side, seed in failing:
+        print(f"failed: {workload} {side} seed {seed}", file=sys.stderr)
+    return 1 if failing else 0
+
+
+def failed_runs(report: dict) -> list[tuple[str, str, int]]:
+    """(workload, side, seed) of every run that crashed or failed a check."""
+    return [(workload, side, run["seed"])
+            for workload, data in report["workloads"].items()
+            for side, runs in data["runs"].items() for run in runs
+            if run["exit"] != 0 or not run["correct"]]
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ the public ops stay as their reference:
 
 - ``multi_head_attention``: one matmul for q, k and v, head split by views,
   masked softmax(q @ k^T / sqrt(hd) + bias) @ v, concatenation and ``@ wo``.
-  Checks the scaled scores before the mask bias (exp maps -inf to 0).
+  Checks the scaled scores before the mask bias (exp maps -inf to 0). Its
+  ``last_only`` form, for sampling without a tape, queries from the last
+  position only.
 - ``add_layer_norm``: residual connection and normalization, LN(x + y).
   Checks the per-position variance (an overflow to inf zeroes the
   normalized values, leaving the finite bias).
@@ -512,7 +514,8 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
 
 def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                          wo: Tensor, n_heads: int,
-                         bias: np.ndarray | None) -> Tensor:
+                         bias: np.ndarray | None, *,
+                         last_only: bool = False) -> Tensor:
     """Masked multi-head self-attention sub-layer as one tape node.
 
     Per head h of width hd = d / n_heads: softmax(q_h @ k_h^T / sqrt(hd) +
@@ -522,6 +525,11 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     and -inf where it may not, or None for no mask. A row with no allowed
     entry makes the output non-finite, which raises NonFiniteError. The
     caller applies residual connection and norm.
+
+    With ``last_only`` only the last position queries: keys and values still
+    cover all L positions, the bias row of the last position applies and the
+    output is [..., 1, d]. That form records no tape, so it raises
+    ValueError while gradients are enabled (use it under ``no_grad``).
     """
     x, wq, wk, wv, wo = (_as_tensor(t) for t in (x, wq, wk, wv, wo))
     if x.data.ndim < 2 or x.data.shape[-1] % n_heads:
@@ -532,13 +540,20 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     if any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
         raise ValueError(f"multi_head_attention weights must be [{d}, {d}], "
                          f"got {[w.data.shape for w in (wq, wk, wv, wo)]}")
+    if last_only and _grad_enabled:
+        raise ValueError("multi_head_attention(last_only=True) records no "
+                         "tape; call it under no_grad()")
     b, hd = math.prod(lead), d // n_heads
+    lq = 1 if last_only else l  # query positions
     scale = np.asarray(1.0 / math.sqrt(hd), dtype=x.data.dtype)
     x2 = x.data.reshape(b * l, d)
     w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
     # [b, l, 3, heads, hd] -> views q, k, v of [b, heads, l, hd]
     qkv = (x2 @ w_qkv).reshape(b, l, 3, n_heads, hd)
     q, k, v = qkv.transpose(2, 0, 3, 1, 4)
+    if last_only:
+        q = q[..., -1:, :]
+        bias = None if bias is None else bias[-1:]
     # weights key-major, a[..., j, i] for query i and key j: the softmax
     # reductions then run across rows, vectorised over the queries
     a = k @ np.swapaxes(q, -1, -2)
@@ -549,8 +564,8 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     a -= a.max(axis=-2, keepdims=True)
     np.exp(a, out=a)
     a /= a.sum(axis=-2, keepdims=True)
-    ctx = (np.swapaxes(a, -1, -2) @ v).transpose(0, 2, 1, 3).reshape(b * l, d)
-    out_data = (ctx @ wo.data).reshape(x.data.shape)
+    ctx = (np.swapaxes(a, -1, -2) @ v).transpose(0, 2, 1, 3).reshape(b * lq, d)
+    out_data = (ctx @ wo.data).reshape(*lead, lq, d)
 
     def grad_fn(g):
         g = g.reshape(b * l, d)

@@ -157,6 +157,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.columns < 1:
+        raise ValueError(f"columns must be >= 1, got {args.columns}")
     ckpt = load_checkpoint(args.checkpoint)
     cfg = SamplerConfig(k=args.k, init_len=args.init_len,
                         max_moves=args.max_moves, seed=args.seed)
@@ -172,8 +174,10 @@ def cmd_sample(args) -> int:
     meta_path = args.out.with_suffix(".meta.json")
     meta_path.write_text(json.dumps([r.metadata() for r in results], indent=2))
     capped = sum(1 for r in results if r.hit_cap)
+    speed = (f", {1e3 * np.mean([r.seconds_per_token for r in results]):.2f}"
+             " ms per token" if results else "")
     print(f"sampled {len(results)} images (k={args.k}, {capped} hit the "
-          f"move cap)")
+          f"move cap{speed})")
     print(f"wrote {args.out} and {meta_path}")
     return 0
 

@@ -161,12 +161,21 @@ def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
-                    config: ModelConfig) -> Tensor:
+                    config: ModelConfig, *, last_only: bool = False) -> Tensor:
     """Next-token logits for each position; [.., L, vocab_size].
 
     Each sub-layer is one tape node plus one residual-and-norm node. A
     NonFiniteError names the sub-layer it came from: ``embedding``,
     ``layer{i}.attn{j}``, ``layer{i}.ff`` or ``output``.
+
+    ``last_only=True`` returns the logits of the last position only,
+    [.., 1, vocab_size], as sampling needs. Every layer runs in full except
+    the last layer's final attention sub-layer, where only the last position
+    queries (keys and values cover the whole window); its residual and norm,
+    the feed-forward block and the output head then run on that one
+    position. It records no tape and raises ValueError while gradients are
+    enabled. The logits equal ``encoder_forward(...)[..., -1:, :]`` up to
+    float rounding, not bitwise.
     """
     ids = np.asarray(token_ids)
     if ids.ndim not in (1, 2):
@@ -177,19 +186,24 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
                          f"{config.seq_len}")
 
     d = config.d_model
+    n_attn = config.attn_sublayers
     where = "embedding"
     try:
         emb = mul(embedding(params["embedding"], ids), math.sqrt(d))
         h = add(emb, positional_encoding(l, d, dtype=emb.dtype))
         bias = causal_bias(l, emb.dtype)
         for i in range(config.n_layers):
-            for j in range(config.attn_sublayers):
+            for j in range(n_attn):
                 where = f"layer{i}.attn{j}"
                 p = where + "."
+                trim = (last_only and i == config.n_layers - 1
+                        and j == n_attn - 1)
                 attn = multi_head_attention(
                     h, params[p + "wq"], params[p + "wk"], params[p + "wv"],
-                    params[p + "wo"], config.n_heads, bias,
+                    params[p + "wo"], config.n_heads, bias, last_only=trim,
                 )
+                if trim:  # the residual of the last position only
+                    h = Tensor(h.data[..., -1:, :])
                 h = add_layer_norm(h, attn, params[p + "norm_gain"],
                                    params[p + "norm_bias"])
             where = f"layer{i}.ff"

@@ -3,11 +3,14 @@
 A random initialization vector (always terminated by the image-end token)
 seeds the context; moves are then drawn with top-k sampling until the model
 emits image-end again or hits the move cap. The init vector is discarded
-from the output.
+from the output. The images of a grid are sampled in lockstep: one forward
+per step over the windows of every image still active, each image drawing
+from its own rng stream.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -66,6 +69,9 @@ class GenerationResult:
     seed: int
     k: int
     init_len: int
+    # wall time from the start of decoding until the image left the batch,
+    # per generated token
+    seconds_per_token: float
 
     def metadata(self) -> dict:
         return {
@@ -74,6 +80,7 @@ class GenerationResult:
             "init_len": self.init_len,
             "move_count": len(self.token_ids),
             "hit_cap": self.hit_cap,
+            "seconds_per_token": self.seconds_per_token,
         }
 
 
@@ -126,42 +133,62 @@ def make_init_vector(init_len: int, vocab: Vocabulary,
     return [int(i) for i in ids] + [vocab.image_end_id]
 
 
-def _sample(task) -> GenerationResult:
-    """Sample image ``index`` of ``(ckpt, cfg, index)`` from its own stream
-    (seed, SAMPLING, index); the body of both the serial and the pool path."""
-    ckpt, cfg, index = task
+def _sample_lockstep(task) -> list[GenerationResult]:
+    """Sample images ``indices`` of ``(ckpt, cfg, indices)`` as one batch;
+    the body of both the serial and the pool path.
+
+    Image i draws from its own stream (seed, SAMPLING, i): its init vector,
+    then one top-k draw per step. Every context grows by one token per step,
+    so the windows of the images still active have one length and stack
+    into one [n_active, w] forward. An image leaves the batch when it draws
+    IMAGE_END; the move cap ends the rest.
+    """
+    ckpt, cfg, indices = task
     vocab, model_cfg, k = ckpt.vocab, ckpt.model, cfg.k
     if k > vocab.size:
         raise ValueError(f"k={k} exceeds vocabulary size {vocab.size}")
-    seq_len = model_cfg.seq_len
+    seq_len, end_id = model_cfg.seq_len, vocab.image_end_id
     init_len, max_moves = cfg.resolve(seq_len)
     params = ckpt.param_tensors()
-    rng = derived_rng(cfg.seed, SEED_SAMPLING, index)
-    context = make_init_vector(init_len, vocab, rng)
-    generated: list[int] = []
-    hit_cap = False
+    rngs = [derived_rng(cfg.seed, SEED_SAMPLING, i) for i in indices]
+    # the last seq_len context tokens of each active image, one row each
+    windows = np.array([make_init_vector(init_len, vocab, rng) for rng in rngs],
+                       dtype=np.int64)
+    generated: list[list[int]] = [[] for _ in indices]
+    seconds = [0.0] * len(indices)  # decoding time until the last token
+    active = np.arange(len(indices))  # batch slots still sampling
+    t0 = time.perf_counter()
     with no_grad():
-        while True:
-            if len(generated) >= max_moves:
-                hit_cap = True
+        for _ in range(max_moves):
+            logits = encoder_forward(windows, params, model_cfg,
+                                     last_only=True).data[:, -1]
+            tokens = np.array([top_k_sample(logits[row], k, rngs[slot])
+                               for row, slot in enumerate(active)])
+            now = time.perf_counter() - t0
+            for slot, token in zip(active.tolist(), tokens.tolist()):
+                generated[slot].append(token)
+                seconds[slot] = now
+            going = tokens != end_id
+            active = active[going]
+            if not active.size:
                 break
-            window = np.asarray(context[-seq_len:], dtype=np.int64)
-            logits = encoder_forward(window, params, model_cfg).data[-1]
-            token = top_k_sample(logits, k, rng)
-            generated.append(token)
-            context.append(token)
-            if token == vocab.image_end_id:
-                break
-    moves = decode(generated, vocab)
-    return GenerationResult(
-        token_ids=generated,
-        moves=moves,
-        polylines=moves_to_image(moves),
-        hit_cap=hit_cap,
-        seed=cfg.seed,
-        k=k,
-        init_len=init_len,
-    )
+            windows = np.concatenate(
+                (windows[going, 1 - seq_len:], tokens[going, None]), axis=1)
+    capped = set(active.tolist())
+    results = []
+    for slot, ids in enumerate(generated):
+        moves = decode(ids, vocab)
+        results.append(GenerationResult(
+            token_ids=ids,
+            moves=moves,
+            polylines=moves_to_image(moves),
+            hit_cap=slot in capped,
+            seed=cfg.seed,
+            k=k,
+            init_len=init_len,
+            seconds_per_token=seconds[slot] / len(ids),
+        ))
+    return results
 
 
 def generate_image(ckpt: Checkpoint, cfg: SamplerConfig) -> GenerationResult:
@@ -171,18 +198,23 @@ def generate_image(ckpt: Checkpoint, cfg: SamplerConfig) -> GenerationResult:
 
 def generate_images(ckpt: Checkpoint, cfg: SamplerConfig, count: int,
                     jobs: int = 1) -> list[GenerationResult]:
-    """Sample ``count`` images with per-sample derived rng streams.
+    """Sample ``count`` images in lockstep, as one batch per process.
 
-    Results are identical for any ``jobs`` value; sample i always uses the
-    stream (seed, SAMPLING, i).
+    Image i always uses the stream (seed, SAMPLING, i), so its tokens depend
+    on neither ``count`` nor ``jobs``: the first n of ``count`` images are
+    the ``count=n`` result. Each step is one ``encoder_forward(...,
+    last_only=True)`` over the stacked windows of the images still active,
+    then one ``top_k_sample`` per active image. With ``jobs > 1`` each
+    worker process samples one contiguous chunk of images in lockstep.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(ckpt, cfg, i) for i in range(count)]
-    if jobs > 1 and count > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sample, tasks,
-                                 chunksize=max(1, count // jobs)))
-    return [_sample(task) for task in tasks]
+    chunks = [(ckpt, cfg, chunk.tolist())
+              for chunk in np.array_split(np.arange(count), min(jobs, count))
+              ] if count else []
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            return [r for rs in pool.map(_sample_lockstep, chunks) for r in rs]
+    return [r for task in chunks for r in _sample_lockstep(task)]

@@ -1,12 +1,46 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and fixtures for the test suite.
 
-These helpers deliberately avoid the library's own code paths: distances are
+The helpers deliberately avoid the library's own code paths: distances are
 measured by dense sampling, gradients by central finite differences.
+``micro_ckpt`` is a tiny trained checkpoint for the sampling tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
+
+from strokegen.geometry import Path, StrokeImage
+from strokegen.training import TrainConfig, train
+
+
+def segment_path(x0, y0, x1, y1) -> Path:
+    """A one-curve path: the straight segment from (x0, y0) to (x1, y1)."""
+    t = np.array([x1 - x0, y1 - y0]) / 3.0
+    return Path([[
+        [x0, y0],
+        [x0 + t[0], y0 + t[1]],
+        [x0 + 2 * t[0], y0 + 2 * t[1]],
+        [x1, y1],
+    ]])
+
+
+@pytest.fixture(scope="session")
+def micro_ckpt():
+    image = StrokeImage(
+        [
+            segment_path(70, 70, 110, 70),
+            segment_path(110, 70, 110, 110),
+            segment_path(110, 110, 70, 110),
+        ],
+        boundary=180.0,
+    )
+    cfg = TrainConfig(
+        epochs=3, patches_per_epoch=8, batch_size=8, warmup_steps=20,
+        heldout_patches=6, seq_ceiling=16, d_model=8, n_layers=1, n_heads=2,
+        d_ff=16, seed=5,
+    )
+    return train(image, cfg)
 
 
 def dense_curve_samples(path, n_per_curve: int = 1000) -> np.ndarray:

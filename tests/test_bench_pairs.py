@@ -1,6 +1,9 @@
-"""scripts/bench_pairs.py: the pair summary and the argument checks."""
+"""scripts/bench_pairs.py: the pair summary, the argument checks and the
+exit status."""
 
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,36 @@ def test_unknown_workload_refused(capsys):
                           "--workload", "train-desk", "no-such-workload"])
     assert exit_info.value.code == 2
     assert "unknown workload(s) ['no-such-workload']" in capsys.readouterr().err
+
+
+def test_failed_runs_are_listed_and_exit_1(tmp_path, monkeypatch, capsys):
+    shutil.copy(SCRIPT.parent.parent / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda ref, dest: None)
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = "change" if checkout == tmp_path else "parent"
+        crashed = (side, seed) == ("change", 11)
+        failed_check = (side, seed) == ("parent", 10)
+        return {"seed": seed, "exit": 1 if crashed else 0, "wall_s": 1.0,
+                "env": None, "correct": not (crashed or failed_check),
+                "failed": None if crashed else int(failed_check),
+                "metrics": {} if crashed else {"tokens_per_s": 10.0}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    code = bench_pairs.main(["--label", "t", "--seed", "10", "--pairs", "2",
+                             "--workload", "sample-full"])
+    assert code == 1
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["workloads"]["sample-full"]["failed"] == {
+        "parent": [1, 0], "change": [0, None]}
+    err = capsys.readouterr().err
+    assert "failed: sample-full parent seed 10" in err
+    assert "failed: sample-full change seed 11" in err
+    assert err.count("failed:") == 2
+
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: {
+        **fake_run(*a), "exit": 0, "correct": True, "failed": 0})
+    assert bench_pairs.main(["--label", "t", "--seed", "10", "--pairs", "2",
+                             "--workload", "sample-full"]) == 0

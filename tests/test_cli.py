@@ -250,7 +250,7 @@ class TestTrain:
 
 
 class TestSample:
-    def test_sample_grid_and_metadata(self, workdir, tmp_path):
+    def test_sample_grid_and_metadata(self, workdir, tmp_path, capsys):
         out = tmp_path / "grid.svg"
         assert main([
             "sample", str(workdir / "run" / "checkpoint.json"),
@@ -260,7 +260,13 @@ class TestSample:
         ET.fromstring(out.read_text())
         meta = json.loads((tmp_path / "grid.meta.json").read_text())
         assert len(meta) == 4
-        assert {"seed", "k", "init_len", "move_count", "hit_cap"} <= set(meta[0])
+        assert set(meta[0]) == {"seed", "k", "init_len", "move_count",
+                                "hit_cap", "seconds_per_token"}
+        speeds = [m["seconds_per_token"] for m in meta]
+        assert all(s > 0 and math.isfinite(s) for s in speeds)
+        mean_ms = 1e3 * np.mean(speeds)
+        assert f"move cap, {mean_ms:.2f} ms per token)" in \
+            capsys.readouterr().out
 
     def test_count_zero_empty_valid_svg(self, workdir, tmp_path):
         out = tmp_path / "empty.svg"
@@ -278,6 +284,23 @@ class TestSample:
             "--out", str(out), "--count", "1", "--jobs", jobs,
         ]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("columns", ["0", "-2"])
+    def test_columns_below_one_exit_2(self, workdir, tmp_path, capsys,
+                                      monkeypatch, columns):
+        from strokegen import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(cli, "generate_images", never)
+        out = tmp_path / "x.svg"
+        assert main([
+            "sample", str(workdir / "run" / "checkpoint.json"),
+            "--out", str(out), "--count", "1", "--columns", columns,
+        ]) == 2
+        assert f"columns must be >= 1, got {columns}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_init_len_one_accepted(self, workdir, tmp_path):

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from strokegen.geometry import Path, Polyline, StrokeImage
+from strokegen.geometry import Polyline, StrokeImage
 from strokegen.sampling import (
     GenerationResult,
     SamplerConfig,
@@ -19,35 +19,8 @@ from strokegen.sampling import (
 )
 from strokegen.svgout import line_chart_svg
 from strokegen.tokenizer import IMAGE_END, build_vocabulary
-from strokegen.training import TrainConfig, train
 
-
-def segment_path(x0, y0, x1, y1) -> Path:
-    t = np.array([x1 - x0, y1 - y0]) / 3.0
-    return Path([[
-        [x0, y0],
-        [x0 + t[0], y0 + t[1]],
-        [x0 + 2 * t[0], y0 + 2 * t[1]],
-        [x1, y1],
-    ]])
-
-
-@pytest.fixture(scope="module")
-def micro_ckpt():
-    image = StrokeImage(
-        [
-            segment_path(70, 70, 110, 70),
-            segment_path(110, 70, 110, 110),
-            segment_path(110, 110, 70, 110),
-        ],
-        boundary=180.0,
-    )
-    cfg = TrainConfig(
-        epochs=3, patches_per_epoch=8, batch_size=8, warmup_steps=20,
-        heldout_patches=6, seq_ceiling=16, d_model=8, n_layers=1, n_heads=2,
-        d_ff=16, seed=5,
-    )
-    return train(image, cfg)
+from conftest import segment_path
 
 
 class TestTopKSample:
@@ -166,7 +139,10 @@ class TestGenerateImage:
         end = micro_ckpt.vocab.image_end_id
         for r in results:
             assert r.hit_cap == (not r.token_ids or r.token_ids[-1] != end)
-            assert r.metadata()["hit_cap"] == r.hit_cap
+            meta = r.metadata()
+            assert meta["hit_cap"] == r.hit_cap
+            assert meta["move_count"] == len(r.token_ids) == 1
+            assert meta["seconds_per_token"] == r.seconds_per_token > 0
         assert any(r.hit_cap for r in results)
 
     def test_long_generation_respects_window(self, micro_ckpt):
