@@ -152,8 +152,8 @@ def _sample_lockstep(task) -> list[GenerationResult]:
     params = ckpt.param_tensors()
     rngs = [derived_rng(cfg.seed, SEED_SAMPLING, i) for i in indices]
     # the last seq_len context tokens of each active image, one row each
-    windows = np.array([make_init_vector(init_len, vocab, rng) for rng in rngs],
-                       dtype=np.int64)
+    windows = np.array([make_init_vector(init_len, vocab, rng)[-seq_len:]
+                        for rng in rngs], dtype=np.int64)
     generated: list[list[int]] = [[] for _ in indices]
     seconds = [0.0] * len(indices)  # decoding time until the last token
     active = np.arange(len(indices))  # batch slots still sampling
@@ -201,8 +201,10 @@ def generate_images(ckpt: Checkpoint, cfg: SamplerConfig, count: int,
     """Sample ``count`` images in lockstep, as one batch per process.
 
     Image i always uses the stream (seed, SAMPLING, i), so its tokens depend
-    on neither ``count`` nor ``jobs``: the first n of ``count`` images are
-    the ``count=n`` result. Each step is one ``encoder_forward(...,
+    on neither ``count`` nor ``jobs`` up to float rounding: a row's logits
+    come from a forward whose batch size varies with them, and BLAS need not
+    round a one-row product as it rounds a many-row one, so a top-k draw at
+    a near-tie could in principle flip. Each step is one ``encoder_forward(...,
     last_only=True)`` over the stacked windows of the images still active,
     then one ``top_k_sample`` per active image. With ``jobs > 1`` each
     worker process samples one contiguous chunk of images in lockstep.

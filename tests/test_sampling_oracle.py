@@ -138,9 +138,10 @@ def test_lockstep_matches_the_oracle_on_the_micro_checkpoint(micro_ckpt):
     assert ended > 0 and capped > 0, (ended, capped)
 
 
-def test_lockstep_matches_the_oracle_with_a_sliding_window(full_ckpt):
+@pytest.mark.parametrize("extra", [0, 3], ids=["init_len=L", "init_len=L+3"])
+def test_lockstep_matches_the_oracle_with_a_sliding_window(full_ckpt, extra):
     seq_len = full_ckpt.model.seq_len
-    cfg = SamplerConfig(k=10, seed=3, init_len=seq_len, max_moves=5)
+    cfg = SamplerConfig(k=10, seed=3, init_len=seq_len + extra, max_moves=5)
     results = generate_images(full_ckpt, cfg, 3)
     assert_same_images(results, [oracle_sample(full_ckpt, cfg, i)
                                  for i in range(3)])
