@@ -111,6 +111,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", nargs="+",
                     help="run only these workloads (default: all of them)")
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"--pairs must be >= 1, got {args.pairs}")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]

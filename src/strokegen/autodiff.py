@@ -17,9 +17,11 @@ the public ops stay as their reference:
 - ``feed_forward``: relu(x @ w1 + b1) @ w2 + b2 over ``[..., d]``. Checks
   the pre-activation (ReLU maps -inf to 0).
 
-The output head is a single ``matmul`` of ``[b, L, d] @ [d, V]``, and
-``cross_entropy`` works in place on one buffer it owns (in row blocks when
-no tape is recorded).
+``cross_entropy`` takes ``[..., V]`` logits or, in training and evaluation,
+the pair ``(h, w)`` of final hidden states and output weight: the output
+head is then computed inside the loss, one node with no logits node. It
+works in cache-sized row blocks on one buffer it owns, ``[N, V]`` with a
+tape and one block without, so evaluation never holds the logits array.
 
 Every op output is checked for NaN/Inf; a violation raises NonFiniteError,
 naming the op, the output or checked intermediate and its shape, instead of
@@ -30,9 +32,9 @@ which stores the first one as the tensor's ``.grad`` as is and rebinds on
 later writes (``grad = grad + g``). Gradients therefore alias one another
 (``add`` gives the same array to both operands, ``reshape`` a view of its
 own), so no backward writes in place into an array it did not allocate, and
-callers treat ``.grad`` as read-only. ``cross_entropy`` hands its one buffer
-to the logits as their gradient, so its backward runs once per forward: a
-second ``backward()`` over the same tape raises RuntimeError.
+callers treat ``.grad`` as read-only. ``cross_entropy`` turns its one buffer
+into the logits' gradient, so its backward runs once per forward: a second
+``backward()`` over the same tape raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -109,10 +111,12 @@ class Tensor:
         return matmul(self, other)
 
 
-def _check_finite(arr: np.ndarray, op: str, what: str = "output"):
+def _check_finite(arr: np.ndarray, op: str, what: str = "output",
+                  shape: tuple[int, ...] | None = None):
+    """Raise NonFiniteError on NaN/Inf in ``arr``, a block of ``shape`` if given."""
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values in its {what} "
-                             f"of shape {arr.shape}")
+                             f"of shape {arr.shape if shape is None else shape}")
 
 
 def _as_tensor(x) -> Tensor:
@@ -373,60 +377,106 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     return _make(out_data, (x, gain, bias), grad_fn)
 
 
-# values per row block of a cross_entropy that records no tape
-_CE_BLOCK_ELEMENTS = 1 << 20
+# values per row block of cross_entropy: a float32 block (512 KB) stays in a
+# core's L2 cache through the shift, exp, sum and gradient passes
+_CE_BLOCK_VALUES = 1 << 17
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+def cross_entropy(logits, targets: np.ndarray) -> Tensor:
     """Mean negative log-softmax probability of the target ids.
 
-    logits: [..., V]; targets: int array of the leading shape with every
-    id < V. With a tape, one [N, V] buffer holds the shifted logits, then
-    their exponentials, and becomes the gradient in the backward. Without
-    one, rows are done in blocks of about ``_CE_BLOCK_ELEMENTS`` values, so
-    no second logits-sized array is ever held.
+    logits: a [..., V] Tensor, or the pair ``(h, w)`` of [..., d] final
+    hidden states and the [d, V] output weight, standing for ``matmul(h, w)``
+    as one tape node with no logits node (cut cross-entropy, Wijmans et al.,
+    arXiv:2411.09009). targets: int array of the leading shape with every
+    id < V.
+
+    Rows run in balanced blocks of about ``_CE_BLOCK_VALUES`` values. With a
+    tape, one [N, V] buffer the node owns holds the logits (the pair form
+    writes ``h @ w`` there with one gemm), then their shifted exponentials,
+    and becomes the gradient in the backward, which for the pair form runs
+    the two gemms of matmul's backward; loss and gradients are bitwise those
+    of ``cross_entropy(matmul(h, w), targets)``. Without a tape, one
+    [rows, V] scratch buffer takes each block in turn (the pair form's
+    ``h_block @ w`` included), so no [N, V] array is made. The pair form
+    checks the logits ``h @ w`` for NaN/Inf.
     """
-    logits = _as_tensor(logits)
-    if logits.data.ndim < 2:
-        raise ValueError("cross_entropy expects [..., vocab] logits")
-    v = logits.data.shape[-1]
+    pair = isinstance(logits, tuple)
+    if pair:
+        h, w = (_as_tensor(t) for t in logits)
+        if (h.data.ndim < 2 or w.data.ndim != 2
+                or h.data.shape[-1] != w.data.shape[0]):
+            raise ValueError(f"cross_entropy expects (h, w) of shapes [..., d] "
+                             f"and [d, V], got {h.data.shape} and "
+                             f"{w.data.shape}")
+        parents = (h, w)
+        v = w.data.shape[1]
+        shape = h.data.shape[:-1] + (v,)
+        h2 = h.data.reshape(-1, h.data.shape[-1])
+        dtype = np.result_type(h.data, w.data)
+    else:
+        logits = _as_tensor(logits)
+        if logits.data.ndim < 2:
+            raise ValueError("cross_entropy expects [..., vocab] logits")
+        parents = (logits,)
+        shape, v = logits.data.shape, logits.data.shape[-1]
+        z = logits.data.reshape(-1, v)
+        dtype = z.dtype
     targets = np.asarray(targets)
-    if targets.shape != logits.data.shape[:-1]:
-        raise ValueError(f"targets must have shape {logits.data.shape[:-1]}, "
+    if targets.shape != shape[:-1]:
+        raise ValueError(f"targets must have shape {shape[:-1]}, "
                          f"got {targets.shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ValueError(f"target id out of range [0, {v})")
 
-    z = logits.data.reshape(-1, v)
     targets = targets.reshape(-1)
     n = targets.size
-    taped = _grad_enabled and logits.requires_grad
-    # on a tape, one block: e and denom then cover every row for grad_fn
-    block = max(1, n if taped else min(n, _CE_BLOCK_ELEMENTS // v))
-    e = np.empty((block, v), dtype=z.dtype)
-    row_loss = np.empty(n, dtype=z.dtype)
-    for start in range(0, n, block):
-        zb, tb = z[start: start + block], targets[start: start + block]
-        eb = e[: len(zb)]
+    taped = _grad_enabled and any(p.requires_grad for p in parents)
+    # block sizes differ by at most one row: a short remainder block could
+    # take a BLAS small-matrix kernel that rounds h @ w differently
+    count = max(1, -(-n // max(1, _CE_BLOCK_VALUES // v)))
+    edges = [n * i // count for i in range(count + 1)]
+    rows = np.arange(-(-n // count))
+    if taped:
+        buf = h2 @ w.data if pair else np.empty((n, v), dtype=dtype)
+    else:
+        buf = np.empty((len(rows), v), dtype=dtype)
+    denom = np.empty(n, dtype=dtype)
+    row_loss = np.empty(n, dtype=dtype)
+    for start, stop in zip(edges, edges[1:]):
+        zb = eb = buf[start: stop] if taped else buf[: stop - start]
+        if pair:
+            if not taped:
+                np.matmul(h2[start: stop], w.data, out=eb)
+            _check_finite(eb, "cross_entropy", "logits h @ w", shape)
+        else:
+            zb = z[start: stop]
         np.subtract(zb, zb.max(axis=1, keepdims=True), out=eb)
-        picked = eb[np.arange(len(zb)), tb]
+        picked = eb[rows[: stop - start], targets[start: stop]]
         np.exp(eb, out=eb)
-        denom = eb.sum(axis=1)
-        row_loss[start: start + len(zb)] = np.log(denom) - picked
+        denom[start: stop] = eb.sum(axis=1)
+        row_loss[start: stop] = np.log(denom[start: stop]) - picked
     out_data = np.asarray(row_loss.mean())
 
     def grad_fn(g):
-        nonlocal e
-        if e is None:
+        nonlocal buf
+        if buf is None:
             raise RuntimeError("cross_entropy: backward already ran; its "
                                "buffer is now the logits' gradient")
-        p, e = e, None  # softmax, then the gradient, in the buffer it owns
-        p /= denom[:, None]
-        p[np.arange(n), targets] -= 1.0
-        p *= g / n
-        _accumulate(logits, p.reshape(logits.data.shape))
+        p, buf = buf, None  # softmax, then the gradient, in the buffer it owns
+        scale = g / n
+        for start, stop in zip(edges, edges[1:]):
+            pb = p[start: stop]
+            pb /= denom[start: stop, None]
+            pb[rows[: stop - start], targets[start: stop]] -= 1.0
+            pb *= scale
+        if pair:
+            _accumulate(h, (p @ w.data.T).reshape(h.data.shape))
+            _accumulate(w, h2.T @ p)
+        else:
+            _accumulate(logits, p.reshape(shape))
 
-    return _make(out_data, (logits,), grad_fn)
+    return _make(out_data, parents, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -219,22 +219,25 @@ def parse_config_file(path: Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-        overrides[key] = _coerce(value, _FIELD_TYPES[key], key)
+        try:
+            overrides[key] = _coerce(value, _FIELD_TYPES[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: setting {key!r}: {exc}") from None
     return overrides
 
 
-def _coerce(value: str, annotation: str, key: str):
+def _coerce(value: str, annotation: str):
     annotation = str(annotation)
     if value.lower() in ("none", "null"):
         if "None" in annotation:
             return None
-        raise ValueError(f"setting {key!r} cannot be none")
+        raise ValueError("cannot be none")
     if "bool" in annotation:
         if value.lower() in ("true", "1", "yes"):
             return True
         if value.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"setting {key!r} expects true/false")
+        raise ValueError("expects true/false")
     if "int" in annotation:
         return int(value)
     if "float" in annotation:

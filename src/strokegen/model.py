@@ -5,7 +5,8 @@ multi-head self-attention (two attention sub-layers per layer by default,
 matching the architecture drawing; collapsible to one for ablation) and a
 position-wise feed-forward block, all post-normalized, followed by a linear
 head to vocabulary logits. ``multi_head_attention`` is the autodiff node
-that computes one attention sub-layer.
+that computes one attention sub-layer. The loss takes the final hidden
+states and computes the head itself (``encoder_forward(..., head=False)``).
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
-                    config: ModelConfig, *, last_only: bool = False) -> Tensor:
+                    config: ModelConfig, *, last_only: bool = False,
+                    head: bool = True) -> Tensor:
     """Next-token logits for each position; [.., L, vocab_size].
 
     Each sub-layer is one tape node plus one residual-and-norm node. A
@@ -176,6 +178,11 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
     position. It records no tape and raises ValueError while gradients are
     enabled. The logits equal ``encoder_forward(...)[..., -1:, :]`` up to
     float rounding, not bitwise.
+
+    ``head=False`` stops before the output head and returns the final hidden
+    states, [.., L, d_model]. Training and evaluation pass them with
+    ``params["output.w"]`` to ``cross_entropy((h, w), targets)``, which
+    computes the head inside the loss.
     """
     ids = np.asarray(token_ids)
     if ids.ndim not in (1, 2):
@@ -212,6 +219,8 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
                              params[p + "w2"], params[p + "b2"])
             h = add_layer_norm(h, f, params[p + "norm_gain"],
                                params[p + "norm_bias"])
+        if not head:
+            return h
         where = "output"
         return matmul(h, params["output.w"])
     except NonFiniteError as exc:

@@ -431,8 +431,8 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
             lr = lr_schedule(step, cfg.d_model, cfg.warmup_steps)
             for p in params.values():
                 p.grad = None
-            logits = encoder_forward(inputs, params, model_cfg)
-            loss = cross_entropy(logits, targets)
+            hidden = encoder_forward(inputs, params, model_cfg, head=False)
+            loss = cross_entropy((hidden, params["output.w"]), targets)
             loss.backward()
             grads = {k: p.grad for k, p in params.items()}
             adam_step(params, grads, adam, lr, cfg.beta1, cfg.beta2,
@@ -476,15 +476,19 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
 
 def eval_stream_loss(params: dict[str, Tensor], model_cfg: ModelConfig,
                      windows: np.ndarray) -> float:
-    """Mean next-token cross-entropy over precut windows; no updates."""
+    """Mean next-token cross-entropy over precut windows; no updates.
+
+    The loss computes the output head in row blocks, so a chunk holds no
+    [EVAL_CHUNK * L, V] logits array.
+    """
     total = 0.0
     tokens = 0
     with no_grad():
         for i in range(0, len(windows), EVAL_CHUNK):
             chunk = windows[i: i + EVAL_CHUNK]
             inputs = chunk[:, :-1]
-            logits = encoder_forward(inputs, params, model_cfg)
-            loss = cross_entropy(logits, chunk[:, 1:])
+            hidden = encoder_forward(inputs, params, model_cfg, head=False)
+            loss = cross_entropy((hidden, params["output.w"]), chunk[:, 1:])
             total += float(loss.data) * inputs.size
             tokens += inputs.size
     return total / tokens

@@ -25,9 +25,16 @@ def segment_path(x0, y0, x1, y1) -> Path:
     ]])
 
 
-@pytest.fixture(scope="session")
-def micro_ckpt():
-    image = StrokeImage(
+# the image and settings of micro_ckpt
+MICRO_TRAIN = TrainConfig(
+    epochs=3, patches_per_epoch=8, batch_size=8, warmup_steps=20,
+    heldout_patches=6, seq_ceiling=16, d_model=8, n_layers=1, n_heads=2,
+    d_ff=16, seed=5,
+)
+
+
+def micro_image() -> StrokeImage:
+    return StrokeImage(
         [
             segment_path(70, 70, 110, 70),
             segment_path(110, 70, 110, 110),
@@ -35,12 +42,11 @@ def micro_ckpt():
         ],
         boundary=180.0,
     )
-    cfg = TrainConfig(
-        epochs=3, patches_per_epoch=8, batch_size=8, warmup_steps=20,
-        heldout_patches=6, seq_ceiling=16, d_model=8, n_layers=1, n_heads=2,
-        d_ff=16, seed=5,
-    )
-    return train(image, cfg)
+
+
+@pytest.fixture(scope="session")
+def micro_ckpt():
+    return train(micro_image(), MICRO_TRAIN)
 
 
 def dense_curve_samples(path, n_per_curve: int = 1000) -> np.ndarray:

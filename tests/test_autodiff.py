@@ -262,7 +262,7 @@ class TestCrossEntropy:
             cross_entropy(Tensor(np.zeros(4)), np.zeros((), dtype=int))
 
     def test_no_grad_row_blocks_equal_the_taped_loss_bitwise(self):
-        # 3000 x 701 values span three row blocks, the last one partial
+        # 3000 rows of 701 values span several row blocks
         rng = np.random.default_rng(15)
         logits = (rng.standard_normal((3, 1000, 701)) * 4).astype(np.float32)
         targets = rng.integers(0, 701, (3, 1000))
@@ -629,7 +629,8 @@ class TestMultiHeadAttention:
 
 
 def node_cases():
-    """(name, build, arrays) for every fused node and the [..., V] forms."""
+    """(name, build, arrays) for every fused node, the [..., V] forms and the
+    (h, w) form of cross_entropy."""
     rng = np.random.default_rng(45)
     targets = rng.integers(0, 5, (2, 3))
     c_mha = rng.standard_normal((2, 5, 6))
@@ -650,6 +651,8 @@ def node_cases():
          [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5))]),
         ("cross_entropy", lambda t: cross_entropy(t, targets),
          [rng.standard_normal((2, 3, 5))]),
+        ("cross_entropy_pair", lambda h, w: cross_entropy((h, w), targets),
+         [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5))]),
     ]
     return [pytest.param(*case, id=case[0]) for case in cases]
 

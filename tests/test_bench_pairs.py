@@ -69,6 +69,16 @@ def test_unknown_workload_refused(capsys):
     assert "unknown workload(s) ['no-such-workload']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_pairs_below_one_refused(pairs, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--label", "x", "--seed", "1", "--pairs", pairs])
+    assert exit_info.value.code == 2
+    assert f"--pairs must be >= 1, got {pairs}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no BENCH file written
+
+
 def test_failed_runs_are_listed_and_exit_1(tmp_path, monkeypatch, capsys):
     shutil.copy(SCRIPT.parent.parent / "BENCHMARK.json", tmp_path)
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)

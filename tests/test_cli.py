@@ -212,6 +212,17 @@ class TestTrain:
             "--config", str(cfg),
         ]) == 2
 
+    def test_unparsable_config_value_exit_2(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# sizes\nepochs = 1.5\n")
+        assert main([
+            "train", str(workdir / "img.json"), "-o", str(tmp_path / "x"),
+            "--config", str(cfg),
+        ]) == 2
+        assert (f"error: {cfg}:2: setting 'epochs': invalid literal for int() "
+                f"with base 10: '1.5'") in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("setting, message", [
         ("n_heads = 0", "n_heads must be >= 1"),
         ("d_ff = 0", "d_ff must be >= 1"),
@@ -486,3 +497,18 @@ class TestConfigFile:
         cfg.write_text("epochs 7\n")
         with pytest.raises(ValueError):
             parse_config_file(cfg)
+
+    @pytest.mark.parametrize("setting, reason", [
+        ("epochs = 1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("scale_min = abc", "could not convert string to float: 'abc'"),
+        ("double_attention = maybe", "expects true/false"),
+        ("epochs = none", "cannot be none"),
+    ])
+    def test_unparsable_value_names_file_line_and_key(self, tmp_path,
+                                                       setting, reason):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 1\n" + setting + "\n")
+        key = setting.split()[0]
+        with pytest.raises(ValueError) as info:
+            parse_config_file(cfg)
+        assert str(info.value) == f"{cfg}:2: setting {key!r}: {reason}"
