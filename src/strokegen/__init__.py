@@ -13,7 +13,6 @@ from .geometry import (
     StrokeImage,
     fit_path,
     flatten_path,
-    reverse_path,
 )
 
 __all__ = [
@@ -22,6 +21,5 @@ __all__ = [
     "StrokeImage",
     "fit_path",
     "flatten_path",
-    "reverse_path",
     "__version__",
 ]

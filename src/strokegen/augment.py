@@ -274,12 +274,6 @@ def greedy_order(starts: np.ndarray, ends: np.ndarray, first) -> np.ndarray:
     return order
 
 
-def pen_travel(starts: np.ndarray, ends: np.ndarray) -> float:
-    """Total pen-up distance between consecutive paths with [P, 2] start and
-    end points."""
-    return float(np.hypot(*(starts[1:] - ends[:-1]).T).sum())
-
-
 def path_endpoints(controls: np.ndarray,
                    splits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and end points [P, 2] of the paths of stacked [C, 4, 2] controls."""
@@ -320,13 +314,6 @@ def _path_gather(splits: np.ndarray, curves: int, flags: np.ndarray,
 # ---------------------------------------------------------------------------
 # Patch generation
 # ---------------------------------------------------------------------------
-
-def generate_patch(image: StrokeImage, cfg: AugmentConfig,
-                   rng: np.random.Generator) -> StrokeImage:
-    """One augmented variant: rotate, mirror, scale, translate, reverse, reorder."""
-    patch, _ = generate_patch_with_params(image, cfg, rng)
-    return patch
-
 
 def generate_patch_with_params(
     image: StrokeImage, cfg: AugmentConfig, rng: np.random.Generator

@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    image = recording_to_image(_read_json(args.recording), args.fit_error)
+    image = recording_to_image(args.recording, args.fit_error)
     save_path_image(image, args.out)
     print(f"{len(image.paths)} paths on a {image.boundary:g} unit canvas")
     for i, path in enumerate(image.paths):
@@ -256,11 +256,6 @@ _COMMANDS = {
     "augment-preview": cmd_augment_preview,
     "demo-recording": cmd_demo_recording,
 }
-
-
-def _read_json(path: Path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def main(argv=None) -> int:

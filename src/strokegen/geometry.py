@@ -463,15 +463,6 @@ def _split_curves(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Path direction
-# ---------------------------------------------------------------------------
-
-def reverse_path(path: Path) -> Path:
-    """Traverse the same geometry from the other end."""
-    return Path(path.control_array()[::-1, ::-1])
-
-
-# ---------------------------------------------------------------------------
 # Boundary fitting
 # ---------------------------------------------------------------------------
 

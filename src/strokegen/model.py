@@ -11,6 +11,7 @@ states and computes the head itself (``encoder_forward(..., head=False)``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,10 +49,7 @@ class ModelConfig:
         for name in ("d_model", "n_layers", "n_heads", "d_ff"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model {self.d_model} not divisible by {self.n_heads} heads"
-            )
+        check_heads(self.d_model, self.n_heads)
 
     @property
     def head_dim(self) -> int:
@@ -62,19 +60,36 @@ class ModelConfig:
         return 2 if self.double_attention else 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "seq_len": self.seq_len,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "double_attention": self.double_attention,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**data)
+        return config_from_json(cls, data, "model")
+
+
+def check_heads(d_model: int, n_heads: int):
+    if d_model % n_heads != 0:
+        raise ValueError(f"d_model {d_model} not divisible by {n_heads} heads")
+
+
+# JSON value types of config fields by annotation; a bool is no int here
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool,
+               "int | None": (int, type(None))}
+
+
+def config_from_json(cls, data: dict, section: str):
+    """A config dataclass from its checkpoint section, refusing unknown
+    settings and values of the wrong JSON type by name."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(types))
+    if unknown:
+        raise ValueError(f"unknown {section} settings in checkpoint: {unknown}")
+    for name, value in data.items():
+        if (not isinstance(value, _JSON_TYPES[types[name]])
+                or isinstance(value, bool) != (types[name] == "bool")):
+            raise ValueError(f"{section} setting {name!r} must be "
+                             f"{types[name]}, got {value!r}")
+    return cls(**data)
 
 
 @lru_cache(maxsize=8)

@@ -30,7 +30,6 @@ __all__ = [
     "top_k_distribution",
     "top_k_sample",
     "make_init_vector",
-    "generate_image",
     "generate_images",
     "render_svg",
 ]
@@ -189,11 +188,6 @@ def _sample_lockstep(task) -> list[GenerationResult]:
             seconds_per_token=seconds[slot] / len(ids),
         ))
     return results
-
-
-def generate_image(ckpt: Checkpoint, cfg: SamplerConfig) -> GenerationResult:
-    """Sample one image; a pure function of (checkpoint, config)."""
-    return generate_images(ckpt, cfg, 1)[0]
 
 
 def generate_images(ckpt: Checkpoint, cfg: SamplerConfig, count: int,

@@ -11,7 +11,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .geometry import (
 )
 from .model import (
     ModelConfig,
+    check_heads,
+    config_from_json,
     encoder_forward,
     init_encoder_params,
     parameter_table,
@@ -93,6 +95,8 @@ class TrainConfig:
         check_error_bound("flatten_error", self.flatten_error)
         if self.fixed_patch_set is not None and self.fixed_patch_set < 1:
             raise ValueError("fixed_patch_set must be >= 1 when set")
+        augment_config(self)
+        check_heads(self.d_model, self.n_heads)
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -100,11 +104,8 @@ class TrainConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrainConfig":
         # "jobs" (parallel patch generation) is kept by older checkpoints
-        data = {k: v for k, v in data.items() if k != "jobs"}
-        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown train settings in checkpoint: {unknown}")
-        return cls(**data)
+        return config_from_json(
+            cls, {k: v for k, v in data.items() if k != "jobs"}, "train")
 
 
 def desk_preset(**overrides) -> TrainConfig:
@@ -292,8 +293,15 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
     that it matches the model's vocab_size and that the parameters have the
     names and shapes of that model and are finite. A checkpoint without a
     canvas boundary is for the default canvas."""
+    if not isinstance(data, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got "
+                         f"{type(data).__name__}")
     if data.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {data.get('version')}")
+    for name in ("model", "train", "vocabulary", "params", "rng_state"):
+        if not isinstance(data.get(name), dict):
+            raise ValueError(f"checkpoint {name!r} must be a JSON object, got "
+                             f"{type(data.get(name)).__name__}")
     model = ModelConfig.from_json_dict(data["model"])
     vocab = Vocabulary.from_json_dict(data["vocabulary"])
     if model.vocab_size != vocab.size:
@@ -330,9 +338,16 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    with open(path, "w") as fh:
-        json.dump(checkpoint_to_json(ckpt), fh, sort_keys=True,
-                  separators=(",", ":"))
+    """Write ``<path>.tmp``, then rename it over ``path``: all or nothing."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(checkpoint_to_json(ckpt), fh, sort_keys=True,
+                      separators=(",", ":"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -357,12 +372,38 @@ def augment_config(cfg: TrainConfig) -> AugmentConfig:
                          scale_min=cfg.scale_min)
 
 
+def patch_set(image: StrokeImage, cfg: TrainConfig, n: int,
+              *key: int) -> PatchSet:
+    """n augmented patches of the training image, from rng stream (seed, *key)."""
+    return generate_patch_set(image, n, augment_config(cfg),
+                              derived_rng(cfg.seed, *key))
+
+
 def tokenize_patches(patches: PatchSet, vocab: Vocabulary,
                      flatten_error: float, max_len: int) -> list[np.ndarray]:
     """Every patch's token ids, as views into one array tokenized at once."""
     moves, bounds = move_sequences(patches.controls, patches.splits,
                                    flatten_error, max_len)
     return np.split(encode(moves, vocab), bounds)
+
+
+def train_step(params: dict[str, Tensor], adam: AdamState,
+               model_cfg: ModelConfig, cfg: TrainConfig, inputs: np.ndarray,
+               targets: np.ndarray) -> float:
+    """One Adam step on a batch; returns its mean loss.
+
+    The step's tape is reachable only from this frame, so it is freed before
+    the next step's forward. The gradients stay on the parameters.
+    """
+    for p in params.values():
+        p.grad = None
+    hidden = encoder_forward(inputs, params, model_cfg, head=False)
+    loss = cross_entropy((hidden, params["output.w"]), targets)
+    loss.backward()
+    adam_step(params, {k: p.grad for k, p in params.items()}, adam,
+              lr_schedule(adam.step + 1, cfg.d_model, cfg.warmup_steps),
+              cfg.beta1, cfg.beta2, cfg.adam_eps)
+    return float(loss.data)
 
 
 def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
@@ -381,67 +422,35 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
     seq_len = max(2, min(len(original_moves), cfg.seq_ceiling))
     vocab = build_vocabulary([original_moves], cfg.max_move_len)
     model_cfg = ModelConfig(
-        vocab_size=vocab.size,
-        seq_len=seq_len,
-        d_model=cfg.d_model,
-        n_layers=cfg.n_layers,
-        n_heads=cfg.n_heads,
-        d_ff=cfg.d_ff,
-        double_attention=cfg.double_attention,
-    )
+        vocab.size, seq_len, d_model=cfg.d_model, n_layers=cfg.n_layers,
+        n_heads=cfg.n_heads, d_ff=cfg.d_ff, double_attention=cfg.double_attention)
     params = init_encoder_params(model_cfg, derived_rng(cfg.seed, SEED_INIT))
-    aug_cfg = augment_config(cfg)
 
-    heldout = generate_patch_set(image, cfg.heldout_patches, aug_cfg,
-                                 derived_rng(cfg.seed, SEED_HELDOUT))
+    def tokens(n: int, *key: int) -> list[np.ndarray]:
+        return tokenize_patches(patch_set(image, cfg, n, *key), vocab,
+                                cfg.flatten_error, cfg.max_move_len)
+
     heldout_windows = stream_windows(
-        tokenize_patches(heldout, vocab, cfg.flatten_error, cfg.max_move_len),
-        seq_len,
-    )
-
-    fixed_sequences: list[np.ndarray] | None = None
-    if cfg.fixed_patch_set is not None:
-        fixed = generate_patch_set(image, cfg.fixed_patch_set, aug_cfg,
-                                   derived_rng(cfg.seed, SEED_FIXED))
-        fixed_sequences = tokenize_patches(fixed, vocab, cfg.flatten_error,
-                                           cfg.max_move_len)
+        tokens(cfg.heldout_patches, SEED_HELDOUT), seq_len)
+    fixed = (None if cfg.fixed_patch_set is None
+             else tokens(cfg.fixed_patch_set, SEED_FIXED))
 
     adam = init_adam_state(params)
     history: list[EpochStats] = []
-    step = 0
     clock = time.perf_counter
     for epoch in range(1, cfg.epochs + 1):
         t0 = clock()
-        if fixed_sequences is not None:
-            sequences = fixed_sequences
-        else:
-            patches = generate_patch_set(
-                image, cfg.patches_per_epoch, aug_cfg,
-                derived_rng(cfg.seed, SEED_EPOCH, epoch),
-            )
-            sequences = tokenize_patches(patches, vocab, cfg.flatten_error,
-                                         cfg.max_move_len)
+        sequences = (tokens(cfg.patches_per_epoch, SEED_EPOCH, epoch)
+                     if fixed is None else fixed)
         batches = build_stream_batches(sequences, seq_len, cfg.batch_size,
                                        derived_rng(cfg.seed, SEED_SHUFFLE, epoch))
         t1 = clock()
-        loss_sum = 0.0
-        window_count = 0
-        for inputs, targets in batches:
-            step += 1
-            lr = lr_schedule(step, cfg.d_model, cfg.warmup_steps)
-            for p in params.values():
-                p.grad = None
-            hidden = encoder_forward(inputs, params, model_cfg, head=False)
-            loss = cross_entropy((hidden, params["output.w"]), targets)
-            loss.backward()
-            grads = {k: p.grad for k, p in params.items()}
-            adam_step(params, grads, adam, lr, cfg.beta1, cfg.beta2,
-                      cfg.adam_eps)
-            loss_sum += float(loss.data) * inputs.shape[0]
-            window_count += inputs.shape[0]
-        # adam_step updates the moments in place and leaves the gradients
-        grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()
-                                  if g is not None))
+        loss_sum = sum(train_step(params, adam, model_cfg, cfg, inputs, targets)
+                       * len(inputs) for inputs, targets in batches)
+        window_count = sum(len(inputs) for inputs, _ in batches)
+        # the last step leaves its gradients on the parameters
+        grad_norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                                  for p in params.values() if p.grad is not None))
         t2 = clock()
         heldout_loss = eval_stream_loss(params, model_cfg, heldout_windows)
         t3 = clock()
@@ -449,12 +458,13 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
         stats = EpochStats(epoch, loss_sum / window_count, heldout_loss)
         history.append(stats)
         logger.info("epoch %d: train %.4f heldout %.4f (%d steps)",
-                    epoch, stats.train_loss, stats.heldout_loss, step)
+                    epoch, stats.train_loss, stats.heldout_loss, adam.step)
         if on_epoch is not None:
             on_epoch(EpochMetrics(
                 *dataclasses.astuple(stats), data_s=t1 - t0, step_s=t2 - t1,
                 eval_s=t3 - t2, tokens_per_s=window_count * seq_len / (t3 - t0),
-                lr=lr, grad_norm=grad_norm))
+                lr=lr_schedule(adam.step, cfg.d_model, cfg.warmup_steps),
+                grad_norm=grad_norm))
 
     return Checkpoint(
         model=model_cfg,
@@ -466,7 +476,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
         rng_state={
             "seed": cfg.seed,
             "epochs_completed": cfg.epochs,
-            "optimizer_steps": step,
+            "optimizer_steps": adam.step,
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")
             or os.environ.get("OMP_NUM_THREADS") or "default",
         },
@@ -504,6 +514,4 @@ def evaluate_held_out(ckpt: Checkpoint, patches: PatchSet) -> float:
 
 def heldout_patch_set(ckpt: Checkpoint, image: StrokeImage) -> PatchSet:
     """Regenerate the held-out patch set a training run used."""
-    return generate_patch_set(image, ckpt.train.heldout_patches,
-                              augment_config(ckpt.train),
-                              derived_rng(ckpt.train.seed, SEED_HELDOUT))
+    return patch_set(image, ckpt.train, ckpt.train.heldout_patches, SEED_HELDOUT)

@@ -49,6 +49,17 @@ def micro_ckpt():
     return train(micro_image(), MICRO_TRAIN)
 
 
+def reverse_path(path: Path) -> Path:
+    """The same geometry traversed from the other end."""
+    return Path(path.control_array()[::-1, ::-1])
+
+
+def pen_travel(starts: np.ndarray, ends: np.ndarray) -> float:
+    """Total pen-up distance between consecutive paths with [P, 2] start and
+    end points."""
+    return float(np.hypot(*(starts[1:] - ends[:-1]).T).sum())
+
+
 def dense_curve_samples(path, n_per_curve: int = 1000) -> np.ndarray:
     """Sample every curve of a path at uniform parameters; [~n*curves, 2]."""
     t = np.linspace(0.0, 1.0, n_per_curve)

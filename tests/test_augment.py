@@ -8,13 +8,11 @@ from strokegen.augment import (
     ContainmentError,
     PatchSet,
     Transform,
-    generate_patch,
     generate_patch_set,
     generate_patch_with_params,
     greedy_order,
     order_paths_greedy,
     path_endpoints,
-    pen_travel,
     reverse_paths_random,
     transform_image,
 )
@@ -22,6 +20,8 @@ from strokegen.demo import make_demo_image
 from strokegen.geometry import Path, StrokeImage
 from strokegen.tokenizer import build_vocabulary, image_to_move_sequence
 from strokegen.training import build_stream_batches, tokenize_patches
+
+from conftest import pen_travel
 
 
 def segment_path(x0, y0, x1, y1) -> Path:
@@ -251,14 +251,17 @@ class TestGreedyOrdering:
 class TestGeneratePatch:
     def test_same_seed_same_patch(self, small_image):
         cfg = AugmentConfig()
-        a = generate_patch(small_image, cfg, np.random.default_rng(42))
-        b = generate_patch(small_image, cfg, np.random.default_rng(42))
+        a, _ = generate_patch_with_params(small_image, cfg,
+                                          np.random.default_rng(42))
+        b, _ = generate_patch_with_params(small_image, cfg,
+                                          np.random.default_rng(42))
         assert images_close(a, b, tol=0.0)
 
     def test_path_count_preserved(self, small_image):
         cfg = AugmentConfig()
         for seed in range(20):
-            patch = generate_patch(small_image, cfg, np.random.default_rng(seed))
+            patch, _ = generate_patch_with_params(
+                small_image, cfg, np.random.default_rng(seed))
             assert len(patch.paths) == len(small_image.paths)
 
     def test_arc_length_scales_by_factor(self, small_image):
@@ -275,7 +278,8 @@ class TestGeneratePatch:
     def test_patches_stay_on_canvas(self, small_image):
         cfg = AugmentConfig()
         for seed in range(50):
-            patch = generate_patch(small_image, cfg, np.random.default_rng(seed))
+            patch, _ = generate_patch_with_params(
+                small_image, cfg, np.random.default_rng(seed))
             pts = patch.control_array()
             assert pts.min() >= 0.0 and pts.max() <= patch.boundary
 

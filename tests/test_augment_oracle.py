@@ -24,7 +24,7 @@ from strokegen.augment import (
     transform_image,
 )
 from strokegen.demo import DEMO_KINDS, make_demo_image
-from strokegen.geometry import Path, StrokeImage, reverse_path
+from strokegen.geometry import Path, StrokeImage
 
 
 def ref_bbox(image):
@@ -125,7 +125,8 @@ def ref_generate_patch_with_params(image, cfg, rng):
     dy = rng.uniform(-lo_y, img.boundary - hi_y)
     img, _ = ref_transform(img, Transform.translate(dx, dy))
     flags = rng.random(len(img.paths)) < cfg.reversal_probability
-    paths = [reverse_path(q) if f else q for q, f in zip(img.paths, flags)]
+    paths = [Path(q.control_array()[::-1, ::-1]) if f else q
+             for q, f in zip(img.paths, flags)]
     order = ref_greedy_order(
         np.array([p.control_array()[0, 0] for p in paths]),
         np.array([p.control_array()[-1, 3] for p in paths]),

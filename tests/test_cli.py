@@ -104,6 +104,14 @@ class TestIngest:
         assert main(["ingest", str(tmp_path / "nope.json"),
                      "-o", str(tmp_path / "x.json")]) == 2
 
+    def test_recording_that_is_a_list_exit_2(self, tmp_path, capsys):
+        rec = tmp_path / "list.json"
+        rec.write_text(json.dumps([[[1, 1], [5, 5]]]))
+        assert main(["ingest", str(rec), "-o", str(tmp_path / "x.json")]) == 2
+        assert ("recording must be an object with a 'strokes' list"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.json").exists()
+
 
 GOOD_CURVE = [[10, 10], [20, 10], [30, 10], [40, 10]]
 
@@ -245,6 +253,26 @@ class TestTrain:
             "--preset", "desk", "--config", str(cfg),
         ]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("scale_min = 0", "scale_min must be in (0, 1]"),
+        ("reversal_probability = 1.5", "reversal_probability must be in [0, 1]"),
+        ("d_model = 30", "d_model 30 not divisible by 4 heads"),
+    ])
+    def test_bad_setting_leaves_the_output_directory_alone(
+            self, workdir, tmp_path, capsys, setting, message):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "metrics.jsonl").write_bytes(b'{"epoch": 1}\n')
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(setting + "\n")
+        assert main([
+            "train", str(workdir / "img.json"), "-o", str(out),
+            "--preset", "desk", "--config", str(cfg),
+        ]) == 2
+        assert message in capsys.readouterr().err
+        assert (out / "metrics.jsonl").read_bytes() == b'{"epoch": 1}\n'
+        assert [p.name for p in out.iterdir()] == ["metrics.jsonl"]
 
     def test_numeric_failure_exit_3(self, workdir, tmp_path, monkeypatch):
         from strokegen import cli
@@ -404,6 +432,36 @@ def test_tampered_checkpoint_exit_2(workdir, tmp_path, capsys, tamper, field):
     tamper(data)
     ckpt = tmp_path / "tampered.json"
     ckpt.write_text(json.dumps(data))
+    assert main([
+        "sample", str(ckpt), "--out", str(tmp_path / "x.svg"),
+        "--count", "1", "--max-moves", "20",
+    ]) == 2
+    assert field in capsys.readouterr().err
+
+
+def _with_model(**changes):
+    return lambda data: {**data, "model": {**data["model"], **changes}}
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda data: [], "checkpoint must be a JSON object, got list"),
+    (lambda data: {**data, "model": [8]},
+     "checkpoint 'model' must be a JSON object, got list"),
+    (lambda data: {**data, "params": None},
+     "checkpoint 'params' must be a JSON object, got NoneType"),
+    (_with_model(dropout=0.1), "unknown model settings in checkpoint: "
+                               "['dropout']"),
+    (_with_model(d_model="8"), "model setting 'd_model' must be int, got '8'"),
+    (_with_model(double_attention=1),
+     "model setting 'double_attention' must be bool, got 1"),
+    (lambda data: {**data, "train": {**data["train"], "epochs": 2.0}},
+     "train setting 'epochs' must be int, got 2.0"),
+], ids=["list-document", "list-model", "null-params", "unknown-model-key",
+        "string-d-model", "int-double-attention", "float-epochs"])
+def test_malformed_checkpoint_exit_2(workdir, tmp_path, capsys, edit, field):
+    data = json.loads((workdir / "run" / "checkpoint.json").read_text())
+    ckpt = tmp_path / "malformed.json"
+    ckpt.write_text(json.dumps(edit(data)))
     assert main([
         "sample", str(ckpt), "--out", str(tmp_path / "x.svg"),
         "--count", "1", "--max-moves", "20",

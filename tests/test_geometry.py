@@ -17,10 +17,13 @@ from strokegen.geometry import (
     image_to_json,
     load_recording,
     recording_to_image,
-    reverse_path,
 )
 
-from conftest import fit_residuals, max_deviation_curve_to_polyline
+from conftest import (
+    fit_residuals,
+    max_deviation_curve_to_polyline,
+    reverse_path,
+)
 
 
 def quarter_circle_curve(radius=50.0, cx=60.0, cy=60.0) -> np.ndarray:

@@ -10,7 +10,6 @@ from strokegen.sampling import (
     GenerationResult,
     SamplerConfig,
     center_polylines,
-    generate_image,
     generate_images,
     make_init_vector,
     render_svg,
@@ -118,15 +117,16 @@ class TestMakeInitVector:
 class TestGenerateImage:
     def test_greedy_fixed_seed_deterministic(self, micro_ckpt):
         cfg = SamplerConfig(k=1, seed=3)
-        a = generate_image(micro_ckpt, cfg)
-        b = generate_image(micro_ckpt, cfg)
+        a = generate_images(micro_ckpt, cfg, 1)[0]
+        b = generate_images(micro_ckpt, cfg, 1)[0]
         assert a.token_ids == b.token_ids
         assert a.hit_cap == b.hit_cap
 
     def test_image_end_only_as_terminator(self, micro_ckpt):
         end = micro_ckpt.vocab.image_end_id
         for seed in range(6):
-            res = generate_image(micro_ckpt, SamplerConfig(k=5, seed=seed))
+            res = generate_images(micro_ckpt, SamplerConfig(k=5, seed=seed),
+                                  1)[0]
             body = res.token_ids[:-1]
             assert end not in body
             if not res.hit_cap:
@@ -148,9 +148,9 @@ class TestGenerateImage:
     def test_long_generation_respects_window(self, micro_ckpt):
         # would raise inside encoder_forward if the context ever exceeded L
         L = micro_ckpt.model.seq_len
-        res = generate_image(
-            micro_ckpt, SamplerConfig(k=10, max_moves=3 * L, init_len=L, seed=1)
-        )
+        res = generate_images(
+            micro_ckpt, SamplerConfig(k=10, max_moves=3 * L, init_len=L, seed=1),
+            1)[0]
         assert len(res.token_ids) <= 3 * L
 
     def test_count_and_determinism_of_batch(self, micro_ckpt):
@@ -172,8 +172,8 @@ class TestGenerateImage:
 
     def test_k_exceeding_vocab_rejected(self, micro_ckpt):
         with pytest.raises(ValueError):
-            generate_image(
-                micro_ckpt, SamplerConfig(k=micro_ckpt.vocab.size + 1)
+            generate_images(
+                micro_ckpt, SamplerConfig(k=micro_ckpt.vocab.size + 1), 1
             )
 
 

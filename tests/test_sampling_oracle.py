@@ -22,7 +22,6 @@ from strokegen.autodiff import NonFiniteError, no_grad
 from strokegen.model import ModelConfig, encoder_forward, init_encoder_params
 from strokegen.sampling import (
     SamplerConfig,
-    generate_image,
     generate_images,
     make_init_vector,
     top_k_sample,
@@ -153,7 +152,7 @@ def test_first_images_do_not_depend_on_count(micro_ckpt):
     two = generate_images(micro_ckpt, cfg, 2)
     assert_same_images(five[:2], [(r.token_ids, r.moves, r.hit_cap)
                                   for r in two])
-    one = generate_image(micro_ckpt, cfg)
+    one = generate_images(micro_ckpt, cfg, 1)[0]
     assert_same_images([one], [(five[0].token_ids, five[0].moves,
                                 five[0].hit_cap)])
 

@@ -206,7 +206,7 @@ class TestEncodeDecode:
 
 class TestClosedVocabularyCoversAugmentation:
     def test_augmented_patches_always_encode(self):
-        from strokegen.augment import AugmentConfig, generate_patch
+        from strokegen.augment import AugmentConfig, generate_patch_with_params
 
         img = StrokeImage(
             [line_path(60, 60, 120, 80), line_path(70, 100, 110, 120)], 180.0
@@ -214,6 +214,7 @@ class TestClosedVocabularyCoversAugmentation:
         vocab = build_vocabulary([image_to_move_sequence(img)], max_len=15)
         rng = np.random.default_rng(0)
         for _ in range(25):
-            patch = generate_patch(img, AugmentConfig(), rng.spawn(1)[0])
+            patch, _ = generate_patch_with_params(img, AugmentConfig(),
+                                                  rng.spawn(1)[0])
             ids = encode(image_to_move_sequence(patch), vocab)
             assert all(0 <= i < vocab.size for i in ids)

@@ -14,7 +14,11 @@ import math
 import numpy as np
 import pytest
 
-from strokegen.augment import AugmentConfig, generate_patch, generate_patch_set
+from strokegen.augment import (
+    AugmentConfig,
+    generate_patch_set,
+    generate_patch_with_params,
+)
 from strokegen.demo import DEMO_KINDS, make_demo_image
 from strokegen.geometry import Path, Polyline, StrokeImage, flatten_path
 from strokegen.training import tokenize_patches
@@ -224,8 +228,8 @@ def test_patches_flatten_and_tokenize_like_scalar_path(demo_image, seed):
     vocab = build_vocabulary([image_to_move_sequence(demo_image)], MAX_LEN)
     assert_image_matches(demo_image, vocab)
     for rng in np.random.default_rng(seed).spawn(20):
-        assert_image_matches(generate_patch(demo_image, AugmentConfig(), rng),
-                             vocab)
+        patch, _ = generate_patch_with_params(demo_image, AugmentConfig(), rng)
+        assert_image_matches(patch, vocab)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +240,34 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(StrokeImage([], 180.0), micro_config())
 
+    def test_step_tape_is_freed_before_the_next_forward(self, micro_image,
+                                                         monkeypatch):
+        from strokegen import training
+
+        forward, loss_fn = training.encoder_forward, training.cross_entropy
+        tape: list[weakref.ref] = []  # each step's hidden states and loss
+        alive: list[int] = []  # per forward: earlier tape arrays still held
+
+        def watched_forward(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in tape))
+            hidden = forward(*args, **kwargs)
+            if hidden.requires_grad:
+                tape.append(weakref.ref(hidden.data))
+            return hidden
+
+        def watched_loss(*args):
+            loss = loss_fn(*args)
+            if loss.requires_grad:
+                tape.append(weakref.ref(loss.data))
+            return loss
+
+        monkeypatch.setattr(training, "encoder_forward", watched_forward)
+        monkeypatch.setattr(training, "cross_entropy", watched_loss)
+        ckpt = train(micro_image, micro_config())
+        steps = ckpt.rng_state["optimizer_steps"]
+        assert steps > 1 and len(tape) == 2 * steps
+        assert alive == [0] * len(alive)
+
 
 class TestCheckpointFormat:
     def test_json_round_trip_equality(self, micro_image):
@@ -257,6 +286,22 @@ class TestCheckpointFormat:
     def test_version_check(self):
         with pytest.raises(ValueError):
             checkpoint_from_json({"version": 999})
+
+    def test_failed_save_keeps_the_old_checkpoint(self, run, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(run, path)
+        before = path.read_bytes()
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"boundary":180.0,"epoch":')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(run, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
 
     def test_loss_csv(self, micro_image, tmp_path):
         ckpt = train(micro_image, micro_config(epochs=2))
