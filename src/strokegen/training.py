@@ -316,10 +316,14 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
     params = {}
     for name, (shape, _) in table.items():
         entry = data["params"][name]
+        if not isinstance(entry, dict) or not isinstance(entry.get("data"), str):
+            raise ValueError(f"parameter {name!r} must be an object with a "
+                             f"base64 'data' string")
         raw = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f4")
-        if list(entry["shape"]) != list(shape) or raw.size != math.prod(shape):
-            raise ValueError(f"parameter {name!r} has shape {entry['shape']} "
-                             f"and {raw.size} values, expected {list(shape)}")
+        if entry.get("shape") != list(shape) or raw.size != math.prod(shape):
+            raise ValueError(f"parameter {name!r} has shape "
+                             f"{entry.get('shape')} and {raw.size} values, "
+                             f"expected {list(shape)}")
         if not np.isfinite(raw).all():
             raise ValueError(f"parameter {name!r} has non-finite values")
         params[name] = raw.reshape(shape).astype(np.float32)

@@ -456,8 +456,14 @@ def _with_model(**changes):
      "model setting 'double_attention' must be bool, got 1"),
     (lambda data: {**data, "train": {**data["train"], "epochs": 2.0}},
      "train setting 'epochs' must be int, got 2.0"),
+    (lambda data: {**data, "params": {**data["params"], "embedding": 5}},
+     "parameter 'embedding' must be an object with a base64 'data' string"),
+    (lambda data: {**data, "params": {**data["params"], "embedding": {
+        **data["params"]["embedding"], "shape": 5}}},
+     "parameter 'embedding' has shape 5"),
 ], ids=["list-document", "list-model", "null-params", "unknown-model-key",
-        "string-d-model", "int-double-attention", "float-epochs"])
+        "string-d-model", "int-double-attention", "float-epochs",
+        "number-param", "number-shape"])
 def test_malformed_checkpoint_exit_2(workdir, tmp_path, capsys, edit, field):
     data = json.loads((workdir / "run" / "checkpoint.json").read_text())
     ckpt = tmp_path / "malformed.json"
