@@ -85,9 +85,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def backward(self):
         backward(self)
 
@@ -97,9 +94,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -242,10 +236,6 @@ def add(a: Tensor, b) -> Tensor:
     return _make(a.data + const, (a,), grad_fn_const)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, mul(b, -1.0))
-
-
 def mul(a: Tensor, b) -> Tensor:
     a = _as_tensor(a)
     if isinstance(b, Tensor):
@@ -295,7 +285,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     def grad_fn(g):
         _accumulate(x, np.transpose(g, inverse))
 
-    # transposed views are fine to keep; ops downstream copy as needed
+    # contiguous: a copy of x.data unless the axes keep its order
     return _make(np.ascontiguousarray(out_data), (x,), grad_fn)
 
 

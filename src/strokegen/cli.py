@@ -17,7 +17,13 @@ import numpy as np
 from .augment import AugmentConfig, generate_patch_set
 from .autodiff import NonFiniteError
 from .demo import DEMO_KINDS, make_demo_recording
-from .geometry import load_path_image, recording_to_image, save_path_image
+from .geometry import (
+    DEFAULT_FIT_ERROR,
+    load_path_image,
+    recording_to_image,
+    save_path_image,
+)
+from .model import FIELD_TYPES
 from .sampling import (
     SamplerConfig,
     center_polylines,
@@ -49,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("recording", type=Path, help="recording JSON file")
     p.add_argument("-o", "--out", type=Path, required=True,
                    help="output path-image JSON")
-    p.add_argument("--fit-error", type=float, default=1.0,
-                   help="max fitting error in canvas units (default 1)")
+    p.add_argument("--fit-error", type=float, default=DEFAULT_FIT_ERROR,
+                   help="max fitting error in canvas units (default %(default)g)")
 
     p = sub.add_parser("train", help="train a model on a path image")
     p.add_argument("pathimage", type=Path, help="path-image JSON file")
@@ -70,13 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="generate images from a checkpoint")
     p.add_argument("checkpoint", type=Path)
     p.add_argument("--out", type=Path, required=True, help="output SVG file")
-    p.add_argument("--k", type=int, default=10, help="top-k cutoff")
+    p.add_argument("--k", type=int, default=SamplerConfig.k,
+                   help="top-k cutoff")
     p.add_argument("--init-len", type=int,
                    help="initialization vector length (default: L/2)")
     p.add_argument("--max-moves", type=int,
                    help="generation cap per image (default: 4*L)")
     p.add_argument("--count", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SamplerConfig.seed)
     p.add_argument("--columns", type=int, default=4)
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel sampling processes")
@@ -126,14 +133,15 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    with open(args.out / "metrics.jsonl", "w") as metrics:
-        def on_epoch(stats):
-            print(f"epoch {stats.epoch:3d}: train {stats.train_loss:.4f} "
-                  f"heldout {stats.heldout_loss:.4f}")
+    def on_epoch(stats):
+        print(f"epoch {stats.epoch:3d}: train {stats.train_loss:.4f} "
+              f"heldout {stats.heldout_loss:.4f}")
+        # a run that train() refuses keeps the metrics of an earlier run
+        with open(args.out / "metrics.jsonl",
+                  "w" if stats.epoch == 1 else "a") as metrics:
             metrics.write(json.dumps(dataclasses.asdict(stats)) + "\n")
-            metrics.flush()
 
-        ckpt = train(image, cfg, on_epoch=on_epoch)
+    ckpt = train(image, cfg, on_epoch=on_epoch)
     save_checkpoint(ckpt, args.out / "checkpoint.json")
     write_loss_csv(ckpt.loss_history, args.out / "loss.csv")
     chart = line_chart_svg(
@@ -162,9 +170,6 @@ def cmd_sample(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     cfg = SamplerConfig(k=args.k, init_len=args.init_len,
                         max_moves=args.max_moves, seed=args.seed)
-    if args.k > ckpt.vocab.size:
-        raise ValueError(f"k={args.k} exceeds vocabulary size "
-                         f"{ckpt.vocab.size}")
     results = generate_images(ckpt, cfg, args.count, jobs=args.jobs)
     svg = render_svg(
         [center_polylines(r.polylines, ckpt.boundary) for r in results],
@@ -204,7 +209,7 @@ def cmd_demo_recording(args) -> int:
 # Config files
 # ---------------------------------------------------------------------------
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_ANNOTATIONS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
 def parse_config_file(path: Path) -> dict:
@@ -217,32 +222,17 @@ def parse_config_file(path: Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in _ANNOTATIONS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+        json_types, parse = FIELD_TYPES[_ANNOTATIONS[key]]
+        none = value.lower() in ("none", "null")
         try:
-            overrides[key] = _coerce(value, _FIELD_TYPES[key])
+            if none and type(None) not in json_types:
+                raise ValueError("cannot be none")
+            overrides[key] = None if none else parse(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: setting {key!r}: {exc}") from None
     return overrides
-
-
-def _coerce(value: str, annotation: str):
-    annotation = str(annotation)
-    if value.lower() in ("none", "null"):
-        if "None" in annotation:
-            return None
-        raise ValueError("cannot be none")
-    if "bool" in annotation:
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError("expects true/false")
-    if "int" in annotation:
-        return int(value)
-    if "float" in annotation:
-        return float(value)
-    return value
 
 
 # ---------------------------------------------------------------------------

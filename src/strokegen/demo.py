@@ -35,9 +35,9 @@ def make_demo_recording(kind: str, boundary: float = DEFAULT_BOUNDARY) -> dict:
     }
 
 
-def make_demo_image(kind: str, boundary: float = DEFAULT_BOUNDARY,
-                    fit_error: float = 1.0) -> StrokeImage:
-    return recording_to_image(make_demo_recording(kind, boundary), fit_error)
+def make_demo_image(kind: str,
+                    boundary: float = DEFAULT_BOUNDARY) -> StrokeImage:
+    return recording_to_image(make_demo_recording(kind, boundary))
 
 
 def _sample_polygon(corners: np.ndarray, spacing: float = 2.0) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_BOUNDARY = 180.0
+DEFAULT_FIT_ERROR = 1.0  # max distance of a fitted curve from its stroke
 
 # Newton-Raphson reparameterization rounds tried before splitting a segment.
 _REPARAM_ROUNDS = 4
@@ -527,7 +528,8 @@ def load_recording(source) -> tuple[list[np.ndarray], float]:
     return strokes, boundary
 
 
-def recording_to_image(source, fit_error: float = 1.0) -> StrokeImage:
+def recording_to_image(source,
+                       fit_error: float = DEFAULT_FIT_ERROR) -> StrokeImage:
     """Fit every recorded stroke and pull the result inside the canvas.
 
     Fitted control points can overshoot the recorded extent, so the image is

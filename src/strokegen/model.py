@@ -42,39 +42,36 @@ class ModelConfig:
     double_attention: bool = True
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        if self.seq_len < 2:
-            raise ValueError("seq_len must be >= 2")
-        for name in ("d_model", "n_layers", "n_heads", "d_ff"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        check_heads(self.d_model, self.n_heads)
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
+        for f in dataclasses.fields(self):
+            least = 2 if f.name in _DATA_FIELDS else 1
+            if f.type == "int" and getattr(self, f.name) < least:
+                raise ValueError(f"{f.name} must be >= {least}")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError(f"d_model {self.d_model} not divisible by "
+                             f"{self.n_heads} heads")
 
     @property
     def attn_sublayers(self) -> int:
         return 2 if self.double_attention else 1
 
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ModelConfig":
-        return config_from_json(cls, data, "model")
-
-
-def check_heads(d_model: int, n_heads: int):
-    if d_model % n_heads != 0:
-        raise ValueError(f"d_model {d_model} not divisible by {n_heads} heads")
+# the ModelConfig fields set by the data; TrainConfig repeats the others
+_DATA_FIELDS = ("vocab_size", "seq_len")
+MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelConfig)
+                     if f.name not in _DATA_FIELDS)
 
 
-# JSON value types of config fields by annotation; a bool is no int here
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool,
-               "int | None": (int, type(None))}
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError("expects true/false")
+    return text.lower() in ("true", "1", "yes")
+
+
+# Per config-field annotation: the exact JSON types of a checkpoint value (so
+# a bool is no int) and the parser of a config-file value
+FIELD_TYPES = {"int": ((int,), int), "float": ((int, float), float),
+               "bool": ((bool,), _parse_bool),
+               "int | None": ((int, type(None)), int)}
 
 
 def config_from_json(cls, data: dict, section: str):
@@ -85,8 +82,7 @@ def config_from_json(cls, data: dict, section: str):
     if unknown:
         raise ValueError(f"unknown {section} settings in checkpoint: {unknown}")
     for name, value in data.items():
-        if (not isinstance(value, _JSON_TYPES[types[name]])
-                or isinstance(value, bool) != (types[name] == "bool")):
+        if type(value) not in FIELD_TYPES[types[name]][0]:
             raise ValueError(f"{section} setting {name!r} must be "
                              f"{types[name]}, got {value!r}")
     return cls(**data)

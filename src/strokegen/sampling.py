@@ -23,18 +23,6 @@ from .svgout import render_svg  # re-exported: grids of sampled images
 from .tokenizer import Vocabulary, decode, moves_to_image
 from .training import SEED_SAMPLING, Checkpoint, derived_rng
 
-__all__ = [
-    "SamplerConfig",
-    "GenerationResult",
-    "center_polylines",
-    "top_k_distribution",
-    "top_k_sample",
-    "make_init_vector",
-    "generate_images",
-    "render_svg",
-]
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     """k: top-k cutoff; init_len/max_moves default to L/2 and 4*L."""
@@ -144,8 +132,6 @@ def _sample_lockstep(task) -> list[GenerationResult]:
     """
     ckpt, cfg, indices = task
     vocab, model_cfg, k = ckpt.vocab, ckpt.model, cfg.k
-    if k > vocab.size:
-        raise ValueError(f"k={k} exceeds vocabulary size {vocab.size}")
     seq_len, end_id = model_cfg.seq_len, vocab.image_end_id
     init_len, max_moves = cfg.resolve(seq_len)
     params = ckpt.param_tensors()
@@ -207,6 +193,8 @@ def generate_images(ckpt: Checkpoint, cfg: SamplerConfig, count: int,
         raise ValueError("count must be >= 0")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if cfg.k > ckpt.vocab.size:
+        raise ValueError(f"k={cfg.k} exceeds vocabulary size {ckpt.vocab.size}")
     chunks = [(ckpt, cfg, chunk.tolist())
               for chunk in np.array_split(np.arange(count), min(jobs, count))
               ] if count else []

@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 
-from .geometry import DEFAULT_BOUNDARY, Polyline, StrokeImage, flatten_path
+from .geometry import DEFAULT_BOUNDARY, StrokeImage, flatten_path
+from .tokenizer import DEFAULT_FLATTEN_ERROR
 
+_MARGIN = 10.0  # around and between the cells of a grid
 _CHART_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
@@ -23,13 +25,7 @@ def polyline_path_data(points: np.ndarray) -> str:
     return " ".join(parts)
 
 
-def _as_polylines(item, flatten_error: float) -> list[Polyline]:
-    if isinstance(item, StrokeImage):
-        return [flatten_path(p, flatten_error) for p in item.paths]
-    return list(item)
-
-
-def _path_color(index: int, rng: np.random.Generator | None) -> str:
+def _path_color(rng: np.random.Generator | None) -> str:
     if rng is None:
         return "#000000"
     hue = rng.random()
@@ -38,9 +34,7 @@ def _path_color(index: int, rng: np.random.Generator | None) -> str:
 
 
 def render_svg(images, columns: int = 4, *, boundary: float | None = None,
-               margin: float = 10.0, stroke_width: float = 1.0,
-               color_seed: int | None = None,
-               flatten_error: float = 1.0) -> str:
+               color_seed: int | None = None) -> str:
     """Render images (StrokeImage or lists of Polyline) as a grid.
 
     Each image sits in its own nested <svg> cell, which also clips strokes
@@ -55,9 +49,9 @@ def render_svg(images, columns: int = 4, *, boundary: float | None = None,
         )
     columns = max(1, min(columns, max(1, len(images))))
     rows = max(1, math.ceil(len(images) / columns)) if images else 1
-    cell = boundary + margin
-    width = columns * cell + margin
-    height = rows * cell + margin
+    cell = boundary + _MARGIN
+    width = columns * cell + _MARGIN
+    height = rows * cell + _MARGIN
     rng = None if color_seed is None else np.random.default_rng(color_seed)
 
     out = [
@@ -70,8 +64,8 @@ def render_svg(images, columns: int = 4, *, boundary: float | None = None,
     for idx, item in enumerate(images):
         col = idx % columns
         row = idx // columns
-        x = margin + col * cell
-        y = margin + row * cell
+        x = _MARGIN + col * cell
+        y = _MARGIN + row * cell
         out.append(
             f'<svg x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(boundary)}" '
             f'height="{_fmt(boundary)}" viewBox="0 0 {_fmt(boundary)} '
@@ -81,11 +75,12 @@ def render_svg(images, columns: int = 4, *, boundary: float | None = None,
             f'<rect width="{_fmt(boundary)}" height="{_fmt(boundary)}" '
             f'fill="none" stroke="#cccccc" stroke-width="0.5"/>'
         )
-        for pi, poly in enumerate(_as_polylines(item, flatten_error)):
-            color = _path_color(pi, rng)
+        if isinstance(item, StrokeImage):
+            item = [flatten_path(p, DEFAULT_FLATTEN_ERROR) for p in item.paths]
+        for poly in item:
             out.append(
                 f'<path d="{polyline_path_data(poly.points)}" fill="none" '
-                f'stroke="{color}" stroke-width="{_fmt(stroke_width)}" '
+                f'stroke="{_path_color(rng)}" stroke-width="1" '
                 f'stroke-linecap="round" stroke-linejoin="round"/>'
             )
         out.append("</svg>")
@@ -93,10 +88,9 @@ def render_svg(images, columns: int = 4, *, boundary: float | None = None,
     return "\n".join(out)
 
 
-def line_chart_svg(series: dict[str, list[float]], title: str = "",
-                   x_label: str = "epoch", y_label: str = "loss",
-                   width: float = 640.0, height: float = 400.0) -> str:
+def line_chart_svg(series: dict[str, list[float]], title: str = "") -> str:
     """Minimal line chart; one polyline per named series, epochs on x."""
+    width, height = 640.0, 400.0
     pad = 50.0
     plot_w = width - 2 * pad
     plot_h = height - 2 * pad
@@ -133,10 +127,10 @@ def line_chart_svg(series: dict[str, list[float]], title: str = "",
         f'font-family="sans-serif">{y_min:.3g}</text>',
         f'<text x="{_fmt(width / 2)}" y="{_fmt(height - 12)}" '
         f'text-anchor="middle" font-size="11" '
-        f'font-family="sans-serif">{x_label}</text>',
+        f'font-family="sans-serif">epoch</text>',
         f'<text x="15" y="{_fmt(height / 2)}" text-anchor="middle" '
         f'font-size="11" font-family="sans-serif" '
-        f'transform="rotate(-90 15 {_fmt(height / 2)})">{y_label}</text>',
+        f'transform="rotate(-90 15 {_fmt(height / 2)})">loss</text>',
     ]
     for si, (name, values) in enumerate(series.items()):
         color = _CHART_COLORS[si % len(_CHART_COLORS)]

@@ -24,14 +24,16 @@ from .geometry import (
     check_error_bound,
 )
 from .model import (
+    MODEL_FIELDS,
     ModelConfig,
-    check_heads,
     config_from_json,
     encoder_forward,
     init_encoder_params,
     parameter_table,
 )
 from .tokenizer import (
+    DEFAULT_FLATTEN_ERROR,
+    DEFAULT_MAX_MOVE_LEN,
     Vocabulary,
     build_vocabulary,
     encode,
@@ -67,23 +69,23 @@ class TrainConfig:
     beta2: float = 0.98
     adam_eps: float = 1e-9
     seed: int = 0
-    flatten_error: float = 1.0
-    max_move_len: int = 15
+    flatten_error: float = DEFAULT_FLATTEN_ERROR
+    max_move_len: int = DEFAULT_MAX_MOVE_LEN
     heldout_patches: int = 500
     seq_ceiling: int = 512
     fixed_patch_set: int | None = None
-    reversal_probability: float = 0.5
-    scale_min: float = 0.5
-    d_model: int = 52
-    n_layers: int = 6
-    n_heads: int = 4
-    d_ff: int = 2048
-    double_attention: bool = True
+    reversal_probability: float = AugmentConfig.reversal_probability
+    scale_min: float = AugmentConfig.scale_min
+    d_model: int = ModelConfig.d_model
+    n_layers: int = ModelConfig.n_layers
+    n_heads: int = ModelConfig.n_heads
+    d_ff: int = ModelConfig.d_ff
+    double_attention: bool = ModelConfig.double_attention
 
     def __post_init__(self):
         for name in ("epochs", "patches_per_epoch", "batch_size",
                      "warmup_steps", "heldout_patches", "seq_ceiling",
-                     "max_move_len", "d_model", "n_layers", "n_heads", "d_ff"):
+                     "max_move_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("beta1", "beta2"):
@@ -96,16 +98,7 @@ class TrainConfig:
         if self.fixed_patch_set is not None and self.fixed_patch_set < 1:
             raise ValueError("fixed_patch_set must be >= 1 when set")
         augment_config(self)
-        check_heads(self.d_model, self.n_heads)
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TrainConfig":
-        # "jobs" (parallel patch generation) is kept by older checkpoints
-        return config_from_json(
-            cls, {k: v for k, v in data.items() if k != "jobs"}, "train")
+        model_config(self, 2, 2)  # the smallest data, to check the model sizes
 
 
 def desk_preset(**overrides) -> TrainConfig:
@@ -158,8 +151,9 @@ def init_adam_state(params: dict[str, Tensor]) -> AdamState:
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.98, eps: float = 1e-9):
+              state: AdamState, lr: float, beta1: float = TrainConfig.beta1,
+              beta2: float = TrainConfig.beta2,
+              eps: float = TrainConfig.adam_eps):
     """Bias-corrected Adam update, in place."""
     state.step += 1
     t = state.step
@@ -256,7 +250,6 @@ class Checkpoint:
     epoch: int
     loss_history: list[EpochStats]
     rng_state: dict
-    version: int = CHECKPOINT_VERSION
     boundary: float = DEFAULT_BOUNDARY  # canvas side of the training image
 
     def param_tensors(self) -> dict[str, Tensor]:
@@ -265,10 +258,10 @@ class Checkpoint:
 
 def checkpoint_to_json(ckpt: Checkpoint) -> dict:
     return {
-        "version": ckpt.version,
+        "version": CHECKPOINT_VERSION,
         "boundary": ckpt.boundary,
-        "model": ckpt.model.to_json_dict(),
-        "train": ckpt.train.to_json_dict(),
+        "model": dataclasses.asdict(ckpt.model),
+        "train": dataclasses.asdict(ckpt.train),
         "vocabulary": ckpt.vocab.to_json_dict(),
         "epoch": ckpt.epoch,
         "loss_history": [
@@ -290,7 +283,8 @@ def checkpoint_to_json(ckpt: Checkpoint) -> dict:
 
 def checkpoint_from_json(data: dict) -> Checkpoint:
     """Load a checkpoint, checking that its vocabulary is the closed grid,
-    that it matches the model's vocab_size and that the parameters have the
+    that it matches the model's vocab_size, that the model sizes and the
+    move length it states twice agree and that the parameters have the
     names and shapes of that model and are finite. A checkpoint without a
     canvas boundary is for the default canvas."""
     if not isinstance(data, dict):
@@ -302,11 +296,32 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
         if not isinstance(data.get(name), dict):
             raise ValueError(f"checkpoint {name!r} must be a JSON object, got "
                              f"{type(data.get(name)).__name__}")
-    model = ModelConfig.from_json_dict(data["model"])
+    if type(data.get("epoch")) is not int:
+        raise ValueError(f"checkpoint 'epoch' must be an integer, got "
+                         f"{data.get('epoch')!r}")
+    try:
+        history = [EpochStats(int(e), float(t), float(h))
+                   for e, t, h in data["loss_history"]]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("checkpoint 'loss_history' must be a list of "
+                         "[epoch, train_loss, heldout_loss] rows") from None
+    model = config_from_json(ModelConfig, data["model"], "model")
+    # "jobs" (parallel patch generation) is kept by older checkpoints
+    train = config_from_json(
+        TrainConfig, {k: v for k, v in data["train"].items() if k != "jobs"},
+        "train")
     vocab = Vocabulary.from_json_dict(data["vocabulary"])
     if model.vocab_size != vocab.size:
         raise ValueError(f"model.vocab_size {model.vocab_size} does not match "
                          f"the vocabulary size {vocab.size}")
+    for name in MODEL_FIELDS:
+        if getattr(model, name) != getattr(train, name):
+            raise ValueError(f"model.{name} {getattr(model, name)!r} does not "
+                             f"match train.{name} {getattr(train, name)!r}")
+    if vocab.max_move_length != train.max_move_len:
+        raise ValueError(f"vocabulary.max_move_length {vocab.max_move_length} "
+                         f"does not match train.max_move_len "
+                         f"{train.max_move_len}")
     table = parameter_table(model)
     names = set(data["params"])
     if names != set(table):
@@ -329,14 +344,12 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
         params[name] = raw.reshape(shape).astype(np.float32)
     return Checkpoint(
         model=model,
-        train=TrainConfig.from_json_dict(data["train"]),
+        train=train,
         vocab=vocab,
         params=params,
-        epoch=int(data["epoch"]),
-        loss_history=[EpochStats(int(e), float(t), float(h))
-                      for e, t, h in data["loss_history"]],
+        epoch=data["epoch"],
+        loss_history=history,
         rng_state=data["rng_state"],
-        version=int(data["version"]),
         boundary=_boundary_from_json(data),
     )
 
@@ -374,6 +387,13 @@ def augment_config(cfg: TrainConfig) -> AugmentConfig:
     """The patch synthesis settings of a training configuration."""
     return AugmentConfig(reversal_probability=cfg.reversal_probability,
                          scale_min=cfg.scale_min)
+
+
+def model_config(cfg: TrainConfig, vocab_size: int,
+                 seq_len: int) -> ModelConfig:
+    """The model of a training configuration, for data of these sizes."""
+    return ModelConfig(vocab_size, seq_len,
+                       **{name: getattr(cfg, name) for name in MODEL_FIELDS})
 
 
 def patch_set(image: StrokeImage, cfg: TrainConfig, n: int,
@@ -425,9 +445,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
                                             cfg.max_move_len)
     seq_len = max(2, min(len(original_moves), cfg.seq_ceiling))
     vocab = build_vocabulary([original_moves], cfg.max_move_len)
-    model_cfg = ModelConfig(
-        vocab.size, seq_len, d_model=cfg.d_model, n_layers=cfg.n_layers,
-        n_heads=cfg.n_heads, d_ff=cfg.d_ff, double_attention=cfg.double_attention)
+    model_cfg = model_config(cfg, vocab.size, seq_len)
     params = init_encoder_params(model_cfg, derived_rng(cfg.seed, SEED_INIT))
 
     def tokens(n: int, *key: int) -> list[np.ndarray]:

@@ -10,10 +10,12 @@ import pytest
 from strokegen.cli import main, parse_config_file
 from strokegen.demo import make_demo_recording
 from strokegen.geometry import load_path_image
+from strokegen.model import config_from_json
 from strokegen.training import (
     EpochMetrics,
     EpochStats,
     TrainConfig,
+    desk_preset,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -274,6 +276,19 @@ class TestTrain:
         assert (out / "metrics.jsonl").read_bytes() == b'{"epoch": 1}\n'
         assert [p.name for p in out.iterdir()] == ["metrics.jsonl"]
 
+    def test_refused_image_leaves_the_metrics_alone(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"boundary": 180, "paths": []}))
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "metrics.jsonl").write_bytes(b'{"epoch": 1}\n')
+        assert main(["train", str(empty), "-o", str(out),
+                     "--preset", "desk"]) == 2
+        assert ("cannot train on an image without paths"
+                in capsys.readouterr().err)
+        assert (out / "metrics.jsonl").read_bytes() == b'{"epoch": 1}\n'
+        assert [p.name for p in out.iterdir()] == ["metrics.jsonl"]
+
     def test_numeric_failure_exit_3(self, workdir, tmp_path, monkeypatch):
         from strokegen import cli
         from strokegen.autodiff import NonFiniteError
@@ -323,6 +338,15 @@ class TestSample:
             "--out", str(out), "--count", "1", "--jobs", jobs,
         ]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_exceeding_vocab_exit_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "x.svg"
+        assert main([
+            "sample", str(workdir / "run" / "checkpoint.json"),
+            "--out", str(out), "--count", "0", "--k", "100000",
+        ]) == 2
+        assert "k=100000 exceeds vocabulary size" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("columns", ["0", "-2"])
@@ -425,8 +449,18 @@ def _swap_vocab_entries(data):
     (_nan_weight, "parameter 'layer0.ff.w1' has non-finite values"),
     (_swap_vocab_entries, "vocabulary entries are not the closed move grid"),
     (_zero_heads, "n_heads must be >= 1"),
+    (lambda data: data["train"].update(d_model=64),
+     "model.d_model 8 does not match train.d_model 64"),
+    (lambda data: data["train"].update(n_heads=8),
+     "model.n_heads 2 does not match train.n_heads 8"),
+    (lambda data: data["train"].update(double_attention=False),
+     "model.double_attention True does not match train.double_attention "
+     "False"),
+    (lambda data: data["train"].update(max_move_len=10),
+     "vocabulary.max_move_length 15 does not match train.max_move_len 10"),
 ], ids=["extra-param", "embedding-shape", "vocab-size", "non-finite",
-        "vocab-entries", "zero-heads"])
+        "vocab-entries", "zero-heads", "train-d-model", "train-n-heads",
+        "train-double-attention", "train-max-move-len"])
 def test_tampered_checkpoint_exit_2(workdir, tmp_path, capsys, tamper, field):
     data = json.loads((workdir / "run" / "checkpoint.json").read_text())
     tamper(data)
@@ -461,9 +495,15 @@ def _with_model(**changes):
     (lambda data: {**data, "params": {**data["params"], "embedding": {
         **data["params"]["embedding"], "shape": 5}}},
      "parameter 'embedding' has shape 5"),
+    (lambda data: {**data, "loss_history": 5}, "checkpoint 'loss_history'"),
+    (lambda data: {**data, "loss_history": None},
+     "checkpoint 'loss_history'"),
+    (lambda data: {**data, "epoch": None},
+     "checkpoint 'epoch' must be an integer, got None"),
 ], ids=["list-document", "list-model", "null-params", "unknown-model-key",
         "string-d-model", "int-double-attention", "float-epochs",
-        "number-param", "number-shape"])
+        "number-param", "number-shape", "number-history", "null-history",
+        "null-epoch"])
 def test_malformed_checkpoint_exit_2(workdir, tmp_path, capsys, edit, field):
     data = json.loads((workdir / "run" / "checkpoint.json").read_text())
     ckpt = tmp_path / "malformed.json"
@@ -576,3 +616,24 @@ class TestConfigFile:
         with pytest.raises(ValueError) as info:
             parse_config_file(cfg)
         assert str(info.value) == f"{cfg}:2: setting {key!r}: {reason}"
+
+    # JSON values of the wrong kind for each field annotation
+    WRONG_KINDS = {"int": [2.0, True, "7"], "float": [True, "0.5"],
+                   "bool": [1, "true"], "int | None": [2.5, False, "7"]}
+
+    @pytest.mark.parametrize("preset", [TrainConfig(), desk_preset()],
+                             ids=["full", "desk"])
+    def test_every_field_round_trips(self, tmp_path, preset):
+        values = dataclasses.asdict(preset)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert parse_config_file(cfg) == values
+        assert config_from_json(TrainConfig, json.loads(json.dumps(values)),
+                                "train") == preset
+        for field in dataclasses.fields(TrainConfig):
+            for wrong in self.WRONG_KINDS[field.type]:
+                with pytest.raises(ValueError) as info:
+                    config_from_json(TrainConfig, {**values, field.name: wrong},
+                                     "train")
+                assert str(info.value) == (f"train setting {field.name!r} must "
+                                           f"be {field.type}, got {wrong!r}")

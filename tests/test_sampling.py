@@ -176,6 +176,14 @@ class TestGenerateImage:
                 micro_ckpt, SamplerConfig(k=micro_ckpt.vocab.size + 1), 1
             )
 
+    @pytest.mark.parametrize("count, jobs", [(0, 1), (3, 2)])
+    def test_k_exceeding_vocab_rejected_before_sampling(self, micro_ckpt,
+                                                        count, jobs):
+        k = micro_ckpt.vocab.size + 1
+        with pytest.raises(ValueError, match=f"k={k} exceeds vocabulary size "
+                                             f"{micro_ckpt.vocab.size}"):
+            generate_images(micro_ckpt, SamplerConfig(k=k), count, jobs=jobs)
+
 
 class TestCenterPolylines:
     def test_bbox_lands_on_canvas_center(self):
@@ -210,7 +218,7 @@ class TestRenderSvg:
     def test_grid_layout_arithmetic(self):
         images = [[Polyline(np.array([[0.0, 0.0], [5.0, 5.0]]))]
                   for _ in range(7)]
-        svg = render_svg(images, columns=3, boundary=180.0, margin=10.0)
+        svg = render_svg(images, columns=3, boundary=180.0)
         cells = re.findall(r'<svg x="([\d.]+)" y="([\d.]+)"', svg)
         assert len(cells) == 7
         coords = {(float(x), float(y)) for x, y in cells}
