@@ -300,9 +300,11 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
         raise ValueError(f"checkpoint 'epoch' must be an integer, got "
                          f"{data.get('epoch')!r}")
     try:
+        if not isinstance(data.get("loss_history"), list):
+            raise TypeError
         history = [EpochStats(int(e), float(t), float(h))
                    for e, t, h in data["loss_history"]]
-    except (KeyError, TypeError, ValueError):
+    except (TypeError, ValueError):
         raise ValueError("checkpoint 'loss_history' must be a list of "
                          "[epoch, train_loss, heldout_loss] rows") from None
     model = config_from_json(ModelConfig, data["model"], "model")

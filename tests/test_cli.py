@@ -498,12 +498,15 @@ def _with_model(**changes):
     (lambda data: {**data, "loss_history": 5}, "checkpoint 'loss_history'"),
     (lambda data: {**data, "loss_history": None},
      "checkpoint 'loss_history'"),
+    (lambda data: {**data, "loss_history": {}}, "checkpoint 'loss_history'"),
+    (lambda data: {**data, "loss_history": [[1, 2.0]]},
+     "checkpoint 'loss_history'"),
     (lambda data: {**data, "epoch": None},
      "checkpoint 'epoch' must be an integer, got None"),
 ], ids=["list-document", "list-model", "null-params", "unknown-model-key",
         "string-d-model", "int-double-attention", "float-epochs",
         "number-param", "number-shape", "number-history", "null-history",
-        "null-epoch"])
+        "object-history", "short-history-row", "null-epoch"])
 def test_malformed_checkpoint_exit_2(workdir, tmp_path, capsys, edit, field):
     data = json.loads((workdir / "run" / "checkpoint.json").read_text())
     ckpt = tmp_path / "malformed.json"
