@@ -188,6 +188,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_augment_preview(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     image = load_path_image(args.pathimage)
     patches = generate_patch_set(
         image, args.n, AugmentConfig(),

@@ -39,6 +39,8 @@ class SamplerConfig:
             raise ValueError("init_len must be >= 1")
         if self.max_moves is not None and self.max_moves < 1:
             raise ValueError("max_moves must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolve(self, seq_len: int) -> tuple[int, int]:
         init_len = self.init_len if self.init_len is not None else max(

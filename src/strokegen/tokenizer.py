@@ -192,30 +192,6 @@ class Vocabulary:
         return (isinstance(other, Vocabulary)
                 and self.max_move_length == other.max_move_length)
 
-    def to_json_dict(self) -> dict:
-        moves = decode(range(self.n_regular), self).tolist()
-        return {
-            "max_move_length": self.max_move_length,
-            "entries": [
-                {"pen": bool(pen), "dx": dx, "dy": dy, "id": i}
-                for i, (pen, dx, dy) in enumerate(moves)
-            ],
-            "specials": {"IMAGE_END": self.image_end_id},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Vocabulary":
-        length = data.get("max_move_length")
-        if type(length) is not int or length < 1:
-            raise ValueError(f"vocabulary max_move_length must be an integer "
-                             f">= 1, got {length!r}")
-        vocab = cls(length)
-        if data != vocab.to_json_dict():
-            raise ValueError(f"vocabulary entries are not the closed move grid "
-                             f"of max_move_length {length} with IMAGE_END "
-                             f"last")
-        return vocab
-
 
 def build_vocabulary(corpora: Iterable, max_len: int = DEFAULT_MAX_MOVE_LEN
                      ) -> Vocabulary:

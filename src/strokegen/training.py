@@ -43,7 +43,7 @@ from .tokenizer import (
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 EVAL_CHUNK = 100  # windows per forward pass during evaluation
 
 # rng stream tags mixed into numpy SeedSequence entropy as (seed, tag[, index])
@@ -95,6 +95,8 @@ class TrainConfig:
         if not self.adam_eps > 0:
             raise ValueError(f"adam_eps must be positive, got {self.adam_eps!r}")
         check_error_bound("flatten_error", self.flatten_error)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.fixed_patch_set is not None and self.fixed_patch_set < 1:
             raise ValueError("fixed_patch_set must be >= 1 when set")
         augment_config(self)
@@ -256,49 +258,70 @@ class Checkpoint:
         return {k: Tensor(v) for k, v in self.params.items()}
 
 
+def _derived(train: TrainConfig, seq_len: int
+             ) -> tuple[Vocabulary, ModelConfig]:
+    """The vocabulary and the model that train settings fix for a window."""
+    vocab = Vocabulary(train.max_move_len)
+    return vocab, model_config(train, vocab.size, seq_len)
+
+
+def _facts(vocab: Vocabulary, model: ModelConfig, shapes: dict) -> dict:
+    """What a Checkpoint holds beside its train settings, by field name."""
+    return {"vocab.max_move_length": vocab.max_move_length,
+            **{f"model.{k}": v for k, v in dataclasses.asdict(model).items()},
+            **{f"parameter {k!r} shape": list(v) for k, v in shapes.items()}}
+
+
 def checkpoint_to_json(ckpt: Checkpoint) -> dict:
+    """The checkpoint document, refusing a Checkpoint whose model,
+    vocabulary or parameter shapes are not those its train settings and
+    window length derive: the document stores only the settings."""
+    vocab, model = _derived(ckpt.train, ckpt.model.seq_len)
+    held = _facts(ckpt.vocab, ckpt.model,
+                  {k: v.shape for k, v in ckpt.params.items()})
+    derived = _facts(vocab, model, {k: shape for k, (shape, _)
+                                    in parameter_table(model).items()})
+    for name in sorted(held.keys() | derived.keys()):
+        if held.get(name) != derived.get(name):
+            raise ValueError(f"{name} is {held.get(name)!r}, but train "
+                             f"derives {derived.get(name)!r}")
     return {
         "version": CHECKPOINT_VERSION,
         "boundary": ckpt.boundary,
-        "model": dataclasses.asdict(ckpt.model),
+        "seq_len": model.seq_len,
         "train": dataclasses.asdict(ckpt.train),
-        "vocabulary": ckpt.vocab.to_json_dict(),
         "epoch": ckpt.epoch,
         "loss_history": [
             [s.epoch, s.train_loss, s.heldout_loss] for s in ckpt.loss_history
         ],
         "rng_state": ckpt.rng_state,
         "params": {
-            name: {
-                "shape": list(arr.shape),
-                "dtype": "float32",
-                "data": base64.b64encode(
-                    np.ascontiguousarray(arr.astype("<f4")).tobytes()
-                ).decode("ascii"),
-            }
+            name: base64.b64encode(
+                np.ascontiguousarray(arr.astype("<f4")).tobytes()
+            ).decode("ascii")
             for name, arr in ckpt.params.items()
         },
     }
 
 
 def checkpoint_from_json(data: dict) -> Checkpoint:
-    """Load a checkpoint, checking that its vocabulary is the closed grid,
-    that it matches the model's vocab_size, that the model sizes and the
-    move length it states twice agree and that the parameters have the
-    names and shapes of that model and are finite. A checkpoint without a
-    canvas boundary is for the default canvas."""
+    """Load a checkpoint, deriving its vocabulary and model from its train
+    settings and window length, and checking that the parameters have that
+    model's names and sizes and are finite. A checkpoint without a canvas
+    boundary is for the default canvas."""
     if not isinstance(data, dict):
         raise ValueError(f"checkpoint must be a JSON object, got "
                          f"{type(data).__name__}")
     if data.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {data.get('version')}")
-    for name in ("model", "train", "vocabulary", "params", "rng_state"):
+    for name in ("train", "params", "rng_state"):
         if not isinstance(data.get(name), dict):
             raise ValueError(f"checkpoint {name!r} must be a JSON object, got "
                              f"{type(data.get(name)).__name__}")
-    if type(data.get("epoch")) is not int:
-        raise ValueError(f"checkpoint 'epoch' must be an integer, got "
-                         f"{data.get('epoch')!r}")
+    for name in ("seq_len", "epoch"):
+        if type(data.get(name)) is not int:
+            raise ValueError(f"checkpoint {name!r} must be an integer, got "
+                             f"{data.get(name)!r}")
     try:
         if not isinstance(data.get("loss_history"), list):
             raise TypeError
@@ -307,23 +330,8 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
     except (TypeError, ValueError):
         raise ValueError("checkpoint 'loss_history' must be a list of "
                          "[epoch, train_loss, heldout_loss] rows") from None
-    model = config_from_json(ModelConfig, data["model"], "model")
-    # "jobs" (parallel patch generation) is kept by older checkpoints
-    train = config_from_json(
-        TrainConfig, {k: v for k, v in data["train"].items() if k != "jobs"},
-        "train")
-    vocab = Vocabulary.from_json_dict(data["vocabulary"])
-    if model.vocab_size != vocab.size:
-        raise ValueError(f"model.vocab_size {model.vocab_size} does not match "
-                         f"the vocabulary size {vocab.size}")
-    for name in MODEL_FIELDS:
-        if getattr(model, name) != getattr(train, name):
-            raise ValueError(f"model.{name} {getattr(model, name)!r} does not "
-                             f"match train.{name} {getattr(train, name)!r}")
-    if vocab.max_move_length != train.max_move_len:
-        raise ValueError(f"vocabulary.max_move_length {vocab.max_move_length} "
-                         f"does not match train.max_move_len "
-                         f"{train.max_move_len}")
+    train = config_from_json(TrainConfig, data["train"], "train")
+    vocab, model = _derived(train, data["seq_len"])
     table = parameter_table(model)
     names = set(data["params"])
     if names != set(table):
@@ -332,15 +340,22 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
                          f"{sorted(names - set(table))}")
     params = {}
     for name, (shape, _) in table.items():
-        entry = data["params"][name]
-        if not isinstance(entry, dict) or not isinstance(entry.get("data"), str):
-            raise ValueError(f"parameter {name!r} must be an object with a "
-                             f"base64 'data' string")
-        raw = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f4")
-        if entry.get("shape") != list(shape) or raw.size != math.prod(shape):
-            raise ValueError(f"parameter {name!r} has shape "
-                             f"{entry.get('shape')} and {raw.size} values, "
-                             f"expected {list(shape)}")
+        value = data["params"][name]
+        if not isinstance(value, str):
+            raise ValueError(f"parameter {name!r} must be a base64 string, "
+                             f"got {type(value).__name__}")
+        try:
+            # bad base64 (binascii.Error), a non-ASCII string and a byte
+            # count that is not whole float32s all raise ValueError
+            raw = np.frombuffer(base64.b64decode(value, validate=True),
+                                dtype="<f4")
+        except ValueError as exc:
+            raise ValueError(f"parameter {name!r} is not base64 float32 "
+                             f"data: {exc}") from None
+        if raw.size != math.prod(shape):
+            raise ValueError(f"parameter {name!r} has {raw.size} values, "
+                             f"expected {math.prod(shape)} for shape "
+                             f"{list(shape)}")
         if not np.isfinite(raw).all():
             raise ValueError(f"parameter {name!r} has non-finite values")
         params[name] = raw.reshape(shape).astype(np.float32)
@@ -497,9 +512,8 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
         params={k: p.data for k, p in params.items()},
         epoch=cfg.epochs,
         loss_history=history,
+        # the seed and the epoch count are train.seed and epoch
         rng_state={
-            "seed": cfg.seed,
-            "epochs_completed": cfg.epochs,
             "optimizer_steps": adam.step,
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")
             or os.environ.get("OMP_NUM_THREADS") or "default",

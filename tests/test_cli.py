@@ -260,6 +260,7 @@ class TestTrain:
         ("scale_min = 0", "scale_min must be in (0, 1]"),
         ("reversal_probability = 1.5", "reversal_probability must be in [0, 1]"),
         ("d_model = 30", "d_model 30 not divisible by 4 heads"),
+        ("seed = -1", "seed must be >= 0, got -1"),
     ])
     def test_bad_setting_leaves_the_output_directory_alone(
             self, workdir, tmp_path, capsys, setting, message):
@@ -301,6 +302,20 @@ class TestTrain:
             "train", str(workdir / "img.json"), "-o", str(tmp_path / "x"),
             "--config", str(workdir / "micro.cfg"),
         ]) == 3
+
+
+@pytest.mark.parametrize("command, out", [
+    (["train", "img.json", "-o", "new-run", "--preset", "desk"], "new-run"),
+    (["sample", "run/checkpoint.json", "--out", "grid.svg"], "grid.svg"),
+    (["augment-preview", "img.json", "--out", "preview.svg"], "preview.svg"),
+], ids=["train", "sample", "augment-preview"])
+def test_negative_seed_exit_2_and_writes_nothing(workdir, tmp_path, capsys,
+                                                command, out):
+    args = [str(workdir / a) if a.endswith(".json") else a for a in command]
+    args[args.index(out)] = str(tmp_path / out)
+    assert main([*args, "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
 
 
 class TestSample:
@@ -374,16 +389,6 @@ class TestSample:
             "--max-moves", "30",
         ]) == 0
 
-    def test_checkpoint_with_legacy_jobs_key_samples(self, workdir, tmp_path):
-        data = json.loads((workdir / "run" / "checkpoint.json").read_text())
-        data["train"]["jobs"] = 2
-        ckpt = tmp_path / "legacy.json"
-        ckpt.write_text(json.dumps(data))
-        assert main([
-            "sample", str(ckpt), "--out", str(tmp_path / "x.svg"),
-            "--count", "1", "--max-moves", "20",
-        ]) == 0
-
     def test_checkpoint_unknown_train_key_exit_2(self, workdir, tmp_path,
                                                  capsys):
         data = json.loads((workdir / "run" / "checkpoint.json").read_text())
@@ -404,63 +409,51 @@ class TestSample:
 
 
 def _edit_param(data, name, edit):
-    entry = data["params"][name]
-    arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f4")
-    arr = edit(arr.reshape(entry["shape"]).copy()).astype("<f4")
-    entry["shape"] = list(arr.shape)
-    entry["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    arr = np.frombuffer(base64.b64decode(data["params"][name]), dtype="<f4")
+    arr = edit(arr.copy()).astype("<f4")
+    data["params"][name] = base64.b64encode(arr.tobytes()).decode("ascii")
 
 
 def _add_param(data):
-    data["params"]["extra"] = dict(data["params"]["layer0.ff.b2"])
+    data["params"]["extra"] = data["params"]["layer0.ff.b2"]
 
 
 def _add_embedding_row(data):
-    _edit_param(data, "embedding", lambda a: np.vstack([a, a[-1:]]))
-
-
-def _grow_vocab_size(data):
-    # the model and its parameters agree on one more token than the vocabulary
-    data["model"]["vocab_size"] += 1
-    _edit_param(data, "embedding", lambda a: np.vstack([a, a[-1:]]))
-    _edit_param(data, "output.w", lambda a: np.hstack([a, 0 * a[:, -1:]]))
+    _edit_param(data, "embedding", lambda a: np.append(a, a[-8:]))
 
 
 def _nan_weight(data):
     def edit(a):
-        a.flat[0] = np.nan
+        a[0] = np.nan
         return a
     _edit_param(data, "layer0.ff.w1", edit)
 
 
-def _zero_heads(data):
-    data["model"]["n_heads"] = 0
+def _with_train(**changes):
+    def edit(data):
+        data["train"].update(changes)
+        return data
+    return edit
 
 
-def _swap_vocab_entries(data):
-    a, b = data["vocabulary"]["entries"][:2]
-    a["dy"], b["dy"] = b["dy"], a["dy"]
-
-
+# the micro run: d_model 8, 2 heads, d_ff 16, 1 layer, 1 921 tokens
 @pytest.mark.parametrize("tamper, field", [
     (_add_param, "unexpected ['extra']"),
-    (_add_embedding_row, "parameter 'embedding' has shape"),
-    (_grow_vocab_size, "model.vocab_size"),
+    (_add_embedding_row,
+     "parameter 'embedding' has 15376 values, expected 15368"),
     (_nan_weight, "parameter 'layer0.ff.w1' has non-finite values"),
-    (_swap_vocab_entries, "vocabulary entries are not the closed move grid"),
-    (_zero_heads, "n_heads must be >= 1"),
-    (lambda data: data["train"].update(d_model=64),
-     "model.d_model 8 does not match train.d_model 64"),
-    (lambda data: data["train"].update(n_heads=8),
-     "model.n_heads 2 does not match train.n_heads 8"),
-    (lambda data: data["train"].update(double_attention=False),
-     "model.double_attention True does not match train.double_attention "
-     "False"),
-    (lambda data: data["train"].update(max_move_len=10),
-     "vocabulary.max_move_length 15 does not match train.max_move_len 10"),
-], ids=["extra-param", "embedding-shape", "vocab-size", "non-finite",
-        "vocab-entries", "zero-heads", "train-d-model", "train-n-heads",
-        "train-double-attention", "train-max-move-len"])
+    (_with_train(n_heads=0), "n_heads must be >= 1"),
+    (_with_train(d_model=64),
+     "parameter 'embedding' has 15368 values, expected 122944"),
+    (_with_train(n_heads=3), "d_model 8 not divisible by 3 heads"),
+    (_with_train(double_attention=False),
+     "unexpected ['layer0.attn1.norm_bias'"),
+    (_with_train(max_move_len=10),
+     "parameter 'embedding' has 15368 values, expected 7048"),
+    (lambda data: data.update(seq_len=1), "seq_len must be >= 2"),
+], ids=["extra-param", "embedding-shape", "non-finite", "zero-heads",
+        "train-d-model", "train-n-heads", "train-double-attention",
+        "train-max-move-len", "short-seq-len"])
 def test_tampered_checkpoint_exit_2(workdir, tmp_path, capsys, tamper, field):
     data = json.loads((workdir / "run" / "checkpoint.json").read_text())
     tamper(data)
@@ -473,28 +466,29 @@ def test_tampered_checkpoint_exit_2(workdir, tmp_path, capsys, tamper, field):
     assert field in capsys.readouterr().err
 
 
-def _with_model(**changes):
-    return lambda data: {**data, "model": {**data["model"], **changes}}
+def _with_param(value):
+    return lambda data: {**data, "params": {**data["params"],
+                                            "embedding": value}}
 
 
 @pytest.mark.parametrize("edit, field", [
     (lambda data: [], "checkpoint must be a JSON object, got list"),
-    (lambda data: {**data, "model": [8]},
-     "checkpoint 'model' must be a JSON object, got list"),
+    (lambda data: {**data, "train": [8]},
+     "checkpoint 'train' must be a JSON object, got list"),
     (lambda data: {**data, "params": None},
      "checkpoint 'params' must be a JSON object, got NoneType"),
-    (_with_model(dropout=0.1), "unknown model settings in checkpoint: "
-                               "['dropout']"),
-    (_with_model(d_model="8"), "model setting 'd_model' must be int, got '8'"),
-    (_with_model(double_attention=1),
-     "model setting 'double_attention' must be bool, got 1"),
-    (lambda data: {**data, "train": {**data["train"], "epochs": 2.0}},
-     "train setting 'epochs' must be int, got 2.0"),
-    (lambda data: {**data, "params": {**data["params"], "embedding": 5}},
-     "parameter 'embedding' must be an object with a base64 'data' string"),
-    (lambda data: {**data, "params": {**data["params"], "embedding": {
-        **data["params"]["embedding"], "shape": 5}}},
-     "parameter 'embedding' has shape 5"),
+    (_with_train(d_model="8"), "train setting 'd_model' must be int, got '8'"),
+    (_with_train(double_attention=1),
+     "train setting 'double_attention' must be bool, got 1"),
+    (_with_train(epochs=2.0), "train setting 'epochs' must be int, got 2.0"),
+    (_with_param(5), "parameter 'embedding' must be a base64 string, got int"),
+    (lambda data: _with_param({"shape": [1921, 8], "dtype": "float32",
+                               "data": data["params"]["embedding"]})(data),
+     "parameter 'embedding' must be a base64 string, got dict"),
+    (_with_param("abc"), "parameter 'embedding' is not base64 float32 data"),
+    (_with_param("\u00e9"), "parameter 'embedding' is not base64 float32 data"),
+    (_with_param(base64.b64encode(bytes(5)).decode("ascii")),
+     "parameter 'embedding' is not base64 float32 data"),
     (lambda data: {**data, "loss_history": 5}, "checkpoint 'loss_history'"),
     (lambda data: {**data, "loss_history": None},
      "checkpoint 'loss_history'"),
@@ -503,10 +497,14 @@ def _with_model(**changes):
      "checkpoint 'loss_history'"),
     (lambda data: {**data, "epoch": None},
      "checkpoint 'epoch' must be an integer, got None"),
-], ids=["list-document", "list-model", "null-params", "unknown-model-key",
-        "string-d-model", "int-double-attention", "float-epochs",
-        "number-param", "number-shape", "number-history", "null-history",
-        "object-history", "short-history-row", "null-epoch"])
+    (lambda data: {**data, "seq_len": 16.0},
+     "checkpoint 'seq_len' must be an integer, got 16.0"),
+    (lambda data: {**data, "version": 1}, "unsupported checkpoint version 1"),
+], ids=["list-document", "list-train", "null-params", "string-d-model",
+        "int-double-attention", "float-epochs", "number-param",
+        "object-param", "bad-padding", "non-ascii-param", "odd-byte-count",
+        "number-history", "null-history", "object-history",
+        "short-history-row", "null-epoch", "float-seq-len", "version-1"])
 def test_malformed_checkpoint_exit_2(workdir, tmp_path, capsys, edit, field):
     data = json.loads((workdir / "run" / "checkpoint.json").read_text())
     ckpt = tmp_path / "malformed.json"

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -26,6 +28,7 @@ from strokegen.training import (
     train,
     write_loss_csv,
 )
+from strokegen.tokenizer import Vocabulary
 
 
 def segment_path(x0, y0, x1, y1) -> Path:
@@ -286,6 +289,32 @@ class TestCheckpointFormat:
     def test_version_check(self):
         with pytest.raises(ValueError):
             checkpoint_from_json({"version": 999})
+
+    def test_each_fact_is_stored_once(self, run):
+        data = checkpoint_to_json(run)
+        assert set(data) == {"version", "boundary", "seq_len", "train",
+                             "epoch", "loss_history", "rng_state", "params"}
+        assert data["version"] == 2
+        assert data["seq_len"] == run.model.seq_len
+        assert set(data["params"]) == set(run.params)
+        assert all(isinstance(v, str) for v in data["params"].values())
+        assert set(data["rng_state"]) == {"optimizer_steps", "blas_threads"}
+
+    @pytest.mark.parametrize("change, field", [
+        (lambda c: {"model": dataclasses.replace(c.model, d_ff=32)},
+         "model.d_ff is 32, but train derives 16"),
+        (lambda c: {"vocab": Vocabulary(3)},
+         "vocab.max_move_length is 3, but train derives 15"),
+        (lambda c: {"params": {**c.params,
+                               "layer0.ff.w1": c.params["layer0.ff.w1"].T}},
+         "parameter 'layer0.ff.w1' shape is [16, 8], but train derives "
+         "[8, 16]"),
+    ], ids=["model", "vocab", "transposed-weight"])
+    def test_writer_refuses_what_train_does_not_derive(self, run, change,
+                                                       field):
+        ckpt = dataclasses.replace(run, **change(run))
+        with pytest.raises(ValueError, match=re.escape(field)):
+            checkpoint_to_json(ckpt)
 
     def test_failed_save_keeps_the_old_checkpoint(self, run, tmp_path,
                                                    monkeypatch):
