@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -39,8 +38,6 @@ from .training import (
     train,
     write_loss_csv,
 )
-
-logger = logging.getLogger(__name__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,11 +151,15 @@ def cmd_train(args) -> int:
     (args.out / "loss.svg").write_text(chart)
 
     history = ckpt.loss_history
-    reference = history[min(4, len(history) - 1)]
-    trend = "rising" if history[-1].heldout_loss > reference.heldout_loss \
-        else "falling"
-    note = " (model is overfitting its patch set)" if trend == "rising" else ""
-    print(f"held-out trend: {trend}{note}")
+    # the last epoch against epoch 5, or epoch 1 in a run of 5 or fewer
+    reference = history[4 if len(history) > 5 else 0].heldout_loss
+    if len(history) == 1:
+        trend = "n/a (one epoch)"
+    elif history[-1].heldout_loss > reference:
+        trend = "rising (model is overfitting its patch set)"
+    else:
+        trend = "falling"
+    print(f"held-out trend: {trend}")
     print(f"wrote {args.out}/checkpoint.json, loss.csv, loss.svg, "
           f"metrics.jsonl")
     return 0
@@ -251,7 +252,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING)
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

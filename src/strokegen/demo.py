@@ -14,24 +14,14 @@ import numpy as np
 
 from .geometry import DEFAULT_BOUNDARY, StrokeImage, recording_to_image
 
-DEMO_KINDS = ("boxes", "curls", "spikes", "circles")
-
 
 def make_demo_recording(kind: str, boundary: float = DEFAULT_BOUNDARY) -> dict:
     """Synthesize one recording as {"boundary": ..., "strokes": [...]}."""
-    if kind == "boxes":
-        strokes = _boxes(boundary)
-    elif kind == "curls":
-        strokes = _curls(boundary)
-    elif kind == "spikes":
-        strokes = _spikes(boundary)
-    elif kind == "circles":
-        strokes = _circles(boundary)
-    else:
+    if kind not in _DEMOS:
         raise ValueError(f"unknown demo kind {kind!r}; pick from {DEMO_KINDS}")
     return {
         "boundary": boundary,
-        "strokes": [s.tolist() for s in strokes],
+        "strokes": [s.tolist() for s in _DEMOS[kind](boundary)],
     }
 
 
@@ -115,3 +105,8 @@ def _circles(boundary: float) -> list[np.ndarray]:
         ys = cy + r * np.sin(theta)
         strokes.append(np.stack([xs, ys], axis=1) * scale)
     return strokes
+
+
+_DEMOS = {"boxes": _boxes, "curls": _curls, "spikes": _spikes,
+          "circles": _circles}
+DEMO_KINDS = tuple(_DEMOS)

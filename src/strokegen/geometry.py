@@ -539,8 +539,13 @@ def recording_to_image(source,
     strokes, boundary = load_recording(source)
     if not strokes:
         return StrokeImage([], boundary)
-    controls, splits = _stacked([fit_path(s, fit_error).control_array()
-                                 for s in strokes])
+    arrays = []
+    for i, stroke in enumerate(strokes):
+        try:
+            arrays.append(fit_path(stroke, fit_error).control_array())
+        except ValueError as exc:  # e.g. a stroke of one repeated point
+            raise ValueError(f"stroke {i}: {exc}") from None
+    controls, splits = _stacked(arrays)
     controls, _ = fit_paths_to_boundary_with_scale(controls, boundary)
     return StrokeImage.from_controls(controls, splits, boundary)
 

@@ -42,10 +42,7 @@ class ModelConfig:
     double_attention: bool = True
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            least = 2 if f.name in _DATA_FIELDS else 1
-            if f.type == "int" and getattr(self, f.name) < least:
-                raise ValueError(f"{f.name} must be >= {least}")
+        check_ints(self, vocab_size=2, seq_len=2)
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by "
                              f"{self.n_heads} heads")
@@ -72,6 +69,17 @@ def _parse_bool(text: str) -> bool:
 FIELD_TYPES = {"int": ((int,), int), "float": ((int, float), float),
                "bool": ((bool,), _parse_bool),
                "int | None": ((int, type(None)), int)}
+
+
+def check_ints(cfg, **least: int) -> None:
+    """Refuse an int field of a config dataclass below its bound: 1, unless
+    a keyword gives another. An ``int | None`` field may be None."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "int" or (f.type == "int | None" and value is not None):
+            bound = least.get(f.name, 1)
+            if value < bound:
+                raise ValueError(f"{f.name} must be >= {bound}, got {value}")
 
 
 def config_from_json(cls, data: dict, section: str):
@@ -179,7 +187,8 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
 
     Each sub-layer is one tape node plus one residual-and-norm node. A
     NonFiniteError names the sub-layer it came from: ``embedding``,
-    ``layer{i}.attn{j}``, ``layer{i}.ff`` or ``output``.
+    ``layer{i}.attn{j}``, ``layer{i}.ff`` or ``output``, and then that
+    sub-layer's parameters that hold a NaN or an infinity, if any.
 
     ``last_only=True`` returns the logits of the last position only,
     [.., 1, vocab_size], as sampling needs. Every layer runs in full except
@@ -235,4 +244,8 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
         where = "output"
         return matmul(h, params["output.w"])
     except NonFiniteError as exc:
-        raise NonFiniteError(f"{where}: {exc}") from exc
+        bad = [name for name, p in params.items()
+               if (name + ".").startswith(where + ".")
+               and not np.isfinite(p.data).all()]
+        found = f"; non-finite parameters: {', '.join(bad)}" if bad else ""
+        raise NonFiniteError(f"{where}: {exc}{found}") from exc

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .geometry import Polyline
-from .model import encoder_forward
+from .model import check_ints, encoder_forward
 from .svgout import render_svg  # re-exported: grids of sampled images
 from .tokenizer import Vocabulary, decode, moves_to_image
 from .training import SEED_SAMPLING, Checkpoint, derived_rng
@@ -33,14 +33,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.init_len is not None and self.init_len < 1:
-            raise ValueError("init_len must be >= 1")
-        if self.max_moves is not None and self.max_moves < 1:
-            raise ValueError("max_moves must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_ints(self, seed=0)
 
     def resolve(self, seq_len: int) -> tuple[int, int]:
         init_len = self.init_len if self.init_len is not None else max(

@@ -7,7 +7,6 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
-import logging
 import math
 import os
 import time
@@ -26,6 +25,7 @@ from .geometry import (
 from .model import (
     MODEL_FIELDS,
     ModelConfig,
+    check_ints,
     config_from_json,
     encoder_forward,
     init_encoder_params,
@@ -40,8 +40,6 @@ from .tokenizer import (
     image_to_move_sequence,
     move_sequences,
 )
-
-logger = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 2
 EVAL_CHUNK = 100  # windows per forward pass during evaluation
@@ -83,11 +81,7 @@ class TrainConfig:
     double_attention: bool = ModelConfig.double_attention
 
     def __post_init__(self):
-        for name in ("epochs", "patches_per_epoch", "batch_size",
-                     "warmup_steps", "heldout_patches", "seq_ceiling",
-                     "max_move_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_ints(self, seed=0)
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), "
@@ -95,10 +89,6 @@ class TrainConfig:
         if not self.adam_eps > 0:
             raise ValueError(f"adam_eps must be positive, got {self.adam_eps!r}")
         check_error_bound("flatten_error", self.flatten_error)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.fixed_patch_set is not None and self.fixed_patch_set < 1:
-            raise ValueError("fixed_patch_set must be >= 1 when set")
         augment_config(self)
         model_config(self, 2, 2)  # the smallest data, to check the model sizes
 
@@ -496,8 +486,6 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
 
         stats = EpochStats(epoch, loss_sum / window_count, heldout_loss)
         history.append(stats)
-        logger.info("epoch %d: train %.4f heldout %.4f (%d steps)",
-                    epoch, stats.train_loss, stats.heldout_loss, adam.step)
         if on_epoch is not None:
             on_epoch(EpochMetrics(
                 *dataclasses.astuple(stats), data_s=t1 - t0, step_s=t2 - t1,

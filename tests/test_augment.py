@@ -241,6 +241,21 @@ class TestGreedyOrdering:
         expected = endpoints(small_image.paths)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
+    def test_batched_path_endpoints_match_each_patch(self):
+        # every boxes path fits to 6 curves, so all patches share one split
+        patches = generate_patch_set(make_demo_image("boxes"), 12,
+                                     AugmentConfig(), np.random.default_rng(4))
+        assert (patches.splits == patches.splits[0]).all()
+        starts, ends = path_endpoints(patches.controls, patches.splits[0])
+        grid = path_endpoints(patches.controls.reshape(3, 4, -1, 4, 2),
+                              patches.splits[0])
+        for i, patch in enumerate(patches):
+            one = path_endpoints(patch.controls, patch.splits)
+            assert np.array_equal(starts[i], one[0])
+            assert np.array_equal(ends[i], one[1])
+            assert np.array_equal(grid[0][i // 4, i % 4], one[0])
+            assert np.array_equal(grid[1][i // 4, i % 4], one[1])
+
     def test_output_is_permutation(self, small_image):
         out = order_paths_greedy(small_image, np.random.default_rng(7))
         orig = sorted(p.control_array().tobytes() for p in small_image.paths)

@@ -150,8 +150,11 @@ def test_malformed_path_image_exit_2(workdir, tmp_path, capsys, paths, where):
      "'boundary' must be a finite number > 0, got 1000"),
     ("ingest", {"strokes": 5},
      "recording must be an object with a 'strokes' list"),
+    ("ingest", {"strokes": [[[1, 1], [5, 5]], [[3, 3], [3, 3]]]},
+     "stroke 1: need at least 2 distinct points to fit a path"),
 ], ids=["null-boundary", "nan-boundary", "string-boundary", "inf-boundary",
-        "zero-boundary", "huge-boundary", "number-strokes"])
+        "zero-boundary", "huge-boundary", "number-strokes",
+        "one-point-stroke"])
 def test_malformed_canvas_exit_2(tmp_path, capsys, command, data, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -213,6 +216,32 @@ class TestTrain:
             "--fixed-patch-set", "6",
         ]) == 0
         assert "held-out trend:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("heldout, trend", [
+        ([5.0], "n/a (one epoch)"),
+        # against epoch 1: epoch 3 is not compared with itself
+        ([5.0, 6.0, 5.5], "rising (model is overfitting its patch set)"),
+        ([5.0, 4.0, 4.5], "falling"),
+        # against epoch 5, not epoch 1
+        ([9.0, 8.0, 7.0, 6.0, 3.0, 4.0, 5.0],
+         "rising (model is overfitting its patch set)"),
+        ([1.0, 2.0, 3.0, 4.0, 9.0, 8.0, 7.0], "falling"),
+    ], ids=["1-epoch", "3-epoch-rising", "3-epoch-falling", "7-epoch-rising",
+            "7-epoch-falling"])
+    def test_trend_compares_the_last_epoch_with_an_earlier_one(
+            self, workdir, tmp_path, capsys, monkeypatch, heldout, trend):
+        from strokegen import cli
+
+        history = [EpochStats(i + 1, 1.0, h) for i, h in enumerate(heldout)]
+        ckpt = dataclasses.replace(
+            load_checkpoint(workdir / "run" / "checkpoint.json"),
+            epoch=len(history), loss_history=history)
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: ckpt)
+        assert main([
+            "train", str(workdir / "img.json"), "-o", str(tmp_path / "t"),
+            "--config", str(workdir / "micro.cfg"),
+        ]) == 0
+        assert f"held-out trend: {trend}\n" in capsys.readouterr().out
 
     def test_unknown_config_key_exit_2(self, workdir, tmp_path):
         cfg = tmp_path / "bad.cfg"

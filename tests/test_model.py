@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,13 @@ from strokegen.model import (
     multi_head_attention,
     positional_encoding,
 )
-from strokegen.training import adam_step, init_adam_state, lr_schedule
+from strokegen.sampling import SamplerConfig
+from strokegen.training import (
+    TrainConfig,
+    adam_step,
+    init_adam_state,
+    lr_schedule,
+)
 
 from conftest import finite_difference_grad, relative_grad_error
 
@@ -167,6 +174,21 @@ class TestEncoderForward:
             encoder_forward(ids, params, TINY)
         assert isinstance(info.value.__cause__, NonFiniteError)
 
+    @pytest.mark.parametrize("param,sublayer", [
+        ("embedding", "embedding"),
+        ("layer0.attn1.wq", "layer0.attn1"),
+        ("layer1.attn0.norm_gain", "layer1.attn0"),
+        ("layer1.ff.w2", "layer1.ff"),
+        ("output.w", "output"),
+    ])
+    def test_numeric_error_names_the_non_finite_parameter(self, param,
+                                                          sublayer):
+        params = init_encoder_params(TINY, np.random.default_rng(5))
+        params[param].data[0] = np.nan
+        with pytest.raises(NonFiniteError, match=(
+                rf"^{sublayer}: .*; non-finite parameters: {param}$")):
+            encoder_forward(np.arange(TINY.seq_len)[None], params, TINY)
+
     def test_single_attention_variant_runs(self):
         cfg = ModelConfig(vocab_size=7, seq_len=5, d_model=8, n_layers=2,
                           n_heads=2, d_ff=16, double_attention=False)
@@ -251,3 +273,21 @@ class TestLearningSmoke:
         probs /= probs.sum()
         assert int(np.argmax(probs)) == b
         assert probs[b] > 0.99
+
+
+INT_FIELDS = [(cls, f) for cls in (TrainConfig, ModelConfig, SamplerConfig)
+              for f in dataclasses.fields(cls)
+              if f.type in ("int", "int | None")]
+
+
+@pytest.mark.parametrize("cls,field", INT_FIELDS, ids=[
+    f"{cls.__name__}.{f.name}" for cls, f in INT_FIELDS])
+def test_int_setting_below_its_bound_is_refused_by_name(cls, field):
+    bound = {"seed": 0, "vocab_size": 2, "seq_len": 2}.get(field.name, 1)
+    base = TINY if cls is ModelConfig else cls()
+    with pytest.raises(ValueError, match=(
+            f"^{field.name} must be >= {bound}, got {bound - 1}$")):
+        dataclasses.replace(base, **{field.name: bound - 1})
+    if field.type == "int | None":
+        unset = dataclasses.replace(base, **{field.name: None})
+        assert getattr(unset, field.name) is None
