@@ -6,16 +6,19 @@ For each workload of BENCHMARK.json (or the subset ``--workload`` names) and
 pair i, ``perfbench/run.py --seed <seed + i>`` runs untraced for the
 benchmark's ``run_seconds``, once on the parent and once on the working tree,
 each from its own checkout, with the side that runs first alternating
-between pairs. The parent's
-committed files are exported with ``git archive`` into a temporary directory,
-so the parent side runs exactly what that commit holds and nothing is
-registered in ``.git``. Runs are serial.
+between pairs. Both sides run the same way, from a ``git archive`` export in
+a temporary directory: the parent's committed files, and a snapshot of the
+working tree, its tracked files as they are now plus its untracked files
+that are not ignored. The snapshot is a git tree written through a temporary
+index, so neither the real index nor any ref changes. No run sees the
+working tree's ``.git``, caches or ignored files. Runs are serial.
 
 Writes ``BENCH_<label>.json`` at the repository root: for every end-to-end
 metric of BENCHMARK.json and each side, the per-run values, median and
 quartiles, and the number of pairs the working tree won (ties count for
-neither side); the ``# env`` line of every run; failed-check counts; and both
-commit shas (the working tree's as HEAD plus a flag for uncommitted changes).
+neither side); the ``# env`` line of every run; failed-check counts; both
+commit shas (the working tree's as HEAD plus a flag for uncommitted changes)
+and the id of the snapshot tree that the change side ran.
 Exits 1 after writing the file when any run crashed or failed a check, and
 lists each such (workload, side, seed) on stderr.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -40,10 +44,22 @@ def git(*args: str) -> str:
 
 
 def export_commit(ref: str, dest: Path):
-    """Extract the files committed at ``ref`` into ``dest``."""
+    """Extract the files of the commit or tree ``ref`` into ``dest``."""
     archive = subprocess.run(("git", "archive", "--format=tar", ref), cwd=ROOT,
                              check=True, capture_output=True).stdout
     subprocess.run(("tar", "-x", "-C", str(dest)), input=archive, check=True)
+
+
+def snapshot_tree() -> str:
+    """The id of a git tree holding the working tree's tracked files as they
+    are now and its untracked files that are not ignored."""
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        subprocess.run(("git", "add", "-A"), cwd=ROOT, env=env, check=True,
+                       capture_output=True)
+        return subprocess.run(("git", "write-tree"), cwd=ROOT, env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout.strip()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -124,22 +140,25 @@ def main(argv=None) -> int:
     parent_sha = git("rev-parse", args.parent)
     change_sha = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    change_tree = snapshot_tree()
     report = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g}",
         "parent_sha": parent_sha,
         "change_sha": change_sha,
+        "change_tree": change_tree,
         "change_has_uncommitted_changes": dirty,
         "pairs": args.pairs,
         "seeds": [args.seed, args.seed + args.pairs - 1],
         "order": "pair i runs the parent first when i is even",
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_dir = Path(tmp)
-        export_commit(parent_sha, parent_dir)
-        sides = {"parent": parent_dir, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_dir:
+        sides = {"parent": Path(parent_dir), "change": Path(change_dir)}
+        export_commit(parent_sha, sides["parent"])
+        export_commit(change_tree, sides["change"])
         for workload in workloads:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             for i in range(args.pairs):

@@ -25,9 +25,9 @@ from .geometry import (
     fit_to_canvas,
 )
 
-MIRROR_AXES = ("horizontal", "vertical")
 # horizontal flips y, vertical flips x
 _MIRRORS = {"horizontal": np.diag([1.0, -1.0]), "vertical": np.diag([-1.0, 1.0])}
+MIRROR_AXES = tuple(_MIRRORS)
 
 
 class ContainmentError(ValueError):

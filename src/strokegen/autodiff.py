@@ -92,18 +92,6 @@ class Tensor:
         return (f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, "
                 f"requires_grad={self.requires_grad})")
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _check_finite(arr: np.ndarray, op: str, what: str = "output",
                   shape: tuple[int, ...] | None = None):

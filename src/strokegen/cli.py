@@ -18,6 +18,7 @@ from .autodiff import NonFiniteError
 from .demo import DEMO_KINDS, make_demo_recording
 from .geometry import (
     DEFAULT_FIT_ERROR,
+    flatten_path,
     load_path_image,
     recording_to_image,
     save_path_image,
@@ -30,6 +31,7 @@ from .sampling import (
     render_svg,
 )
 from .svgout import line_chart_svg
+from .tokenizer import DEFAULT_FLATTEN_ERROR
 from .training import (
     TrainConfig,
     desk_preset,
@@ -115,13 +117,10 @@ def cmd_ingest(args) -> int:
 
 def _train_config(args) -> TrainConfig:
     cfg = desk_preset() if args.preset == "desk" else TrainConfig()
-    overrides: dict = {}
-    if args.config is not None:
-        overrides.update(parse_config_file(args.config))
-    for name in ("seed", "epochs", "patches_per_epoch", "fixed_patch_set"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {} if args.config is None else parse_config_file(args.config)
+    # the flags that name a TrainConfig field override the file
+    overrides.update({name: value for name, value in vars(args).items()
+                      if name in _ANNOTATIONS and value is not None})
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -196,8 +195,10 @@ def cmd_augment_preview(args) -> int:
         image, args.n, AugmentConfig(),
         np.random.default_rng(args.seed),
     )
-    svg = render_svg([image, *patches], columns=3, color_seed=args.seed)
-    args.out.write_text(svg)
+    flat = [[flatten_path(p, DEFAULT_FLATTEN_ERROR) for p in img.paths]
+            for img in (image, *patches)]
+    args.out.write_text(render_svg(flat, columns=3, boundary=image.boundary,
+                                   color_seed=args.seed))
     print(f"wrote {args.out} (original + {args.n} patches)")
     return 0
 

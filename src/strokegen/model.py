@@ -96,23 +96,21 @@ def config_from_json(cls, data: dict, section: str):
     return cls(**data)
 
 
-@lru_cache(maxsize=8)
-def _positional_encoding_cached(length: int, d_model: int) -> np.ndarray:
+@lru_cache(maxsize=32)
+def positional_encoding(length: int, d_model: int,
+                        dtype=np.float64) -> np.ndarray:
+    """Read-only sinusoids [length, d_model]: sin on even dims, cos on odd."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
     pos = np.arange(length, dtype=np.float64)[:, None]
     i = np.arange(0, d_model, 2, dtype=np.float64)
     angles = pos / np.power(10000.0, i / d_model)
     pe = np.zeros((length, d_model))
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles[:, : d_model // 2])
+    pe = pe.astype(dtype)
+    pe.setflags(write=False)
     return pe
-
-
-def positional_encoding(length: int, d_model: int,
-                        dtype=np.float64) -> np.ndarray:
-    """Sinusoid table [length, d_model]: sin on even dims, cos on odd dims."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return _positional_encoding_cached(length, d_model).astype(dtype)
 
 
 @lru_cache(maxsize=32)
@@ -244,8 +242,14 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
         where = "output"
         return matmul(h, params["output.w"])
     except NonFiniteError as exc:
-        bad = [name for name, p in params.items()
-               if (name + ".").startswith(where + ".")
-               and not np.isfinite(p.data).all()]
-        found = f"; non-finite parameters: {', '.join(bad)}" if bad else ""
-        raise NonFiniteError(f"{where}: {exc}{found}") from exc
+        raise sublayer_error(exc, where, params) from exc
+
+
+def sublayer_error(exc, where: str, params) -> NonFiniteError:
+    """``exc`` prefixed by the sub-layer ``where`` and ending with that
+    sub-layer's parameters that hold a NaN or an infinity, if any."""
+    bad = [name for name, p in params.items()
+           if (name + ".").startswith(where + ".")
+           and not np.isfinite(p.data).all()]
+    found = f"; non-finite parameters: {', '.join(bad)}" if bad else ""
+    return NonFiniteError(f"{where}: {exc}{found}")

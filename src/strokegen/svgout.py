@@ -7,8 +7,7 @@ import math
 
 import numpy as np
 
-from .geometry import DEFAULT_BOUNDARY, StrokeImage, flatten_path
-from .tokenizer import DEFAULT_FLATTEN_ERROR
+from .geometry import DEFAULT_BOUNDARY
 
 _MARGIN = 10.0  # around and between the cells of a grid
 _CHART_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -33,20 +32,26 @@ def _path_color(rng: np.random.Generator | None) -> str:
     return f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
 
 
-def render_svg(images, columns: int = 4, *, boundary: float | None = None,
-               color_seed: int | None = None) -> str:
-    """Render images (StrokeImage or lists of Polyline) as a grid.
+def _document(width: float, height: float) -> list[str]:
+    """The head lines of an SVG document on a white page; close with </svg>."""
+    return [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
+    ]
 
-    Each image sits in its own nested <svg> cell, which also clips strokes
-    that wander outside the canvas. ``color_seed`` switches from black to a
-    random color per path.
+
+def render_svg(images, columns: int = 4, *, boundary=DEFAULT_BOUNDARY,
+               color_seed: int | None = None) -> str:
+    """Render images, each a list of Polyline, as a grid of square cells.
+
+    Each image sits in its own nested <svg> cell of side ``boundary``, which
+    also clips strokes that wander outside the canvas. ``color_seed``
+    switches from black to a random color per path.
     """
     images = list(images)
-    if boundary is None:
-        boundary = next(
-            (img.boundary for img in images if isinstance(img, StrokeImage)),
-            DEFAULT_BOUNDARY,
-        )
     columns = max(1, min(columns, max(1, len(images))))
     rows = max(1, math.ceil(len(images) / columns)) if images else 1
     cell = boundary + _MARGIN
@@ -54,13 +59,7 @@ def render_svg(images, columns: int = 4, *, boundary: float | None = None,
     height = rows * cell + _MARGIN
     rng = None if color_seed is None else np.random.default_rng(color_seed)
 
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
-    ]
+    out = _document(width, height)
     for idx, item in enumerate(images):
         col = idx % columns
         row = idx // columns
@@ -75,8 +74,6 @@ def render_svg(images, columns: int = 4, *, boundary: float | None = None,
             f'<rect width="{_fmt(boundary)}" height="{_fmt(boundary)}" '
             f'fill="none" stroke="#cccccc" stroke-width="0.5"/>'
         )
-        if isinstance(item, StrokeImage):
-            item = [flatten_path(p, DEFAULT_FLATTEN_ERROR) for p in item.paths]
         for poly in item:
             out.append(
                 f'<path d="{polyline_path_data(poly.points)}" fill="none" '
@@ -108,12 +105,7 @@ def line_chart_svg(series: dict[str, list[float]], title: str = "") -> str:
     def sy(v: float) -> float:
         return pad + plot_h * (1.0 - (v - y_min) / (y_max - y_min))
 
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
+    out = _document(width, height) + [
         f'<text x="{_fmt(width / 2)}" y="25" text-anchor="middle" '
         f'font-size="14" font-family="sans-serif">{title}</text>',
         f'<line x1="{_fmt(pad)}" y1="{_fmt(pad)}" x2="{_fmt(pad)}" '

@@ -30,12 +30,12 @@ from .model import (
     encoder_forward,
     init_encoder_params,
     parameter_table,
+    sublayer_error,
 )
 from .tokenizer import (
     DEFAULT_FLATTEN_ERROR,
     DEFAULT_MAX_MOVE_LEN,
     Vocabulary,
-    build_vocabulary,
     encode,
     image_to_move_sequence,
     move_sequences,
@@ -251,6 +251,9 @@ class Checkpoint:
 def _derived(train: TrainConfig, seq_len: int
              ) -> tuple[Vocabulary, ModelConfig]:
     """The vocabulary and the model that train settings fix for a window."""
+    if seq_len > max(2, train.seq_ceiling):
+        raise ValueError(f"seq_len {seq_len} exceeds the train setting "
+                         f"seq_ceiling {train.seq_ceiling}")
     vocab = Vocabulary(train.max_move_len)
     return vocab, model_config(train, vocab.size, seq_len)
 
@@ -418,6 +421,17 @@ def tokenize_patches(patches: PatchSet, vocab: Vocabulary,
     return np.split(encode(moves, vocab), bounds)
 
 
+def batch_loss(params: dict[str, Tensor], model_cfg: ModelConfig,
+               inputs: np.ndarray, targets: np.ndarray) -> Tensor:
+    """Mean next-token cross-entropy of a batch of windows. The loss computes
+    the head, so its NonFiniteError names ``output`` and a bad ``output.w``."""
+    hidden = encoder_forward(inputs, params, model_cfg, head=False)
+    try:
+        return cross_entropy((hidden, params["output.w"]), targets)
+    except NonFiniteError as exc:
+        raise sublayer_error(exc, "output", params) from exc
+
+
 def train_step(params: dict[str, Tensor], adam: AdamState,
                model_cfg: ModelConfig, cfg: TrainConfig, inputs: np.ndarray,
                targets: np.ndarray) -> float:
@@ -428,8 +442,7 @@ def train_step(params: dict[str, Tensor], adam: AdamState,
     """
     for p in params.values():
         p.grad = None
-    hidden = encoder_forward(inputs, params, model_cfg, head=False)
-    loss = cross_entropy((hidden, params["output.w"]), targets)
+    loss = batch_loss(params, model_cfg, inputs, targets)
     loss.backward()
     adam_step(params, {k: p.grad for k, p in params.items()}, adam,
               lr_schedule(adam.step + 1, cfg.d_model, cfg.warmup_steps),
@@ -451,8 +464,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
     original_moves = image_to_move_sequence(image, cfg.flatten_error,
                                             cfg.max_move_len)
     seq_len = max(2, min(len(original_moves), cfg.seq_ceiling))
-    vocab = build_vocabulary([original_moves], cfg.max_move_len)
-    model_cfg = model_config(cfg, vocab.size, seq_len)
+    vocab, model_cfg = _derived(cfg, seq_len)
     params = init_encoder_params(model_cfg, derived_rng(cfg.seed, SEED_INIT))
 
     def tokens(n: int, *key: int) -> list[np.ndarray]:
@@ -523,8 +535,7 @@ def eval_stream_loss(params: dict[str, Tensor], model_cfg: ModelConfig,
         for i in range(0, len(windows), EVAL_CHUNK):
             chunk = windows[i: i + EVAL_CHUNK]
             inputs = chunk[:, :-1]
-            hidden = encoder_forward(inputs, params, model_cfg, head=False)
-            loss = cross_entropy((hidden, params["output.w"]), chunk[:, 1:])
+            loss = batch_loss(params, model_cfg, inputs, chunk[:, 1:])
             total += float(loss.data) * inputs.size
             tokens += inputs.size
     return total / tokens

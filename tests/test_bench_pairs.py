@@ -1,9 +1,10 @@
-"""scripts/bench_pairs.py: the pair summary, the argument checks and the
-exit status."""
+"""scripts/bench_pairs.py: the pair summary, the argument checks, the exit
+status and the exported working-tree snapshot."""
 
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -82,11 +83,16 @@ def test_pairs_below_one_refused(pairs, tmp_path, monkeypatch, capsys):
 def test_failed_runs_are_listed_and_exit_1(tmp_path, monkeypatch, capsys):
     shutil.copy(SCRIPT.parent.parent / "BENCHMARK.json", tmp_path)
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
-    monkeypatch.setattr(bench_pairs, "export_commit", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "parent-sha")
+    monkeypatch.setattr(bench_pairs, "snapshot_tree", lambda: "change-tree")
+    exports: dict = {}  # checkout directory -> the ref exported into it
+    monkeypatch.setattr(bench_pairs, "export_commit",
+                        lambda ref, dest: exports.setdefault(dest, ref))
 
     def fake_run(checkout, workload, seed, seconds):
-        side = "change" if checkout == tmp_path else "parent"
+        # both sides run from an export, neither from the working tree
+        assert checkout != tmp_path and checkout in exports
+        side = "change" if exports[checkout] == "change-tree" else "parent"
         crashed = (side, seed) == ("change", 11)
         failed_check = (side, seed) == ("parent", 10)
         return {"seed": seed, "exit": 1 if crashed else 0, "wall_s": 1.0,
@@ -99,6 +105,8 @@ def test_failed_runs_are_listed_and_exit_1(tmp_path, monkeypatch, capsys):
                              "--workload", "sample-full"])
     assert code == 1
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert sorted(exports.values()) == ["change-tree", "parent-sha"]
+    assert report["change_tree"] == "change-tree"
     assert report["workloads"]["sample-full"]["failed"] == {
         "parent": [1, 0], "change": [0, None]}
     err = capsys.readouterr().err
@@ -110,3 +118,34 @@ def test_failed_runs_are_listed_and_exit_1(tmp_path, monkeypatch, capsys):
         **fake_run(*a), "exit": 0, "correct": True, "failed": 0})
     assert bench_pairs.main(["--label", "t", "--seed", "10", "--pairs", "2",
                              "--workload", "sample-full"]) == 0
+
+
+def test_snapshot_holds_the_working_tree_but_not_ignored_files(
+        tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(("git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args), cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "kept.py").write_text("old\n")
+    (repo / "gone.py").write_text("x\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "kept.py").write_text("new\n")
+    (repo / "gone.py").unlink()
+    (repo / "added.py").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    index = (repo / ".git" / "index").read_bytes()
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+
+    out = tmp_path / "export"
+    out.mkdir()
+    bench_pairs.export_commit(bench_pairs.snapshot_tree(), out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        ".gitignore", "added.py", "kept.py"]
+    assert (out / "kept.py").read_text() == "new\n"
+    assert (repo / ".git" / "index").read_bytes() == index

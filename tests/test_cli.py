@@ -480,9 +480,12 @@ def _with_train(**changes):
     (_with_train(max_move_len=10),
      "parameter 'embedding' has 15368 values, expected 7048"),
     (lambda data: data.update(seq_len=1), "seq_len must be >= 2"),
+    # train() never cuts windows longer than seq_ceiling (16 here)
+    (lambda data: data.update(seq_len=17),
+     "seq_len 17 exceeds the train setting seq_ceiling 16"),
 ], ids=["extra-param", "embedding-shape", "non-finite", "zero-heads",
         "train-d-model", "train-n-heads", "train-double-attention",
-        "train-max-move-len", "short-seq-len"])
+        "train-max-move-len", "short-seq-len", "long-seq-len"])
 def test_tampered_checkpoint_exit_2(workdir, tmp_path, capsys, tamper, field):
     data = json.loads((workdir / "run" / "checkpoint.json").read_text())
     tamper(data)
@@ -592,6 +595,19 @@ class TestAugmentPreview:
         svg = a.read_text()
         assert svg.count("<svg x=") == 6  # original + 5 patches
         ET.fromstring(svg)
+
+    def test_one_path_image_on_its_own_canvas(self, tmp_path):
+        image = tmp_path / "one-path.json"
+        image.write_text(json.dumps({"boundary": 120, "paths": [[GOOD_CURVE]]}))
+        out = tmp_path / "sheet.svg"
+        assert main(["augment-preview", str(image), "--out", str(out),
+                     "-n", "2", "--seed", "1"]) == 0
+        cells = ET.fromstring(out.read_text()).findall(
+            "{http://www.w3.org/2000/svg}svg")
+        assert [c.get("width") for c in cells] == ["120"] * 3
+        # the original and each patch: one flattened path per cell
+        assert [len(c.findall("{http://www.w3.org/2000/svg}path"))
+                for c in cells] == [1] * 3
 
     def test_patch_cells_stay_in_viewbox(self, workdir, tmp_path):
         out = tmp_path / "sheet.svg"

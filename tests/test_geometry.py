@@ -22,6 +22,8 @@ from strokegen.geometry import (
 from conftest import (
     fit_residuals,
     max_deviation_curve_to_polyline,
+    point_to_polyline_distance,
+    points_to_polyline_distances,
     reverse_path,
 )
 
@@ -112,6 +114,17 @@ def test_error_bound_must_be_positive(bound):
         fit_path([(0.0, 0.0), (5.0, 1.0), (10.0, 0.0)], bound)
     with pytest.raises(ValueError, match="fit_error must be positive"):
         recording_to_image({"strokes": []}, bound)
+
+
+@pytest.mark.parametrize("block_values", [1, 100, 1 << 17])
+def test_blocked_distances_equal_the_per_point_oracle(block_values):
+    rng = np.random.default_rng(7)
+    polyline = rng.uniform(0.0, 180.0, (30, 2))
+    polyline[5] = polyline[4]  # a zero-length segment
+    points = np.concatenate([rng.uniform(-20.0, 200.0, (50, 2)), polyline])
+    got = points_to_polyline_distances(points, polyline, block_values)
+    want = [point_to_polyline_distance(p, polyline) for p in points]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestFlattenPath:

@@ -54,6 +54,21 @@ class TestPositionalEncoding:
     def test_shape(self):
         assert positional_encoding(17, 52).shape == (17, 52)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_read_only_table_per_size_and_dtype(self, dtype):
+        pe = positional_encoding(9, 52, dtype)
+        assert pe is positional_encoding(9, 52, dtype)
+        assert pe.dtype == dtype and not pe.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pe[0, 0] = 1.0
+        # the float64 table, cast once: the values the encoder always added
+        pos = np.arange(9, dtype=np.float64)[:, None]
+        angles = pos / np.power(10000.0, np.arange(0, 52, 2) / 52)
+        table = np.zeros((9, 52))
+        table[:, 0::2] = np.sin(angles)
+        table[:, 1::2] = np.cos(angles)
+        assert np.array_equal(pe, table.astype(dtype))
+
 
 class TestCausalMask:
     def test_length_one(self):

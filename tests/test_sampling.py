@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from strokegen.geometry import Polyline, StrokeImage
+from strokegen.geometry import Polyline
 from strokegen.sampling import (
     GenerationResult,
     SamplerConfig,
@@ -18,8 +18,6 @@ from strokegen.sampling import (
 )
 from strokegen.svgout import line_chart_svg
 from strokegen.tokenizer import IMAGE_END, build_vocabulary
-
-from conftest import segment_path
 
 
 class TestTopKSample:
@@ -236,11 +234,14 @@ class TestRenderSvg:
         assert a == b
         assert len(set(re.findall(r'stroke="(#\w{6})"', a))) > 1
 
-    def test_stroke_image_input(self, micro_ckpt):
-        img = StrokeImage([segment_path(10, 10, 50, 50)], 180.0)
-        svg = render_svg([img])
-        ET.fromstring(svg)
-        assert svg.count("<path") == 1
+    @pytest.mark.parametrize("kwargs, side", [({}, "180"),
+                                              ({"boundary": 300.0}, "300")])
+    def test_canvas_is_the_default_or_the_given_boundary(self, kwargs, side):
+        poly = Polyline(np.array([[0.0, 0.0], [5.0, 5.0]]))
+        root = ET.fromstring(render_svg([[poly], []], **kwargs))
+        cells = root.findall("{http://www.w3.org/2000/svg}svg")
+        assert [(c.get("width"), c.get("viewBox")) for c in cells] == [
+            (side, f"0 0 {side} {side}")] * 2
 
 
 class TestLineChart:

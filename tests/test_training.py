@@ -26,6 +26,7 @@ from strokegen.training import (
     save_checkpoint,
     stream_windows,
     train,
+    train_step,
     write_loss_csv,
 )
 from strokegen.tokenizer import Vocabulary
@@ -235,6 +236,21 @@ class TestTrainLoop:
         patches = heldout_patch_set(run, micro_image)
         assert evaluate_held_out(run, patches) == evaluate_held_out(run, patches)
 
+    def test_non_finite_head_names_output_w(self, micro_image, run):
+        weights = {k: v.copy() for k, v in run.params.items()}
+        weights["output.w"][0] = np.nan
+        named = (r"^output: cross_entropy produced non-finite values in its "
+                 r"logits h @ w of shape .*; non-finite parameters: output\.w$")
+        patches = heldout_patch_set(run, micro_image)
+        with pytest.raises(NonFiniteError, match=named):
+            evaluate_held_out(dataclasses.replace(run, params=weights), patches)
+        params = {k: Tensor(v, requires_grad=True) for k, v in weights.items()}
+        window = stream_windows([np.arange(run.model.seq_len + 1) % 7],
+                                run.model.seq_len)
+        with pytest.raises(NonFiniteError, match=named):
+            train_step(params, init_adam_state(params), run.model, run.train,
+                       window[:, :-1], window[:, 1:])
+
     def test_fixed_patch_set_regime_runs(self, micro_image):
         ckpt = train(micro_image, micro_config(fixed_patch_set=6))
         assert len(ckpt.loss_history) == 2
@@ -309,7 +325,10 @@ class TestCheckpointFormat:
                                "layer0.ff.w1": c.params["layer0.ff.w1"].T}},
          "parameter 'layer0.ff.w1' shape is [16, 8], but train derives "
          "[8, 16]"),
-    ], ids=["model", "vocab", "transposed-weight"])
+        (lambda c: {"model": dataclasses.replace(
+            c.model, seq_len=c.train.seq_ceiling + 1)},
+         "seq_len 17 exceeds the train setting seq_ceiling 16"),
+    ], ids=["model", "vocab", "transposed-weight", "long-seq-len"])
     def test_writer_refuses_what_train_does_not_derive(self, run, change,
                                                        field):
         ckpt = dataclasses.replace(run, **change(run))
