@@ -198,7 +198,7 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
     float rounding, not bitwise.
 
     ``head=False`` stops before the output head and returns the final hidden
-    states, [.., L, d_model]. Training and evaluation pass them with
+    states, [.., L, d_model]. ``training.batch_loss`` passes them with
     ``params["output.w"]`` to ``cross_entropy((h, w), targets)``, which
     computes the head inside the loss.
     """
