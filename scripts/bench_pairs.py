@@ -1,6 +1,7 @@
 """Alternate benchmark runs between a parent commit and the working tree.
 
     python3 scripts/bench_pairs.py --label pr6 --parent HEAD --seed 301
+    python3 scripts/bench_pairs.py --label aa --aa --seed 1601
 
 For each workload of BENCHMARK.json (or the subset ``--workload`` names) and
 pair i, ``perfbench/run.py --seed <seed + i>`` runs untraced for the
@@ -11,12 +12,16 @@ a temporary directory: the parent's committed files, and a snapshot of the
 working tree, its tracked files as they are now plus its untracked files
 that are not ignored. The snapshot is a git tree written through a temporary
 index, so neither the real index nor any ref changes. No run sees the
-working tree's ``.git``, caches or ignored files. Runs are serial.
+working tree's ``.git``, caches or ignored files. Runs are serial. With
+``--aa`` both sides run the parent's tree, each from its own export: an A/A
+run that measures the benchmark's noise floor.
 
 Writes ``BENCH_<label>.json`` at the repository root: for every end-to-end
 metric of BENCHMARK.json and each side, the per-run values, median and
-quartiles, and the number of pairs the working tree won (ties count for
-neither side); the ``# env`` line of every run; failed-check counts; both
+quartiles; the per-pair ratio change/parent with its median, quartiles and
+range (paired ratios cancel host drift between pairs, separate medians do
+not); and the number of pairs the working tree won (ties count for neither
+side); the ``# env`` line of every run; failed-check counts; both
 commit shas (the working tree's as HEAD plus a flag for uncommitted changes)
 and the id of the snapshot tree that the change side ran.
 Exits 1 after writing the file when any run crashed or failed a check, and
@@ -93,7 +98,8 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict:
-    """Per metric: each side's runs, median and quartiles, and change wins."""
+    """Per metric: each side's runs, median and quartiles, the per-pair
+    ratio change/parent, and change wins."""
     out = {}
     for m in spec:
         name = m["name"]
@@ -105,10 +111,13 @@ def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict:
         sign = 1 if m["better"] == "higher" else -1
         parent = [p for p, _ in pairs]
         change = [c for _, c in pairs]
+        ratios = [c / p for p, c in pairs if p != 0]
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m.get("bound"),
             "parent": {**quartiles(parent), "runs": parent},
             "change": {**quartiles(change), "runs": change},
+            "ratio": {**quartiles(ratios), "min": min(ratios),
+                      "max": max(ratios), "runs": ratios} if ratios else None,
             "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
             "ties": sum(c == p for p, c in pairs),
             "pairs": len(pairs),
@@ -126,6 +135,8 @@ def main(argv=None) -> int:
                     help="seed of the first pair; pair i uses seed + i")
     ap.add_argument("--workload", nargs="+",
                     help="run only these workloads (default: all of them)")
+    ap.add_argument("--aa", action="store_true",
+                    help="run the parent's tree on both sides (A/A)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error(f"--pairs must be >= 1, got {args.pairs}")
@@ -140,7 +151,8 @@ def main(argv=None) -> int:
     parent_sha = git("rev-parse", args.parent)
     change_sha = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    change_tree = snapshot_tree()
+    change_tree = (git("rev-parse", f"{parent_sha}^{{tree}}") if args.aa
+                   else snapshot_tree())
     report = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload W --seed S "
@@ -149,6 +161,7 @@ def main(argv=None) -> int:
         "change_sha": change_sha,
         "change_tree": change_tree,
         "change_has_uncommitted_changes": dirty,
+        "aa": args.aa,
         "pairs": args.pairs,
         "seeds": [args.seed, args.seed + args.pairs - 1],
         "order": "pair i runs the parent first when i is even",
@@ -178,11 +191,25 @@ def main(argv=None) -> int:
             }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
+    for workload, data in report["workloads"].items():
+        for name, m in data["metrics"].items():
+            print(ratio_line(workload, name, m))
     print(f"wrote {path}")
     failing = failed_runs(report)
     for workload, side, seed in failing:
         print(f"failed: {workload} {side} seed {seed}", file=sys.stderr)
     return 1 if failing else 0
+
+
+def ratio_line(workload: str, name: str, m: dict) -> str:
+    """One metric's medians, paired ratio and change wins, as one line."""
+    r = m["ratio"]
+    ratio = ("no ratio" if r is None else
+             f"ratio {r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}] "
+             f"range {r['min']:.3f}-{r['max']:.3f}")
+    return (f"{workload} {name}: parent {m['parent']['median']:.4g}, change "
+            f"{m['change']['median']:.4g}, {ratio}, change wins "
+            f"{m['change_wins']}/{m['pairs']}")
 
 
 def failed_runs(report: dict) -> list[tuple[str, str, int]]:

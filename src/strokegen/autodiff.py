@@ -8,9 +8,11 @@ the public ops stay as their reference:
 
 - ``multi_head_attention``: one matmul for q, k and v, head split by views,
   masked softmax(q @ k^T / sqrt(hd) + bias) @ v, concatenation and ``@ wo``.
-  Checks the scaled scores before the mask bias (exp maps -inf to 0). Its
-  ``last_only`` form, for sampling without a tape, queries from the last
-  position only.
+  1/sqrt(hd) sits in the query columns of the q, k, v weight, and the
+  softmax sums divide the context after the value product; only the
+  backward normalises the weights. Checks the scaled scores before the mask
+  bias (exp maps -inf to 0). Its ``last_only`` form, for sampling without a
+  tape, queries from the last position only.
 - ``add_layer_norm``: residual connection and normalization, LN(x + y).
   Checks the per-position variance (an overflow to inf zeroes the
   normalized values, leaving the finite bias).
@@ -518,8 +520,9 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
                          f"{y.data.shape}, {gain.data.shape}, {bias.data.shape}")
     d = x.data.shape[-1]
     xhat = x.data + y.data
-    xhat -= xhat.mean(axis=-1, keepdims=True)
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    # np.add.reduce / d is ndarray.mean without its Python wrapper, bitwise
+    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     _check_finite(var, "add_layer_norm", "variance of x + y")
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
@@ -554,6 +557,11 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     entry makes the output non-finite, which raises NonFiniteError. The
     caller applies residual connection and norm.
 
+    q = x @ (wq / sqrt(hd)), so the scores k @ q^T come out scaled. The
+    forward keeps the exponentials unnormalised and divides the context by
+    their sums (Dao et al., arXiv:2205.14135); the first backward turns them
+    into the weights in place, and a second one reuses those.
+
     With ``last_only`` only the last position queries: keys and values still
     cover all L positions, the bias row of the last position applies and the
     output is [..., 1, d]. That form records no tape, so it raises
@@ -573,29 +581,36 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                          "tape; call it under no_grad()")
     b, hd = math.prod(lead), d // n_heads
     lq = 1 if last_only else l  # query positions
-    scale = np.asarray(1.0 / math.sqrt(hd), dtype=x.data.dtype)
+    scale = 1.0 / math.sqrt(hd)
     x2 = x.data.reshape(b * l, d)
-    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    # q comes out scaled, and so does k @ q^T
+    w_qkv = np.concatenate((wq.data * scale, wk.data, wv.data), axis=1)
     # [b, l, 3, heads, hd] -> views q, k, v of [b, heads, l, hd]
     qkv = (x2 @ w_qkv).reshape(b, l, 3, n_heads, hd)
     q, k, v = qkv.transpose(2, 0, 3, 1, 4)
     if last_only:
         q = q[..., -1:, :]
-        bias = None if bias is None else bias[-1:]
-    # weights key-major, a[..., j, i] for query i and key j: the softmax
+    # scores key-major, a[..., j, i] for query i and key j: the softmax
     # reductions then run across rows, vectorised over the queries
     a = k @ np.swapaxes(q, -1, -2)
-    a *= scale
     _check_finite(a, "multi_head_attention", "scaled scores q @ k^T / sqrt(hd)")
     if bias is not None:
-        a += bias.T
+        a += np.ascontiguousarray(bias[l - lq:].T)
     a -= a.max(axis=-2, keepdims=True)
     np.exp(a, out=a)
-    a /= a.sum(axis=-2, keepdims=True)
-    ctx = (np.swapaxes(a, -1, -2) @ v).transpose(0, 2, 1, 3).reshape(b * lq, d)
+    # the sums divide the [b, heads, lq, hd] context, not a
+    sums = a.sum(axis=-2, keepdims=True)
+    ctx = np.swapaxes(a, -1, -2) @ v
+    ctx /= np.swapaxes(sums, -1, -2)
+    ctx = ctx.transpose(0, 2, 1, 3).reshape(b * lq, d)
     out_data = (ctx @ wo.data).reshape(*lead, lq, d)
+    normalised = False
 
     def grad_fn(g):
+        nonlocal normalised
+        if not normalised:  # the exponentials become the weights, once
+            np.divide(a, sums, out=a)
+            normalised = True
         g = g.reshape(b * l, d)
         _accumulate(wo, ctx.T @ g)
         dctx = (g @ wo.data.T).reshape(b, l, n_heads, hd).transpose(0, 2, 1, 3)
@@ -605,11 +620,11 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
         da = v @ np.swapaxes(dctx, -1, -2)
         da -= (da * a).sum(axis=-2, keepdims=True)
         da *= a
-        da *= scale
         np.matmul(np.swapaxes(da, -1, -2), k, out=dq)
         np.matmul(da, q, out=dk)
         dqkv = dqkv.reshape(b * l, 3 * d)
         dw = x2.T @ dqkv
+        dw[:, :d] *= scale  # q = x @ (wq * scale)
         _accumulate(wq, dw[:, :d])
         _accumulate(wk, dw[:, d: 2 * d])
         _accumulate(wv, dw[:, 2 * d:])

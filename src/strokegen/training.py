@@ -146,15 +146,18 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float, beta1: float = TrainConfig.beta1,
               beta2: float = TrainConfig.beta2,
               eps: float = TrainConfig.adam_eps):
-    """Bias-corrected Adam update, in place."""
+    """Bias-corrected Adam update, in place. A non-finite gradient raises
+    NonFiniteError before any parameter or state changes."""
+    for name in params:
+        g = grads.get(name)
+        if g is not None and not np.isfinite(g).all():
+            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             continue
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
         m += (1.0 - beta1) * (g - m)

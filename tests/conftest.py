@@ -2,10 +2,13 @@
 
 The helpers deliberately avoid the library's own code paths: distances are
 measured by dense sampling, gradients by central finite differences.
+``reference_attention`` keeps the earlier arithmetic of the attention node.
 ``micro_ckpt`` is a tiny trained checkpoint for the sampling tests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -145,3 +148,50 @@ def relative_grad_error(analytic: np.ndarray, numeric: np.ndarray,
     """Worst elementwise relative disagreement between two gradients."""
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def reference_attention(x, wq, wk, wv, wo, n_heads, bias, g=None, *,
+                        last_only=False):
+    """The earlier arithmetic of ``autodiff.multi_head_attention`` on arrays:
+    scores scaled after the product, the strided ``bias.T`` broadcast, the
+    weights normalised before the value product. Returns the output and,
+    for a cotangent ``g`` of its shape, the gradients of x, wq, wk, wv, wo
+    (else None)."""
+    *lead, l, d = x.shape
+    b, hd = math.prod(lead), d // n_heads
+    lq = 1 if last_only else l
+    scale = np.asarray(1.0 / math.sqrt(hd), dtype=x.dtype)
+    x2 = x.reshape(b * l, d)
+    w_qkv = np.concatenate((wq, wk, wv), axis=1)
+    qkv = (x2 @ w_qkv).reshape(b, l, 3, n_heads, hd)
+    q, k, v = qkv.transpose(2, 0, 3, 1, 4)
+    if last_only:
+        q = q[..., -1:, :]
+        bias = None if bias is None else bias[-1:]
+    a = k @ np.swapaxes(q, -1, -2)
+    a *= scale
+    if bias is not None:
+        a += bias.T
+    a -= a.max(axis=-2, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-2, keepdims=True)
+    ctx = (np.swapaxes(a, -1, -2) @ v).transpose(0, 2, 1, 3).reshape(b * lq, d)
+    out = (ctx @ wo).reshape(*lead, lq, d)
+    if g is None:
+        return out, None
+    g = g.reshape(b * l, d)
+    dwo = ctx.T @ g
+    dctx = (g @ wo.T).reshape(b, l, n_heads, hd).transpose(0, 2, 1, 3)
+    dqkv = np.empty_like(qkv)
+    dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+    np.matmul(a, dctx, out=dv)
+    da = v @ np.swapaxes(dctx, -1, -2)
+    da -= (da * a).sum(axis=-2, keepdims=True)
+    da *= a
+    da *= scale
+    np.matmul(np.swapaxes(da, -1, -2), k, out=dq)
+    np.matmul(da, q, out=dk)
+    dqkv = dqkv.reshape(b * l, 3 * d)
+    dw = x2.T @ dqkv
+    dx = (dqkv @ w_qkv.T).reshape(x.shape)
+    return out, [dx, dw[:, :d], dw[:, d: 2 * d], dw[:, 2 * d:], dwo]

@@ -33,7 +33,11 @@ from strokegen.model import (
     positional_encoding,
 )
 
-from conftest import finite_difference_grad, relative_grad_error
+from conftest import (
+    finite_difference_grad,
+    reference_attention,
+    relative_grad_error,
+)
 
 GRAD_TOL = 1e-4
 H = 1e-5
@@ -421,6 +425,18 @@ def assert_same_node(fused, composed, cotangent, arrays, dtype, exact=False):
                                    err_msg=f"operand {i}")
 
 
+def assert_near_oracle(actual, expected, dtype, err_msg=""):
+    """Within 1e-12 in float64. In float32 within rtol 1e-5 and an atol of
+    1e-5 of the array's largest magnitude: a weight gradient sums 640 to
+    6 400 rows, and the oracle itself misses its own float64 result by more
+    than rtol 1e-5 / atol 1e-6 on 1-4 % of such a gradient's entries."""
+    assert actual.dtype == expected.dtype == dtype, err_msg
+    rtol, atol = ((1e-12, 1e-12) if dtype == np.float64
+                  else (1e-5, 1e-5 * np.abs(expected).max()))
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=atol,
+                               err_msg=err_msg)
+
+
 def ff_operands(rng, dtype, lead=(6,), d=4, ff=8):
     x = rng.standard_normal(lead + (d,))
     w1 = rng.standard_normal((d, ff))
@@ -567,6 +583,51 @@ class TestMultiHeadAttention:
             lambda *t: mha_composition(*t, 3, mask),
             cotangent, arrays, dtype,
         )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("b,length,d", [(10, 64, 32), (100, 64, 32),
+                                            (2, 119, 52)])
+    def test_matches_the_earlier_arithmetic(self, b, length, d, masked, dtype):
+        # the oracle scales after q @ k^T, adds the strided bias.T and
+        # normalises the weights before the value product
+        rng = np.random.default_rng(31)
+        arrays = mha_operands(rng, dtype, b=b, length=length, d=d)
+        bias = causal_bias(length, dtype) if masked else None
+        cotangent = rng.standard_normal(arrays[0].shape).astype(dtype)
+        out, grads = grads_of(lambda *t: multi_head_attention(*t, 4, bias),
+                              cotangent, *arrays)
+        ref_out, ref_grads = reference_attention(*arrays, 4, bias, cotangent)
+        assert_near_oracle(out, ref_out, dtype)
+        for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+            assert_near_oracle(g, ref, dtype, f"operand {i}")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_last_only_matches_the_earlier_arithmetic(self, masked, dtype):
+        rng = np.random.default_rng(32)
+        arrays = mha_operands(rng, dtype, b=2, length=119, d=52)
+        bias = causal_bias(119, dtype) if masked else None
+        with no_grad():
+            out = multi_head_attention(*map(Tensor, arrays), 4, bias,
+                                       last_only=True).data
+        ref_out, _ = reference_attention(*arrays, 4, bias, last_only=True)
+        assert out.shape == ref_out.shape == (2, 1, 52)
+        assert_near_oracle(out, ref_out, dtype)
+
+    def test_second_backward_of_one_node_gives_the_same_gradients(self):
+        # the first backward normalises the node's weights in place; the
+        # second must not do it again
+        rng = np.random.default_rng(33)
+        tensors = [Tensor(a, requires_grad=True)
+                   for a in mha_operands(rng, np.float64)]
+        out = multi_head_attention(*tensors, 2, causal_bias(5, np.float64))
+        cotangent = rng.standard_normal(out.shape)
+        out._backward_fn(cotangent)
+        once = [t.grad.copy() for t in tensors]
+        out._backward_fn(cotangent)
+        for i, (t, g) in enumerate(zip(tensors, once)):
+            assert np.array_equal(t.grad, 2.0 * g), f"operand {i}"
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_gradient(self, masked):

@@ -1,5 +1,6 @@
-"""scripts/bench_pairs.py: the pair summary, the argument checks, the exit
-status and the exported working-tree snapshot."""
+"""scripts/bench_pairs.py: the pair summary and its paired ratios, the
+argument checks, the exit status, the A/A mode and the exported working-tree
+snapshot."""
 
 import importlib.util
 import json
@@ -40,6 +41,38 @@ def test_wins_and_ties_follow_the_better_direction():
     assert higher["parent"]["runs"] == [10.0, 10.0, 10.0]
     assert higher["change"]["median"] == 10.0
     assert lower["better"] == "lower" and lower["bound"] == 0.25
+
+
+def test_paired_ratios_are_change_over_parent():
+    out = bench_pairs.summarize({
+        "parent": runs(*({"tokens_per_s": p, "iter_s_p50": 2.0}
+                         for p in (10.0, 20.0, 10.0, 40.0, 10.0))),
+        "change": runs(*({"tokens_per_s": c, "iter_s_p50": 1.0}
+                         for c in (11.0, 20.0, 12.0, 36.0, 15.0))),
+    }, SPEC)
+    ratio = out["tokens_per_s"]["ratio"]
+    assert ratio["runs"] == [1.1, 1.0, 1.2, 0.9, 1.5]
+    assert (ratio["median"], ratio["q1"], ratio["q3"]) == (1.1, 1.0, 1.2)
+    assert (ratio["min"], ratio["max"]) == (0.9, 1.5)
+    # the ratio is change/parent whichever direction is better
+    assert out["iter_s_p50"]["ratio"]["median"] == 0.5
+    line = bench_pairs.ratio_line("sample-full", "tokens_per_s",
+                                  out["tokens_per_s"])
+    assert line == ("sample-full tokens_per_s: parent 10, change 15, ratio "
+                    "1.100 [1.000, 1.200] range 0.900-1.500, change wins 3/5")
+
+
+def test_ratio_skips_a_zero_parent():
+    out = bench_pairs.summarize({
+        "parent": runs({"tokens_per_s": 0.0}, {"tokens_per_s": 4.0}),
+        "change": runs({"tokens_per_s": 1.0}, {"tokens_per_s": 5.0}),
+    }, SPEC)
+    assert out["tokens_per_s"]["ratio"]["runs"] == [1.25]
+    out = bench_pairs.summarize({"parent": runs({"tokens_per_s": 0.0}),
+                                 "change": runs({"tokens_per_s": 0.0})}, SPEC)
+    assert out["tokens_per_s"]["ratio"] is None
+    assert "no ratio" in bench_pairs.ratio_line("w", "tokens_per_s",
+                                                out["tokens_per_s"])
 
 
 def test_metric_missing_on_one_side_is_skipped():
@@ -118,6 +151,48 @@ def test_failed_runs_are_listed_and_exit_1(tmp_path, monkeypatch, capsys):
         **fake_run(*a), "exit": 0, "correct": True, "failed": 0})
     assert bench_pairs.main(["--label", "t", "--seed", "10", "--pairs", "2",
                              "--workload", "sample-full"]) == 0
+
+
+def test_aa_exports_the_parent_tree_to_both_sides(tmp_path, monkeypatch,
+                                                   capsys):
+    shutil.copy(SCRIPT.parent.parent / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    calls = []
+
+    def fake_git(*args):
+        calls.append(args)
+        return "tree-of-abc" if args == ("rev-parse", "abc^{tree}") else "abc"
+
+    def no_snapshot():
+        raise AssertionError("--aa must not snapshot the working tree")
+
+    monkeypatch.setattr(bench_pairs, "git", fake_git)
+    monkeypatch.setattr(bench_pairs, "snapshot_tree", no_snapshot)
+    exports: dict = {}
+    monkeypatch.setattr(bench_pairs, "export_commit",
+                        lambda ref, dest: exports.setdefault(dest, ref))
+    seen = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        seen.append(checkout)
+        return {"seed": seed, "exit": 0, "wall_s": 1.0, "env": None,
+                "correct": True, "failed": 0,
+                "metrics": {"tokens_per_s": 10.0}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main(["--label", "aa", "--aa", "--seed", "3",
+                             "--pairs", "2", "--workload", "train-desk"]) == 0
+    # two exports of one tree: the same files, each side its own directory
+    assert len(exports) == 2 and len(set(seen)) == 2
+    assert sorted(exports.values()) == ["abc", "tree-of-abc"]
+    assert ("rev-parse", "abc^{tree}") in calls
+    report = json.loads((tmp_path / "BENCH_aa.json").read_text())
+    assert report["aa"] is True and report["change_tree"] == "tree-of-abc"
+    metric = report["workloads"]["train-desk"]["metrics"]["tokens_per_s"]
+    assert metric["ratio"]["median"] == 1.0 and metric["ties"] == 2
+    assert ("train-desk tokens_per_s: parent 10, change 10, ratio 1.000 "
+            "[1.000, 1.000] range 1.000-1.000, change wins 0/2"
+            in capsys.readouterr().out)
 
 
 def test_snapshot_holds_the_working_tree_but_not_ignored_files(

@@ -9,6 +9,7 @@ must write the checkpoint bytes of the same run with the loss composed from
 the full-logits forward.
 """
 
+import contextlib
 import json
 import math
 import tracemalloc
@@ -221,7 +222,10 @@ def test_non_finite_logits_name_the_op_the_logits_and_their_shape(
     ht, wt = Tensor(h, requires_grad=True), Tensor(w, requires_grad=True)
     message = (r"cross_entropy produced non-finite values in its logits "
                r"h @ w of shape \(2, 9, 37\)")
-    with pytest.raises(NonFiniteError, match=message):
+    # an inf in h meets weights of both signs: inf - inf in the matmul
+    provoked = (pytest.warns(RuntimeWarning)
+                if (where, bad) == ("h", np.inf) else contextlib.nullcontext())
+    with provoked, pytest.raises(NonFiniteError, match=message):
         if grad:
             cross_entropy((ht, wt), targets)
         else:

@@ -138,6 +138,28 @@ class TestAdamStep:
         with pytest.raises(NonFiniteError):
             adam_step(params, {"w": np.array([np.nan, 0.0])}, state, lr=0.1)
 
+    def test_non_finite_last_gradient_changes_nothing(self):
+        rng = np.random.default_rng(3)
+        names = ["a", "b", "c"]
+        params = {n: Tensor(rng.standard_normal(3), requires_grad=True)
+                  for n in names}
+        state = init_adam_state(params)
+        adam_step(params, {n: rng.standard_normal(3) for n in names}, state,
+                  lr=0.1)
+        before = ({n: p.data.copy() for n, p in params.items()},
+                  {n: m.copy() for n, m in state.m.items()},
+                  {n: v.copy() for n, v in state.v.items()}, state.step)
+        grads = {n: rng.standard_normal(3) for n in names}
+        grads["c"][1] = np.nan
+        with pytest.raises(NonFiniteError,
+                           match="non-finite gradient for parameter 'c'"):
+            adam_step(params, grads, state, lr=0.1)
+        for name in names:
+            assert np.array_equal(params[name].data, before[0][name]), name
+            assert np.array_equal(state.m[name], before[1][name]), name
+            assert np.array_equal(state.v[name], before[2][name]), name
+        assert state.step == before[3] == 1
+
 
 class TestStreamBatches:
     def test_exact_window_stream(self):
