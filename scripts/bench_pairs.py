@@ -1,7 +1,6 @@
 """Alternate benchmark runs between a parent commit and the working tree.
 
     python3 scripts/bench_pairs.py --label pr6 --parent HEAD --seed 301
-    python3 scripts/bench_pairs.py --label aa --aa --seed 1601
 
 For each workload of BENCHMARK.json (or the subset ``--workload`` names) and
 pair i, ``perfbench/run.py --seed <seed + i>`` runs untraced for the
@@ -12,9 +11,10 @@ a temporary directory: the parent's committed files, and a snapshot of the
 working tree, its tracked files as they are now plus its untracked files
 that are not ignored. The snapshot is a git tree written through a temporary
 index, so neither the real index nor any ref changes. No run sees the
-working tree's ``.git``, caches or ignored files. Runs are serial. With
-``--aa`` both sides run the parent's tree, each from its own export: an A/A
-run that measures the benchmark's noise floor.
+working tree's ``.git``, caches or ignored files. Runs are serial. On a
+clean working tree ``--parent HEAD`` runs HEAD's tree on both sides, each
+from its own export: an A/A run that measures the benchmark's noise floor
+(its report's ``change_tree`` is the parent's tree).
 
 Writes ``BENCH_<label>.json`` at the repository root: for every end-to-end
 metric of BENCHMARK.json and each side, the per-run values, median and
@@ -135,8 +135,6 @@ def main(argv=None) -> int:
                     help="seed of the first pair; pair i uses seed + i")
     ap.add_argument("--workload", nargs="+",
                     help="run only these workloads (default: all of them)")
-    ap.add_argument("--aa", action="store_true",
-                    help="run the parent's tree on both sides (A/A)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error(f"--pairs must be >= 1, got {args.pairs}")
@@ -151,8 +149,7 @@ def main(argv=None) -> int:
     parent_sha = git("rev-parse", args.parent)
     change_sha = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    change_tree = (git("rev-parse", f"{parent_sha}^{{tree}}") if args.aa
-                   else snapshot_tree())
+    change_tree = snapshot_tree()
     report = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload W --seed S "
@@ -161,7 +158,6 @@ def main(argv=None) -> int:
         "change_sha": change_sha,
         "change_tree": change_tree,
         "change_has_uncommitted_changes": dirty,
-        "aa": args.aa,
         "pairs": args.pairs,
         "seeds": [args.seed, args.seed + args.pairs - 1],
         "order": "pair i runs the parent first when i is even",

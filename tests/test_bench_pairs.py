@@ -1,6 +1,5 @@
 """scripts/bench_pairs.py: the pair summary and its paired ratios, the
-argument checks, the exit status, the A/A mode and the exported working-tree
-snapshot."""
+argument checks, the exit status and the exported working-tree snapshot."""
 
 import importlib.util
 import json
@@ -142,7 +141,10 @@ def test_failed_runs_are_listed_and_exit_1(tmp_path, monkeypatch, capsys):
     assert report["change_tree"] == "change-tree"
     assert report["workloads"]["sample-full"]["failed"] == {
         "parent": [1, 0], "change": [0, None]}
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    # one metric line per workload; the crashed pair has no tokens_per_s
+    assert ("sample-full tokens_per_s: parent 10, change 10, ratio 1.000 "
+            "[1.000, 1.000] range 1.000-1.000, change wins 0/1" in out)
     assert "failed: sample-full parent seed 10" in err
     assert "failed: sample-full change seed 11" in err
     assert err.count("failed:") == 2
@@ -151,48 +153,6 @@ def test_failed_runs_are_listed_and_exit_1(tmp_path, monkeypatch, capsys):
         **fake_run(*a), "exit": 0, "correct": True, "failed": 0})
     assert bench_pairs.main(["--label", "t", "--seed", "10", "--pairs", "2",
                              "--workload", "sample-full"]) == 0
-
-
-def test_aa_exports_the_parent_tree_to_both_sides(tmp_path, monkeypatch,
-                                                   capsys):
-    shutil.copy(SCRIPT.parent.parent / "BENCHMARK.json", tmp_path)
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    calls = []
-
-    def fake_git(*args):
-        calls.append(args)
-        return "tree-of-abc" if args == ("rev-parse", "abc^{tree}") else "abc"
-
-    def no_snapshot():
-        raise AssertionError("--aa must not snapshot the working tree")
-
-    monkeypatch.setattr(bench_pairs, "git", fake_git)
-    monkeypatch.setattr(bench_pairs, "snapshot_tree", no_snapshot)
-    exports: dict = {}
-    monkeypatch.setattr(bench_pairs, "export_commit",
-                        lambda ref, dest: exports.setdefault(dest, ref))
-    seen = []
-
-    def fake_run(checkout, workload, seed, seconds):
-        seen.append(checkout)
-        return {"seed": seed, "exit": 0, "wall_s": 1.0, "env": None,
-                "correct": True, "failed": 0,
-                "metrics": {"tokens_per_s": 10.0}}
-
-    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
-    assert bench_pairs.main(["--label", "aa", "--aa", "--seed", "3",
-                             "--pairs", "2", "--workload", "train-desk"]) == 0
-    # two exports of one tree: the same files, each side its own directory
-    assert len(exports) == 2 and len(set(seen)) == 2
-    assert sorted(exports.values()) == ["abc", "tree-of-abc"]
-    assert ("rev-parse", "abc^{tree}") in calls
-    report = json.loads((tmp_path / "BENCH_aa.json").read_text())
-    assert report["aa"] is True and report["change_tree"] == "tree-of-abc"
-    metric = report["workloads"]["train-desk"]["metrics"]["tokens_per_s"]
-    assert metric["ratio"]["median"] == 1.0 and metric["ties"] == 2
-    assert ("train-desk tokens_per_s: parent 10, change 10, ratio 1.000 "
-            "[1.000, 1.000] range 1.000-1.000, change wins 0/2"
-            in capsys.readouterr().out)
 
 
 def test_snapshot_holds_the_working_tree_but_not_ignored_files(
