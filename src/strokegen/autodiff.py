@@ -11,8 +11,10 @@ the public ops stay as their reference:
   1/sqrt(hd) sits in the query columns of the q, k, v weight, and the
   softmax sums divide the context after the value product; only the
   backward normalises the weights. Checks the scaled scores before the mask
-  bias (exp maps -inf to 0). Its ``last_only`` form, for sampling without a
-  tape, queries from the last position only.
+  bias (exp maps -inf to 0). For sampling without a tape, its ``last_only``
+  form queries from the last position only, and its ``cache`` form writes
+  the keys and values of the new positions into a buffer that already holds
+  the earlier ones and attends over all of them.
 - ``add_layer_norm``: residual connection and normalization, LN(x + y).
   Checks the per-position variance (an overflow to inf zeroes the
   normalized values, leaving the finite bias).
@@ -546,7 +548,8 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
 def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                          wo: Tensor, n_heads: int,
                          bias: np.ndarray | None, *,
-                         last_only: bool = False) -> Tensor:
+                         last_only: bool = False,
+                         cache: tuple[np.ndarray, int] | None = None) -> Tensor:
     """Masked multi-head self-attention sub-layer as one tape node.
 
     Per head h of width hd = d / n_heads: softmax(q_h @ k_h^T / sqrt(hd) +
@@ -564,8 +567,18 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
 
     With ``last_only`` only the last position queries: keys and values still
     cover all L positions, the bias row of the last position applies and the
-    output is [..., 1, d]. That form records no tape, so it raises
-    ValueError while gradients are enabled (use it under ``no_grad``).
+    output is [..., 1, d].
+
+    ``cache = (buffer, start)`` keeps the keys and values of a growing window
+    for sampling: ``buffer`` is [2, b, n_heads, capacity, hd] (keys, then
+    values) and already holds positions [0, start), and x holds the
+    positions from ``start`` on. Their keys and values are written into the
+    buffer, and the queries attend over every position up to their last;
+    ``bias`` is then [start + L, start + L], or None for one new position,
+    which may attend to all of them.
+
+    Both forms record no tape, so they raise ValueError while gradients are
+    enabled (use them under ``no_grad``).
     """
     x, wq, wk, wv, wo = (_as_tensor(t) for t in (x, wq, wk, wv, wo))
     if x.data.ndim < 2 or x.data.shape[-1] % n_heads:
@@ -576,9 +589,9 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     if any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
         raise ValueError(f"multi_head_attention weights must be [{d}, {d}], "
                          f"got {[w.data.shape for w in (wq, wk, wv, wo)]}")
-    if last_only and _grad_enabled:
-        raise ValueError("multi_head_attention(last_only=True) records no "
-                         "tape; call it under no_grad()")
+    if (last_only or cache is not None) and _grad_enabled:
+        raise ValueError("multi_head_attention(last_only=True) and its cache "
+                         "record no tape; call it under no_grad()")
     b, hd = math.prod(lead), d // n_heads
     lq = 1 if last_only else l  # query positions
     scale = 1.0 / math.sqrt(hd)
@@ -588,6 +601,12 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     # [b, l, 3, heads, hd] -> views q, k, v of [b, heads, l, hd]
     qkv = (x2 @ w_qkv).reshape(b, l, 3, n_heads, hd)
     q, k, v = qkv.transpose(2, 0, 3, 1, 4)
+    keys = l  # key positions
+    if cache is not None:
+        buffer, start = cache
+        keys = start + l
+        buffer[:, :, :, start: keys] = qkv[:, :, 1:].transpose(2, 0, 3, 1, 4)
+        k, v = buffer[:, :, :, :keys]
     if last_only:
         q = q[..., -1:, :]
     # scores key-major, a[..., j, i] for query i and key j: the softmax
@@ -595,7 +614,7 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     a = k @ np.swapaxes(q, -1, -2)
     _check_finite(a, "multi_head_attention", "scaled scores q @ k^T / sqrt(hd)")
     if bias is not None:
-        a += np.ascontiguousarray(bias[l - lq:].T)
+        a += np.ascontiguousarray(bias[keys - lq:].T)
     a -= a.max(axis=-2, keepdims=True)
     np.exp(a, out=a)
     # the sums divide the [b, heads, lq, hd] context, not a

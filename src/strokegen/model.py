@@ -178,9 +178,27 @@ def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
 # Forward pass
 # ---------------------------------------------------------------------------
 
+class KVCache:
+    """Keys and values of every attention sub-layer over the first
+    ``length`` positions of a growing window, filled and extended by
+    ``encoder_forward(..., last_only=True, cache=...)``. ``buffers`` maps
+    ``layer{i}.attn{j}`` to a [2, rows, n_heads, seq_len, hd] array, keys
+    then values. Positions are absolute, so a cache is void once the window
+    slides."""
+
+    def __init__(self):
+        self.length = 0
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the batch rows ``rows`` (a boolean mask or indices)."""
+        self.buffers = {name: buffer[:, rows]
+                        for name, buffer in self.buffers.items()}
+
+
 def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
                     config: ModelConfig, *, last_only: bool = False,
-                    head: bool = True) -> Tensor:
+                    head: bool = True, cache: KVCache | None = None) -> Tensor:
     """Next-token logits for each position; [.., L, vocab_size].
 
     Each sub-layer is one tape node plus one residual-and-norm node. A
@@ -197,6 +215,14 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
     enabled. The logits equal ``encoder_forward(...)[..., -1:, :]`` up to
     float rounding, not bitwise.
 
+    ``cache``, with ``last_only``, runs a growing window incrementally. An
+    empty cache makes the call above a prefill that also keeps every
+    attention sub-layer's keys and values (the trimmed one's cover the whole
+    window too). A cache of ``length`` positions takes a window one token
+    longer: only the newest position runs through every layer, at its own
+    positional row, and its one query attends over the cached keys and its
+    own. Either way the cache then holds the whole window.
+
     ``head=False`` stops before the output head and returns the final hidden
     states, [.., L, d_model]. ``training.batch_loss`` passes them with
     ``params["output.w"]`` to ``cross_entropy((h, w), targets)``, which
@@ -210,22 +236,41 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
         raise ValueError(f"sequence length {l} exceeds model limit "
                          f"{config.seq_len}")
 
+    start = 0  # positions the cache already holds
+    if cache is not None:
+        if not last_only:
+            raise ValueError("a KVCache needs last_only=True")
+        start = cache.length
+        if start and l != start + 1:
+            raise ValueError(f"the cache holds {start} positions, so it "
+                             f"takes a window of {start + 1}, got {l}")
+
     d = config.d_model
     n_attn = config.attn_sublayers
     where = "embedding"
     try:
-        emb = mul(embedding(params["embedding"], ids), math.sqrt(d))
-        h = add(emb, positional_encoding(l, d, dtype=emb.dtype))
-        bias = causal_bias(l, emb.dtype)
+        emb = mul(embedding(params["embedding"], ids[..., start:]),
+                  math.sqrt(d))
+        h = add(emb, positional_encoding(l, d, dtype=emb.dtype)[start:])
+        # one new position may attend to every cached one
+        bias = None if start else causal_bias(l, emb.dtype)
         for i in range(config.n_layers):
             for j in range(n_attn):
                 where = f"layer{i}.attn{j}"
                 p = where + "."
                 trim = (last_only and i == config.n_layers - 1
                         and j == n_attn - 1)
+                kv = None
+                if cache is not None:
+                    if not start:
+                        cache.buffers[where] = np.empty(
+                            (2, math.prod(ids.shape[:-1]), config.n_heads,
+                             config.seq_len, d // config.n_heads), emb.dtype)
+                    kv = (cache.buffers[where], start)
                 attn = multi_head_attention(
                     h, params[p + "wq"], params[p + "wk"], params[p + "wv"],
                     params[p + "wo"], config.n_heads, bias, last_only=trim,
+                    cache=kv,
                 )
                 if trim:  # the residual of the last position only
                     h = Tensor(h.data[..., -1:, :])
@@ -237,6 +282,8 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
                              params[p + "w2"], params[p + "b2"])
             h = add_layer_norm(h, f, params[p + "norm_gain"],
                                params[p + "norm_bias"])
+        if cache is not None:
+            cache.length = l
         if not head:
             return h
         where = "output"

@@ -5,7 +5,9 @@ seeds the context; moves are then drawn with top-k sampling until the model
 emits image-end again or hits the move cap. The init vector is discarded
 from the output. The images of a grid are sampled in lockstep: one forward
 per step over the windows of every image still active, each image drawing
-from its own rng stream.
+from its own rng stream. While the windows grow, a ``KVCache`` keeps every
+attention sub-layer's keys and values, so each step after the first runs
+only the newest position; once they slide, each step runs the whole window.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .geometry import Polyline
-from .model import check_ints, encoder_forward
+from .model import KVCache, check_ints, encoder_forward
 from .svgout import render_svg  # re-exported: grids of sampled images
 from .tokenizer import Vocabulary, decode, moves_to_image
 from .training import SEED_SAMPLING, Checkpoint, derived_rng
@@ -83,6 +85,17 @@ def center_polylines(polylines: list[Polyline],
     return [Polyline(p.points + shift) for p in polylines]
 
 
+def top_k_ids(logits: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-logits, kind="stable")[:k]``: the ids of the k highest
+    logits, highest first, ties toward the lower id. Only the ids at or
+    above the k-th value (more than k on a tie there) are sorted; a NaN
+    sorts last in both, and ``~(neg > kth)`` keeps it a candidate."""
+    neg = -logits
+    kth = np.partition(neg, k - 1)[k - 1]
+    candidates = np.flatnonzero(~(neg > kth))
+    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+
+
 def top_k_distribution(logits: np.ndarray, k: int) -> np.ndarray:
     """Full-vocabulary distribution with mass only on the k highest logits.
 
@@ -92,7 +105,7 @@ def top_k_distribution(logits: np.ndarray, k: int) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64).reshape(-1)
     if not 1 <= k <= len(logits):
         raise ValueError(f"k must be in [1, {len(logits)}]")
-    top = np.argsort(-logits, kind="stable")[:k]
+    top = top_k_ids(logits, k)
     z = logits[top] - logits[top].max()
     weights = np.exp(z)
     probs = np.zeros_like(logits)
@@ -123,7 +136,7 @@ def _sample_lockstep(task) -> list[GenerationResult]:
     then one top-k draw per step. Every context grows by one token per step,
     so the windows of the images still active have one length and stack
     into one [n_active, w] forward. An image leaves the batch when it draws
-    IMAGE_END; the move cap ends the rest.
+    IMAGE_END, and its cache rows with it; the move cap ends the rest.
     """
     ckpt, cfg, indices = task
     vocab, model_cfg, k = ckpt.vocab, ckpt.model, cfg.k
@@ -137,11 +150,14 @@ def _sample_lockstep(task) -> list[GenerationResult]:
     generated: list[list[int]] = [[] for _ in indices]
     seconds = [0.0] * len(indices)  # decoding time until the last token
     active = np.arange(len(indices))  # batch slots still sampling
+    # while the windows grow from their first token, each position keeps its
+    # keys and values; once they slide, every position shifts
+    cache = KVCache() if windows.shape[1] < seq_len else None
     t0 = time.perf_counter()
     with no_grad():
         for _ in range(max_moves):
             logits = encoder_forward(windows, params, model_cfg,
-                                     last_only=True).data[:, -1]
+                                     last_only=True, cache=cache).data[:, -1]
             tokens = np.array([top_k_sample(logits[row], k, rngs[slot])
                                for row, slot in enumerate(active)])
             now = time.perf_counter() - t0
@@ -152,6 +168,10 @@ def _sample_lockstep(task) -> list[GenerationResult]:
             active = active[going]
             if not active.size:
                 break
+            if windows.shape[1] == seq_len:
+                cache = None
+            elif cache is not None and not going.all():
+                cache.keep(going)
             windows = np.concatenate(
                 (windows[going, 1 - seq_len:], tokens[going, None]), axis=1)
     capped = set(active.tolist())
@@ -181,8 +201,12 @@ def generate_images(ckpt: Checkpoint, cfg: SamplerConfig, count: int,
     round a one-row product as it rounds a many-row one, so a top-k draw at
     a near-tie could in principle flip. Each step is one ``encoder_forward(...,
     last_only=True)`` over the stacked windows of the images still active,
-    then one ``top_k_sample`` per active image. With ``jobs > 1`` each
-    worker process samples one contiguous chunk of images in lockstep.
+    then one ``top_k_sample`` per active image. The first step runs the init
+    windows and fills a ``KVCache``; each later step, until the windows
+    reach ``seq_len``, runs only the newest position against it. Positions
+    are absolute, so once the windows slide the cache is dropped and each
+    step runs the whole window. With ``jobs > 1`` each worker process
+    samples one contiguous chunk of images in lockstep.
     """
     if count < 0:
         raise ValueError("count must be >= 0")

@@ -14,6 +14,7 @@ from strokegen.sampling import (
     make_init_vector,
     render_svg,
     top_k_distribution,
+    top_k_ids,
     top_k_sample,
 )
 from strokegen.svgout import line_chart_svg
@@ -80,6 +81,33 @@ class TestTopKSample:
             excluded = [i for i in range(v) if i not in top]
             assert all(probs[i] == 0.0 for i in excluded)
             assert abs(probs.sum() - 1.0) < 1e-12
+
+    def test_ids_and_draws_equal_the_full_stable_argsort(self):
+        def argsort_distribution(logits, k):  # the selection it replaces
+            top = np.argsort(-logits, kind="stable")[:k]
+            weights = np.exp(logits[top] - logits[top].max())
+            probs = np.zeros_like(logits)
+            probs[top] = weights / weights.sum()
+            return probs
+
+        rng = np.random.default_rng(7)
+        cases = [(rng.standard_normal(1921), k) for k in (1, 10, 1921)]
+        for _ in range(300):  # small integer logits: ties at the k-th one
+            v = int(rng.integers(1, 40))
+            cases.append((rng.integers(-3, 3, v).astype(np.float64),
+                          int(rng.integers(1, v + 1))))
+        cases += [(np.array([0.0, np.nan, 2.0, -np.inf, 2.0, np.inf, -0.0]),
+                   k) for k in range(1, 8)]
+        for logits, k in cases:
+            expected = np.argsort(-logits, kind="stable")[:k]
+            np.testing.assert_array_equal(top_k_ids(logits, k), expected)
+            if np.isfinite(logits).all():
+                assert np.array_equal(top_k_distribution(logits, k),
+                                      argsort_distribution(logits, k))
+                draws = np.random.default_rng(k), np.random.default_rng(k)
+                assert (top_k_sample(logits, k, draws[0])
+                        == int(draws[1].choice(len(logits),
+                               p=argsort_distribution(logits, k))))
 
     def test_k_equals_v_distribution_is_full_softmax(self):
         rng = np.random.default_rng(6)

@@ -1,12 +1,12 @@
-"""Lockstep sampling and the last-position final layer against the paths
-they replace.
+"""Lockstep sampling, the last-position final layer and the key/value cache
+against the paths they replace.
 
 ``oracle_sample`` is the per-image loop that sampling ran before images were
 batched: one full-window, batch-1 ``encoder_forward`` per token, of which
 only the last position's logits are read. Lockstep sampling must give the
 same token ids, moves and cap flags, and ``encoder_forward(...,
-last_only=True)`` must give the full window's last logits within float32
-rounding.
+last_only=True)``, with or without a ``KVCache``, must give the full
+window's last logits within float32 rounding.
 """
 
 from __future__ import annotations
@@ -18,8 +18,13 @@ import numpy as np
 import pytest
 
 from strokegen import sampling
-from strokegen.autodiff import NonFiniteError, no_grad
-from strokegen.model import ModelConfig, encoder_forward, init_encoder_params
+from strokegen.autodiff import NonFiniteError, Tensor, no_grad
+from strokegen.model import (
+    KVCache,
+    ModelConfig,
+    encoder_forward,
+    init_encoder_params,
+)
 from strokegen.sampling import (
     SamplerConfig,
     generate_images,
@@ -117,6 +122,74 @@ def test_last_only_under_a_tape_raises():
 
 
 # ---------------------------------------------------------------------------
+# encoder_forward(..., last_only=True, cache=KVCache())
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("double", [True, False])
+@pytest.mark.parametrize("sizes, seq_len", [(DESK, 64), (FULL, FULL_SEQ_LEN)],
+                         ids=["desk", "full"])
+def test_cached_steps_match_the_full_window(sizes, seq_len, double):
+    cfg = ModelConfig(vocab_size=VOCAB.size, seq_len=seq_len,
+                      double_attention=double, **sizes)
+    params = init_encoder_params(cfg, np.random.default_rng(seq_len))
+    ids = np.random.default_rng(2).integers(0, VOCAB.size, (3, seq_len))
+    drop_at = 3 * seq_len // 4  # row 1 leaves the batch mid-growth
+    cache = KVCache()
+    with no_grad():
+        for length in range(seq_len // 2, seq_len + 1):
+            if length == drop_at:
+                going = np.array([True, False, True])
+                cache.keep(going)
+                ids = ids[going]
+            window = ids[:, :length]
+            cached = encoder_forward(window, params, cfg, last_only=True,
+                                     cache=cache).data
+            full = encoder_forward(window, params, cfg).data
+            assert cache.length == length
+            assert cached.shape == (len(ids), 1, VOCAB.size)
+            np.testing.assert_allclose(cached, full[:, -1:], rtol=0,
+                                       atol=1e-5, err_msg=f"length {length}")
+
+
+def test_a_cache_refuses_what_it_cannot_extend():
+    cfg = ModelConfig(vocab_size=VOCAB.size, seq_len=8, **DESK)
+    params = init_encoder_params(cfg, np.random.default_rng(0))
+    ids = np.arange(16).reshape(2, 8)
+    with pytest.raises(ValueError, match="no_grad"):
+        encoder_forward(ids, params, cfg, last_only=True, cache=KVCache())
+    with no_grad():
+        with pytest.raises(ValueError, match="last_only"):
+            encoder_forward(ids, params, cfg, cache=KVCache())
+        cache = KVCache()
+        encoder_forward(ids[:, :4], params, cfg, last_only=True, cache=cache)
+        for length in (4, 6):
+            with pytest.raises(ValueError, match="holds 4 positions"):
+                encoder_forward(ids[:, :length], params, cfg, last_only=True,
+                                cache=cache)
+
+
+@pytest.mark.parametrize("param, where", [
+    ("ff.w1", "ff"),
+    ("attn{last}.wq", "attn{last}"),
+])
+def test_nan_in_a_cached_step_is_named(full_ckpt, param, where):
+    cfg = full_ckpt.model
+    last_layer, last_attn = cfg.n_layers - 1, cfg.attn_sublayers - 1
+    params = full_ckpt.param_tensors()
+    ids = np.random.default_rng(3).integers(0, VOCAB.size, (2, 60))
+    cache = KVCache()
+    with no_grad():
+        encoder_forward(ids[:, :59], params, cfg, last_only=True, cache=cache)
+        name = f"layer{last_layer}." + param.format(last=last_attn)
+        poisoned = params[name].data.copy()
+        poisoned[0, 0] = np.nan
+        params[name] = Tensor(poisoned)
+        expected = f"layer{last_layer}." + where.format(last=last_attn) + ":"
+        with pytest.raises(NonFiniteError, match="^" + re.escape(expected)):
+            encoder_forward(ids, params, cfg, last_only=True, cache=cache)
+
+
+# ---------------------------------------------------------------------------
 # lockstep generate_images
 # ---------------------------------------------------------------------------
 
@@ -141,6 +214,17 @@ def test_lockstep_matches_the_oracle_on_the_micro_checkpoint(micro_ckpt):
 def test_lockstep_matches_the_oracle_with_a_sliding_window(full_ckpt, extra):
     seq_len = full_ckpt.model.seq_len
     cfg = SamplerConfig(k=10, seed=3, init_len=seq_len + extra, max_moves=5)
+    results = generate_images(full_ckpt, cfg, 3)
+    assert_same_images(results, [oracle_sample(full_ckpt, cfg, i)
+                                 for i in range(3)])
+
+
+def test_lockstep_matches_the_oracle_from_growth_into_the_slide(full_ckpt):
+    # the default init_len is L // 2: the cached steps run until the window
+    # reaches L, and the full-window steps after it
+    seq_len = full_ckpt.model.seq_len
+    cfg = SamplerConfig(k=10, seed=5, max_moves=64)
+    assert cfg.resolve(seq_len)[0] + cfg.max_moves > seq_len + 1
     results = generate_images(full_ckpt, cfg, 3)
     assert_same_images(results, [oracle_sample(full_ckpt, cfg, i)
                                  for i in range(3)])
