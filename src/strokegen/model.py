@@ -180,25 +180,24 @@ def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
 
 class KVCache:
     """Keys and values of every attention sub-layer over the first
-    ``length`` positions of a growing window, filled and extended by
-    ``encoder_forward(..., last_only=True, cache=...)``. ``buffers`` maps
-    ``layer{i}.attn{j}`` to a [2, rows, n_heads, seq_len, hd] array, keys
-    then values. Positions are absolute, so a cache is void once the window
-    slides."""
+    ``length`` positions of a growing window (see ``encoder_forward``):
+    ``buffer`` is [sub-layers, 2, rows, n_heads, seq_len, hd], sub-layer
+    ``layer{i}.attn{j}`` at ``i * attn_sublayers + j``, keys then values,
+    or None while the cache holds nothing."""
 
     def __init__(self):
         self.length = 0
-        self.buffers: dict[str, np.ndarray] = {}
+        self.buffer: np.ndarray | None = None
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the batch rows ``rows`` (a boolean mask or indices)."""
-        self.buffers = {name: buffer[:, rows]
-                        for name, buffer in self.buffers.items()}
+        if self.buffer is not None:
+            self.buffer = self.buffer[:, :, rows]
 
 
 def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
-                    config: ModelConfig, *, last_only: bool = False,
-                    head: bool = True, cache: KVCache | None = None) -> Tensor:
+                    config: ModelConfig, *, head: bool = True,
+                    cache: KVCache | None = None) -> Tensor:
     """Next-token logits for each position; [.., L, vocab_size].
 
     Each sub-layer is one tape node plus one residual-and-norm node. A
@@ -206,22 +205,17 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
     ``layer{i}.attn{j}``, ``layer{i}.ff`` or ``output``, and then that
     sub-layer's parameters that hold a NaN or an infinity, if any.
 
-    ``last_only=True`` returns the logits of the last position only,
-    [.., 1, vocab_size], as sampling needs. Every layer runs in full except
-    the last layer's final attention sub-layer, where only the last position
-    queries (keys and values cover the whole window); its residual and norm,
-    the feed-forward block and the output head then run on that one
-    position. It records no tape and raises ValueError while gradients are
-    enabled. The logits equal ``encoder_forward(...)[..., -1:, :]`` up to
-    float rounding, not bitwise.
-
-    ``cache``, with ``last_only``, runs a growing window incrementally. An
-    empty cache makes the call above a prefill that also keeps every
-    attention sub-layer's keys and values (the trimmed one's cover the whole
-    window too). A cache of ``length`` positions takes a window one token
-    longer: only the newest position runs through every layer, at its own
-    positional row, and its one query attends over the cached keys and its
-    own. Either way the cache then holds the whole window.
+    With a ``cache`` it returns the last position's logits only, [.., 1,
+    vocab_size], as sampling needs: those of ``encoder_forward(...)[...,
+    -1:, :]`` up to float rounding. It records no tape, so it raises
+    ValueError while gradients are enabled. A window one token longer than
+    the cache extends it: only the newest position runs, at its own
+    positional row, its one query attending over the cached keys and its
+    own. Any other window runs in full except the last layer's final
+    attention sub-layer, where only the last position queries (the rest of
+    the forward then runs on it alone). While shorter than ``seq_len`` it
+    refills the cache with every attention sub-layer's keys and values; a
+    full window, which cannot grow, leaves the cache empty.
 
     ``head=False`` stops before the output head and returns the final hidden
     states, [.., L, d_model]. ``training.batch_loss`` passes them with
@@ -236,17 +230,19 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
         raise ValueError(f"sequence length {l} exceeds model limit "
                          f"{config.seq_len}")
 
-    start = 0  # positions the cache already holds
-    if cache is not None:
-        if not last_only:
-            raise ValueError("a KVCache needs last_only=True")
-        start = cache.length
-        if start and l != start + 1:
-            raise ValueError(f"the cache holds {start} positions, so it "
-                             f"takes a window of {start + 1}, got {l}")
-
     d = config.d_model
     n_attn = config.attn_sublayers
+    start, buffer = 0, None  # positions cached; where the keys go
+    if cache is not None:
+        if cache.length and l == cache.length + 1:
+            start, buffer = cache.length, cache.buffer
+        elif l < config.seq_len:
+            buffer = np.empty(
+                (config.n_layers * n_attn, 2, math.prod(ids.shape[:-1]),
+                 config.n_heads, config.seq_len, d // config.n_heads),
+                params["embedding"].data.dtype)
+        cache.length, cache.buffer = 0, None
+
     where = "embedding"
     try:
         emb = mul(embedding(params["embedding"], ids[..., start:]),
@@ -258,19 +254,13 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
             for j in range(n_attn):
                 where = f"layer{i}.attn{j}"
                 p = where + "."
-                trim = (last_only and i == config.n_layers - 1
+                trim = (cache is not None and i == config.n_layers - 1
                         and j == n_attn - 1)
-                kv = None
-                if cache is not None:
-                    if not start:
-                        cache.buffers[where] = np.empty(
-                            (2, math.prod(ids.shape[:-1]), config.n_heads,
-                             config.seq_len, d // config.n_heads), emb.dtype)
-                    kv = (cache.buffers[where], start)
                 attn = multi_head_attention(
                     h, params[p + "wq"], params[p + "wk"], params[p + "wv"],
                     params[p + "wo"], config.n_heads, bias, last_only=trim,
-                    cache=kv,
+                    cache=None if buffer is None
+                    else (buffer[i * n_attn + j], start),
                 )
                 if trim:  # the residual of the last position only
                     h = Tensor(h.data[..., -1:, :])
@@ -282,8 +272,8 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
                              params[p + "w2"], params[p + "b2"])
             h = add_layer_norm(h, f, params[p + "norm_gain"],
                                params[p + "norm_bias"])
-        if cache is not None:
-            cache.length = l
+        if buffer is not None:
+            cache.length, cache.buffer = l, buffer
         if not head:
             return h
         where = "output"

@@ -5,9 +5,10 @@ seeds the context; moves are then drawn with top-k sampling until the model
 emits image-end again or hits the move cap. The init vector is discarded
 from the output. The images of a grid are sampled in lockstep: one forward
 per step over the windows of every image still active, each image drawing
-from its own rng stream. While the windows grow, a ``KVCache`` keeps every
-attention sub-layer's keys and values, so each step after the first runs
-only the newest position; once they slide, each step runs the whole window.
+from its own rng stream. One ``KVCache`` per grid keeps every attention
+sub-layer's keys and values while the windows grow, so each step after the
+first runs only the newest position; once they slide, each step runs the
+whole window.
 """
 
 from __future__ import annotations
@@ -150,14 +151,12 @@ def _sample_lockstep(task) -> list[GenerationResult]:
     generated: list[list[int]] = [[] for _ in indices]
     seconds = [0.0] * len(indices)  # decoding time until the last token
     active = np.arange(len(indices))  # batch slots still sampling
-    # while the windows grow from their first token, each position keeps its
-    # keys and values; once they slide, every position shifts
-    cache = KVCache() if windows.shape[1] < seq_len else None
+    cache = KVCache()
     t0 = time.perf_counter()
     with no_grad():
         for _ in range(max_moves):
             logits = encoder_forward(windows, params, model_cfg,
-                                     last_only=True, cache=cache).data[:, -1]
+                                     cache=cache).data[:, -1]
             tokens = np.array([top_k_sample(logits[row], k, rngs[slot])
                                for row, slot in enumerate(active)])
             now = time.perf_counter() - t0
@@ -168,9 +167,7 @@ def _sample_lockstep(task) -> list[GenerationResult]:
             active = active[going]
             if not active.size:
                 break
-            if windows.shape[1] == seq_len:
-                cache = None
-            elif cache is not None and not going.all():
+            if not going.all():
                 cache.keep(going)
             windows = np.concatenate(
                 (windows[going, 1 - seq_len:], tokens[going, None]), axis=1)
@@ -200,13 +197,13 @@ def generate_images(ckpt: Checkpoint, cfg: SamplerConfig, count: int,
     come from a forward whose batch size varies with them, and BLAS need not
     round a one-row product as it rounds a many-row one, so a top-k draw at
     a near-tie could in principle flip. Each step is one ``encoder_forward(...,
-    last_only=True)`` over the stacked windows of the images still active,
-    then one ``top_k_sample`` per active image. The first step runs the init
-    windows and fills a ``KVCache``; each later step, until the windows
-    reach ``seq_len``, runs only the newest position against it. Positions
-    are absolute, so once the windows slide the cache is dropped and each
-    step runs the whole window. With ``jobs > 1`` each worker process
-    samples one contiguous chunk of images in lockstep.
+    cache=...)`` over the stacked windows of the images still active, then
+    one ``top_k_sample`` per active image. The first step runs the init
+    windows and fills the grid's ``KVCache``; each later step, until the
+    windows reach ``seq_len``, extends it by the newest position. Positions
+    are absolute, so a sliding window runs in full and keeps nothing. With
+    ``jobs > 1`` each worker process samples one contiguous chunk of images
+    in lockstep.
     """
     if count < 0:
         raise ValueError("count must be >= 0")

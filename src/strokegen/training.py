@@ -23,6 +23,7 @@ from .geometry import (
     check_error_bound,
 )
 from .model import (
+    FIELD_TYPES,
     MODEL_FIELDS,
     ModelConfig,
     check_ints,
@@ -318,14 +319,23 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
         if type(data.get(name)) is not int:
             raise ValueError(f"checkpoint {name!r} must be an integer, got "
                              f"{data.get(name)!r}")
-    try:
-        if not isinstance(data.get("loss_history"), list):
-            raise TypeError
-        history = [EpochStats(int(e), float(t), float(h))
-                   for e, t, h in data["loss_history"]]
-    except (TypeError, ValueError):
+    # a resume would continue from optimizer_steps, the Adam step count
+    for name, value in (("epoch", data["epoch"]),
+                        ("rng_state.optimizer_steps",
+                         data["rng_state"].get("optimizer_steps", 0))):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"checkpoint {name!r} must be an integer >= 0, "
+                             f"got {value!r}")
+    history = data.get("loss_history")
+    row_types = (FIELD_TYPES["int"][0],) + (FIELD_TYPES["float"][0],) * 2
+    if not isinstance(history, list) or not all(
+            isinstance(row, list) and len(row) == 3
+            and all(type(v) in t for v, t in zip(row, row_types))
+            for row in history):
         raise ValueError("checkpoint 'loss_history' must be a list of "
-                         "[epoch, train_loss, heldout_loss] rows") from None
+                         "[epoch, train_loss, heldout_loss] rows of an "
+                         "integer and two numbers")
+    history = [EpochStats(e, float(t), float(h)) for e, t, h in history]
     train = config_from_json(TrainConfig, data["train"], "train")
     vocab, model = _derived(train, data["seq_len"])
     table = parameter_table(model)

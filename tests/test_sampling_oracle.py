@@ -1,12 +1,13 @@
-"""Lockstep sampling, the last-position final layer and the key/value cache
-against the paths they replace.
+"""Lockstep sampling and the cached last-position forward against the paths
+they replace.
 
 ``oracle_sample`` is the per-image loop that sampling ran before images were
 batched: one full-window, batch-1 ``encoder_forward`` per token, of which
 only the last position's logits are read. Lockstep sampling must give the
 same token ids, moves and cap flags, and ``encoder_forward(...,
-last_only=True)``, with or without a ``KVCache``, must give the full
-window's last logits within float32 rounding.
+cache=KVCache())`` must give the full window's last logits within float32
+rounding, whether it extends its cache, refills it or, at a full window,
+keeps nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 import numpy as np
 import pytest
 
-from strokegen import sampling
+from strokegen import model, sampling
 from strokegen.autodiff import NonFiniteError, Tensor, no_grad
 from strokegen.model import (
     KVCache,
@@ -92,7 +93,7 @@ def full_ckpt():
 
 
 # ---------------------------------------------------------------------------
-# encoder_forward(..., last_only=True)
+# encoder_forward(..., cache=KVCache()) from an empty cache
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("double", [True, False])
@@ -108,7 +109,8 @@ def test_last_only_logits_match_the_full_window(sizes, seq_len, double):
                     rng.integers(0, VOCAB.size, length)):
             with no_grad():
                 full = encoder_forward(ids, params, cfg).data
-                last = encoder_forward(ids, params, cfg, last_only=True).data
+                last = encoder_forward(ids, params, cfg,
+                                      cache=KVCache()).data
             assert last.shape == ids.shape[:-1] + (1, VOCAB.size)
             np.testing.assert_allclose(last, full[..., -1:, :], rtol=0,
                                        atol=1e-5, err_msg=f"length {length}")
@@ -118,11 +120,11 @@ def test_last_only_under_a_tape_raises():
     cfg = ModelConfig(vocab_size=VOCAB.size, seq_len=8, **DESK)
     params = init_encoder_params(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError, match="no_grad"):
-        encoder_forward(np.arange(8), params, cfg, last_only=True)
+        encoder_forward(np.arange(8), params, cfg, cache=KVCache())
 
 
 # ---------------------------------------------------------------------------
-# encoder_forward(..., last_only=True, cache=KVCache())
+# encoder_forward(..., cache=KVCache()) over a growing window
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("double", [True, False])
@@ -142,8 +144,7 @@ def test_cached_steps_match_the_full_window(sizes, seq_len, double):
                 cache.keep(going)
                 ids = ids[going]
             window = ids[:, :length]
-            cached = encoder_forward(window, params, cfg, last_only=True,
-                                     cache=cache).data
+            cached = encoder_forward(window, params, cfg, cache=cache).data
             full = encoder_forward(window, params, cfg).data
             assert cache.length == length
             assert cached.shape == (len(ids), 1, VOCAB.size)
@@ -151,21 +152,32 @@ def test_cached_steps_match_the_full_window(sizes, seq_len, double):
                                        atol=1e-5, err_msg=f"length {length}")
 
 
-def test_a_cache_refuses_what_it_cannot_extend():
+def test_a_window_the_cache_cannot_extend_runs_in_full():
     cfg = ModelConfig(vocab_size=VOCAB.size, seq_len=8, **DESK)
     params = init_encoder_params(cfg, np.random.default_rng(0))
-    ids = np.arange(16).reshape(2, 8)
+    ids = np.random.default_rng(4).integers(0, VOCAB.size, (2, 8))
     with pytest.raises(ValueError, match="no_grad"):
-        encoder_forward(ids, params, cfg, last_only=True, cache=KVCache())
+        encoder_forward(ids, params, cfg, cache=KVCache())
+    cache = KVCache()
     with no_grad():
-        with pytest.raises(ValueError, match="last_only"):
-            encoder_forward(ids, params, cfg, cache=KVCache())
-        cache = KVCache()
-        encoder_forward(ids[:, :4], params, cfg, last_only=True, cache=cache)
-        for length in (4, 6):
-            with pytest.raises(ValueError, match="holds 4 positions"):
-                encoder_forward(ids[:, :length], params, cfg, last_only=True,
-                                cache=cache)
+        full = {length: encoder_forward(ids[:, :length], params,
+                                        cfg).data[:, -1:]
+                for length in (4, 6, 7, 8)}
+        # 6 neither extends a cache of 4 nor fills the window: it refills,
+        # and 7 extends the refilled cache; a full window that does not
+        # extend the cache writes no keys
+        for length, held, extends in ((4, 4, False), (6, 6, False),
+                                      (7, 7, True), (8, 8, True),
+                                      (8, 0, False), (8, 0, False)):
+            before = cache.buffer
+            last = encoder_forward(ids[:, :length], params, cfg,
+                                   cache=cache).data
+            assert cache.length == held, f"length {length}"
+            assert (before is not None
+                    and cache.buffer is before) == extends, f"length {length}"
+            np.testing.assert_allclose(last, full[length], rtol=0,
+                                       atol=1e-5, err_msg=f"length {length}")
+        assert cache.buffer is None
 
 
 @pytest.mark.parametrize("param, where", [
@@ -179,14 +191,14 @@ def test_nan_in_a_cached_step_is_named(full_ckpt, param, where):
     ids = np.random.default_rng(3).integers(0, VOCAB.size, (2, 60))
     cache = KVCache()
     with no_grad():
-        encoder_forward(ids[:, :59], params, cfg, last_only=True, cache=cache)
+        encoder_forward(ids[:, :59], params, cfg, cache=cache)
         name = f"layer{last_layer}." + param.format(last=last_attn)
         poisoned = params[name].data.copy()
         poisoned[0, 0] = np.nan
         params[name] = Tensor(poisoned)
         expected = f"layer{last_layer}." + where.format(last=last_attn) + ":"
         with pytest.raises(NonFiniteError, match="^" + re.escape(expected)):
-            encoder_forward(ids, params, cfg, last_only=True, cache=cache)
+            encoder_forward(ids, params, cfg, cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +240,38 @@ def test_lockstep_matches_the_oracle_from_growth_into_the_slide(full_ckpt):
     results = generate_images(full_ckpt, cfg, 3)
     assert_same_images(results, [oracle_sample(full_ckpt, cfg, i)
                                  for i in range(3)])
+
+
+def test_the_cache_serves_the_growing_steps_only(full_ckpt, monkeypatch):
+    # default init_len L // 2 and max_moves 4 L: one prefill, L - L // 2
+    # single-position steps, then full windows that keep no keys
+    cfg = full_ckpt.model
+    sublayers = cfg.n_layers * cfg.attn_sublayers
+    forward, attention = sampling.encoder_forward, model.multi_head_attention
+    positions: list[int] = []  # positions entering each attention sub-layer
+    cached: list[int] = []  # cache.length after each step
+
+    def counting_attention(x, *args, **kwargs):
+        positions.append(x.data.shape[-2])
+        return attention(x, *args, **kwargs)
+
+    def recording_forward(*args, cache, **kwargs):
+        logits = forward(*args, cache=cache, **kwargs)
+        cached.append(cache.length)
+        return logits
+
+    monkeypatch.setattr(model, "multi_head_attention", counting_attention)
+    monkeypatch.setattr(sampling, "encoder_forward", recording_forward)
+    result, = generate_images(full_ckpt, SamplerConfig(k=10, seed=6), 1)
+    seq_len, half = cfg.seq_len, cfg.seq_len // 2
+    assert result.hit_cap and len(cached) == 4 * seq_len == 476
+    growing = seq_len - half
+    assert growing == 60
+    assert positions[::sublayers] == ([half] + [1] * growing + [seq_len] * (
+        len(cached) - 1 - growing))
+    assert len(positions) == len(cached) * sublayers
+    assert cached == list(range(half, seq_len + 1)) + [0] * (
+        len(cached) - 1 - growing)
 
 
 def test_first_images_do_not_depend_on_count(micro_ckpt):

@@ -357,6 +357,23 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match=re.escape(field)):
             checkpoint_to_json(ckpt)
 
+    @pytest.mark.parametrize("change, field", [
+        ({"epoch": -3}, "checkpoint 'epoch' must be an integer >= 0, got -3"),
+        ({"loss_history": [[True, "nan", "inf"]]}, "checkpoint 'loss_history'"),
+        ({"loss_history": [[1, 2.5, False]]}, "checkpoint 'loss_history'"),
+        ({"loss_history": [[1.0, 2.5, 2.5]]}, "checkpoint 'loss_history'"),
+        ({"rng_state": {"optimizer_steps": "x"}},
+         "checkpoint 'rng_state.optimizer_steps' must be an integer >= 0, "
+         "got 'x'"),
+        ({"rng_state": {"optimizer_steps": -1}},
+         "checkpoint 'rng_state.optimizer_steps'"),
+    ], ids=["negative-epoch", "string-losses", "bool-loss", "float-epoch-row",
+            "string-steps", "negative-steps"])
+    def test_reader_refuses_malformed_progress(self, run, change, field):
+        data = json.loads(json.dumps(checkpoint_to_json(run)))
+        with pytest.raises(ValueError, match=re.escape(field)):
+            checkpoint_from_json({**data, **change})
+
     def test_failed_save_keeps_the_old_checkpoint(self, run, tmp_path,
                                                    monkeypatch):
         path = tmp_path / "checkpoint.json"
