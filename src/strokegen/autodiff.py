@@ -68,6 +68,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether operations record a tape (False inside ``no_grad``)."""
+    return _grad_enabled
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 

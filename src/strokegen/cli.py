@@ -23,7 +23,7 @@ from .geometry import (
     recording_to_image,
     save_path_image,
 )
-from .model import FIELD_TYPES
+from .model import config_from_json
 from .sampling import (
     SamplerConfig,
     center_polylines,
@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=("full", "desk"), default="full",
                    help="hyperparameter preset (default: full scale)")
     p.add_argument("--config", type=Path,
-                   help="key = value file overriding preset fields")
+                   help="JSON object of TrainConfig fields overriding the "
+                        "preset")
     p.add_argument("--seed", type=int, help="master rng seed")
     p.add_argument("--epochs", type=int)
     p.add_argument("--patches", type=int, dest="patches_per_epoch")
@@ -116,12 +117,17 @@ def cmd_ingest(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    cfg = desk_preset() if args.preset == "desk" else TrainConfig()
-    overrides = {} if args.config is None else parse_config_file(args.config)
-    # the flags that name a TrainConfig field override the file
-    overrides.update({name: value for name, value in vars(args).items()
-                      if name in _ANNOTATIONS and value is not None})
-    return dataclasses.replace(cfg, **overrides)
+    """The preset, overridden by the ``--config`` file, overridden by the
+    flags that name a TrainConfig field; built once."""
+    preset = desk_preset() if args.preset == "desk" else TrainConfig()
+    settings = ({} if args.config is None
+                else json.loads(args.config.read_text()))
+    if isinstance(settings, dict):  # config_from_json refuses anything else
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        settings.update({name: value for name, value in vars(args).items()
+                         if name in fields and value is not None})
+    return config_from_json(TrainConfig, settings, str(args.config),
+                            base=preset)
 
 
 def cmd_train(args) -> int:
@@ -207,36 +213,6 @@ def cmd_demo_recording(args) -> int:
     args.out.write_text(json.dumps(make_demo_recording(args.kind)))
     print(f"wrote {args.out}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Config files
-# ---------------------------------------------------------------------------
-
-_ANNOTATIONS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-
-
-def parse_config_file(path: Path) -> dict:
-    """Read ``key = value`` lines into typed TrainConfig overrides."""
-    overrides: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ANNOTATIONS:
-            raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-        json_types, parse = FIELD_TYPES[_ANNOTATIONS[key]]
-        none = value.lower() in ("none", "null")
-        try:
-            if none and type(None) not in json_types:
-                raise ValueError("cannot be none")
-            overrides[key] = None if none else parse(value)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: setting {key!r}: {exc}") from None
-    return overrides
 
 
 # ---------------------------------------------------------------------------

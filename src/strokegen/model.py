@@ -25,6 +25,7 @@ from .autodiff import (
     add_layer_norm,
     embedding,
     feed_forward,
+    grad_enabled,
     matmul,
     mul,
     multi_head_attention,
@@ -58,17 +59,10 @@ MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelConfig)
                      if f.name not in _DATA_FIELDS)
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
-        raise ValueError("expects true/false")
-    return text.lower() in ("true", "1", "yes")
-
-
-# Per config-field annotation: the exact JSON types of a checkpoint value (so
-# a bool is no int) and the parser of a config-file value
-FIELD_TYPES = {"int": ((int,), int), "float": ((int, float), float),
-               "bool": ((bool,), _parse_bool),
-               "int | None": ((int, type(None)), int)}
+# Per config-field annotation, the exact JSON types of its value (so a bool
+# is no int)
+FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
+               "int | None": (int, type(None))}
 
 
 def check_ints(cfg, **least: int) -> None:
@@ -82,18 +76,29 @@ def check_ints(cfg, **least: int) -> None:
                 raise ValueError(f"{f.name} must be >= {bound}, got {value}")
 
 
-def config_from_json(cls, data: dict, section: str):
-    """A config dataclass from its checkpoint section, refusing unknown
-    settings and values of the wrong JSON type by name."""
+def config_from_json(cls, data, section: str, base=None):
+    """A config dataclass from a JSON object of its settings, such as a
+    checkpoint's ``train`` section or a ``train --config`` file, refusing
+    anything but an object, unknown settings and values of the wrong JSON
+    type by name. Settings the object leaves out keep ``base``'s values, or
+    the defaults without one. A JSON integer for a float setting becomes a
+    float, so ``2`` and ``2.0`` give the same config and checkpoint."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} settings must be a JSON object, got "
+                         f"{type(data).__name__}")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(types))
     if unknown:
-        raise ValueError(f"unknown {section} settings in checkpoint: {unknown}")
+        raise ValueError(f"unknown {section} settings: {unknown}")
+    settings = {}
     for name, value in data.items():
-        if type(value) not in FIELD_TYPES[types[name]][0]:
+        if type(value) not in FIELD_TYPES[types[name]]:
             raise ValueError(f"{section} setting {name!r} must be "
                              f"{types[name]}, got {value!r}")
-    return cls(**data)
+        settings[name] = float(value) if types[name] == "float" else value
+    if base is None:
+        return cls(**settings)
+    return dataclasses.replace(base, **settings)
 
 
 @lru_cache(maxsize=32)
@@ -208,20 +213,24 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
     With a ``cache`` it returns the last position's logits only, [.., 1,
     vocab_size], as sampling needs: those of ``encoder_forward(...)[...,
     -1:, :]`` up to float rounding. It records no tape, so it raises
-    ValueError while gradients are enabled. A window one token longer than
-    the cache extends it: only the newest position runs, at its own
-    positional row, its one query attending over the cached keys and its
-    own. Any other window runs in full except the last layer's final
-    attention sub-layer, where only the last position queries (the rest of
-    the forward then runs on it alone). While shorter than ``seq_len`` it
-    refills the cache with every attention sub-layer's keys and values; a
-    full window, which cannot grow, leaves the cache empty.
+    ValueError while gradients are enabled, before it runs or touches the
+    cache. A window one token longer than the cache extends it: only the
+    newest position runs, at its own positional row, its one query
+    attending over the cached keys and its own. Any other window runs in
+    full except the last layer's final attention sub-layer, where only the
+    last position queries (the rest of the forward then runs on it alone).
+    While shorter than ``seq_len`` it refills the cache with every attention
+    sub-layer's keys and values; a full window, which cannot grow, leaves
+    the cache empty.
 
     ``head=False`` stops before the output head and returns the final hidden
     states, [.., L, d_model]. ``training.batch_loss`` passes them with
     ``params["output.w"]`` to ``cross_entropy((h, w), targets)``, which
     computes the head inside the loss.
     """
+    if cache is not None and grad_enabled():
+        raise ValueError("encoder_forward with a cache records no tape; "
+                         "call it under no_grad()")
     ids = np.asarray(token_ids)
     if ids.ndim not in (1, 2):
         raise ValueError("token ids must be a 1-d or 2-d integer array")

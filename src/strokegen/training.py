@@ -327,7 +327,7 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
             raise ValueError(f"checkpoint {name!r} must be an integer >= 0, "
                              f"got {value!r}")
     history = data.get("loss_history")
-    row_types = (FIELD_TYPES["int"][0],) + (FIELD_TYPES["float"][0],) * 2
+    row_types = (FIELD_TYPES["int"],) + (FIELD_TYPES["float"],) * 2
     if not isinstance(history, list) or not all(
             isinstance(row, list) and len(row) == 3
             and all(type(v) in t for v, t in zip(row, row_types))
@@ -378,12 +378,15 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    """Write ``<path>.tmp``, then rename it over ``path``: all or nothing."""
+    """Write ``<path>.tmp`` and sync it to disk, then rename it over
+    ``path``: all or nothing, also after a power loss."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w") as fh:
             json.dump(checkpoint_to_json(ckpt), fh, sort_keys=True,
                       separators=(",", ":"))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

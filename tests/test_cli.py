@@ -2,12 +2,15 @@ import base64
 import dataclasses
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from strokegen.cli import main, parse_config_file
+from strokegen import cli
+from strokegen.cli import build_parser, main
 from strokegen.demo import make_demo_recording
 from strokegen.geometry import load_path_image
 from strokegen.model import config_from_json
@@ -21,19 +24,10 @@ from strokegen.training import (
     train,
 )
 
-MICRO_CFG = """\
 # micro settings for fast tests
-epochs = 2
-patches_per_epoch = 6
-batch_size = 8
-warmup_steps = 10
-heldout_patches = 6
-seq_ceiling = 16
-d_model = 8
-n_layers = 1
-n_heads = 2
-d_ff = 16
-"""
+MICRO_CFG = {"epochs": 2, "patches_per_epoch": 6, "batch_size": 8,
+             "warmup_steps": 10, "heldout_patches": 6, "seq_ceiling": 16,
+             "d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 16}
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +37,10 @@ def workdir(tmp_path_factory):
     assert main([
         "ingest", str(root / "rec.json"), "-o", str(root / "img.json"),
     ]) == 0
-    (root / "micro.cfg").write_text(MICRO_CFG)
+    (root / "micro.json").write_text(json.dumps(MICRO_CFG))
     assert main([
         "train", str(root / "img.json"), "-o", str(root / "run"),
-        "--config", str(root / "micro.cfg"), "--seed", "3",
+        "--config", str(root / "micro.json"), "--seed", "3",
     ]) == 0
     return root
 
@@ -130,7 +124,7 @@ def test_malformed_path_image_exit_2(workdir, tmp_path, capsys, paths, where):
     bad.write_text(json.dumps({"boundary": 180, "paths": paths}))
     assert main([
         "train", str(bad), "-o", str(tmp_path / "x"),
-        "--config", str(workdir / "micro.cfg"),
+        "--config", str(workdir / "micro.json"),
     ]) == 2
     assert where in capsys.readouterr().err
 
@@ -188,7 +182,7 @@ class TestTrain:
         # the same training without the metrics writes the same bytes
         cfg = dataclasses.replace(
             TrainConfig(), seed=3,
-            **parse_config_file(workdir / "micro.cfg"))
+            **json.loads((workdir / "micro.json").read_text()))
         save_checkpoint(train(load_path_image(workdir / "img.json"), cfg),
                         tmp_path / "checkpoint.json")
         assert (tmp_path / "checkpoint.json").read_bytes() == \
@@ -202,7 +196,7 @@ class TestTrain:
         for d in ("a", "b"):
             assert main([
                 "train", str(workdir / "img.json"), "-o", str(tmp_path / d),
-                "--config", str(workdir / "micro.cfg"), "--seed", "3",
+                "--config", str(workdir / "micro.json"), "--seed", "3",
             ]) == 0
         assert (tmp_path / "a" / "checkpoint.json").read_bytes() == \
             (tmp_path / "b" / "checkpoint.json").read_bytes()
@@ -212,7 +206,7 @@ class TestTrain:
     def test_trend_line_printed(self, workdir, tmp_path, capsys):
         assert main([
             "train", str(workdir / "img.json"), "-o", str(tmp_path / "t"),
-            "--config", str(workdir / "micro.cfg"), "--seed", "1",
+            "--config", str(workdir / "micro.json"), "--seed", "1",
             "--fixed-patch-set", "6",
         ]) == 0
         assert "held-out trend:" in capsys.readouterr().out
@@ -239,46 +233,62 @@ class TestTrain:
         monkeypatch.setattr(cli, "train", lambda *a, **kw: ckpt)
         assert main([
             "train", str(workdir / "img.json"), "-o", str(tmp_path / "t"),
-            "--config", str(workdir / "micro.cfg"),
+            "--config", str(workdir / "micro.json"),
         ]) == 0
         assert f"held-out trend: {trend}\n" in capsys.readouterr().out
 
-    def test_unknown_config_key_exit_2(self, workdir, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense = 5\n")
+    def test_checkpoint_train_settings_reproduce_the_run(self, workdir,
+                                                         tmp_path):
+        # a checkpoint's train object is a config file for the same run
+        first = workdir / "run" / "checkpoint.json"
+        settings = tmp_path / "train.json"
+        settings.write_text(json.dumps(json.loads(first.read_text())["train"]))
         assert main([
-            "train", str(workdir / "img.json"), "-o", str(tmp_path / "x"),
-            "--config", str(cfg),
-        ]) == 2
+            "train", str(workdir / "img.json"), "-o", str(tmp_path / "again"),
+            "--config", str(settings),
+        ]) == 0
+        assert (tmp_path / "again" / "checkpoint.json").read_bytes() == \
+            first.read_bytes()
 
-    def test_unparsable_config_value_exit_2(self, workdir, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("# sizes\nepochs = 1.5\n")
+    def test_unknown_config_key_exit_2(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"nonsense": 5}')
         assert main([
             "train", str(workdir / "img.json"), "-o", str(tmp_path / "x"),
             "--config", str(cfg),
         ]) == 2
-        assert (f"error: {cfg}:2: setting 'epochs': invalid literal for int() "
-                f"with base 10: '1.5'") in capsys.readouterr().err
+        assert (f"error: unknown {cfg} settings: ['nonsense']"
+                in capsys.readouterr().err)
+
+    def test_wrongly_typed_config_value_exit_2(self, workdir, tmp_path,
+                                               capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"seed": 1, "epochs": 1.5}')
+        assert main([
+            "train", str(workdir / "img.json"), "-o", str(tmp_path / "x"),
+            "--config", str(cfg),
+        ]) == 2
+        assert (f"error: {cfg} setting 'epochs' must be int, got 1.5"
+                in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("setting, message", [
-        ("n_heads = 0", "n_heads must be >= 1"),
-        ("d_ff = 0", "d_ff must be >= 1"),
-        ("d_model = 0", "d_model must be >= 1"),
-        ("n_layers = 0", "n_layers must be >= 1"),
-        ("beta1 = 1.5", "beta1 must be in [0, 1)"),
-        ("beta1 = -0.1", "beta1 must be in [0, 1)"),
-        ("beta2 = 1.0", "beta2 must be in [0, 1)"),
-        ("adam_eps = 0", "adam_eps must be positive"),
-        ("adam_eps = nan", "adam_eps must be positive"),
-        ("flatten_error = nan", "flatten_error must be positive, got nan"),
-        ("flatten_error = 0", "flatten_error must be positive, got 0.0"),
+        ('{"n_heads": 0}', "n_heads must be >= 1"),
+        ('{"d_ff": 0}', "d_ff must be >= 1"),
+        ('{"d_model": 0}', "d_model must be >= 1"),
+        ('{"n_layers": 0}', "n_layers must be >= 1"),
+        ('{"beta1": 1.5}', "beta1 must be in [0, 1)"),
+        ('{"beta1": -0.1}', "beta1 must be in [0, 1)"),
+        ('{"beta2": 1.0}', "beta2 must be in [0, 1)"),
+        ('{"adam_eps": 0}', "adam_eps must be positive"),
+        ('{"adam_eps": NaN}', "adam_eps must be positive"),
+        ('{"flatten_error": NaN}', "flatten_error must be positive, got nan"),
+        ('{"flatten_error": 0}', "flatten_error must be positive, got 0.0"),
     ])
     def test_bad_model_or_optimizer_setting_exit_2(self, workdir, tmp_path,
                                                   capsys, setting, message):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(setting + "\n")
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(setting)
         assert main([
             "train", str(workdir / "img.json"), "-o", str(tmp_path / "x"),
             "--preset", "desk", "--config", str(cfg),
@@ -286,18 +296,19 @@ class TestTrain:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting, message", [
-        ("scale_min = 0", "scale_min must be in (0, 1]"),
-        ("reversal_probability = 1.5", "reversal_probability must be in [0, 1]"),
-        ("d_model = 30", "d_model 30 not divisible by 4 heads"),
-        ("seed = -1", "seed must be >= 0, got -1"),
+        ('{"scale_min": 0}', "scale_min must be in (0, 1]"),
+        ('{"reversal_probability": 1.5}',
+         "reversal_probability must be in [0, 1]"),
+        ('{"d_model": 30}', "d_model 30 not divisible by 4 heads"),
+        ('{"seed": -1}', "seed must be >= 0, got -1"),
     ])
     def test_bad_setting_leaves_the_output_directory_alone(
             self, workdir, tmp_path, capsys, setting, message):
         out = tmp_path / "run"
         out.mkdir()
         (out / "metrics.jsonl").write_bytes(b'{"epoch": 1}\n')
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(setting + "\n")
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(setting)
         assert main([
             "train", str(workdir / "img.json"), "-o", str(out),
             "--preset", "desk", "--config", str(cfg),
@@ -329,7 +340,7 @@ class TestTrain:
         monkeypatch.setattr(cli, "train", explode)
         assert main([
             "train", str(workdir / "img.json"), "-o", str(tmp_path / "x"),
-            "--config", str(workdir / "micro.cfg"),
+            "--config", str(workdir / "micro.json"),
         ]) == 3
 
 
@@ -559,7 +570,7 @@ def test_sample_uses_the_training_canvas(workdir, tmp_path):
     rec.write_text(json.dumps(make_demo_recording("boxes", 300.0)))
     assert main(["ingest", str(rec), "-o", str(tmp_path / "img.json")]) == 0
     assert main(["train", str(tmp_path / "img.json"), "-o", str(tmp_path / "run"),
-                 "--config", str(workdir / "micro.cfg")]) == 0
+                 "--config", str(workdir / "micro.json")]) == 0
     checkpoint = tmp_path / "run" / "checkpoint.json"
     cells = _sampled_cells(checkpoint, tmp_path / "grid.svg")
     assert [c.get("width") for c in cells] == ["300"] * 3
@@ -626,60 +637,125 @@ class TestAugmentPreview:
             assert pts.min() >= 0.0 and pts.max() <= patch.boundary
 
 
+def _config(tmp_path, settings: str, *flags: str,
+            preset: str = "full") -> TrainConfig:
+    """The TrainConfig that ``train --config`` builds from the settings
+    text and the flags, without training."""
+    path = tmp_path / "c.json"
+    path.write_text(settings)
+    return cli._train_config(build_parser().parse_args([
+        "train", "img.json", "-o", "out", "--preset", preset,
+        "--config", str(path), *flags]))
+
+
+# JSON values of the wrong kind for each field annotation
+WRONG_KINDS = {"int": [2.0, True, "7"], "float": [True, "0.5"],
+               "bool": [1, "true"], "int | None": [2.5, False, "7"]}
+
+
 class TestConfigFile:
-    def test_parse_types(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(
-            "epochs = 7\nflatten_error = 2.5\ndouble_attention = false\n"
-            "fixed_patch_set = none\n# comment\n\nseed = 9\n"
-        )
-        out = parse_config_file(cfg)
-        assert out == {
-            "epochs": 7,
-            "flatten_error": 2.5,
-            "double_attention": False,
-            "fixed_patch_set": None,
-            "seed": 9,
-        }
+    def test_types(self, tmp_path):
+        cfg = _config(tmp_path, '{"epochs": 7, "flatten_error": 2.5, '
+                      '"double_attention": false, "fixed_patch_set": null, '
+                      '"seed": 9}')
+        assert cfg == dataclasses.replace(
+            TrainConfig(), epochs=7, flatten_error=2.5,
+            double_attention=False, fixed_patch_set=None, seed=9)
+        assert [type(getattr(cfg, name)) for name in
+                ("epochs", "flatten_error", "double_attention")] == \
+            [int, float, bool]
 
-    def test_bad_line_rejected(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs 7\n")
-        with pytest.raises(ValueError):
-            parse_config_file(cfg)
+    def test_preset_then_file_then_flags(self, tmp_path):
+        cfg = _config(tmp_path, '{"epochs": 7, "seed": 9, "d_ff": 64}',
+                      "--seed", "4", "--fixed-patch-set", "5",
+                      preset="desk")
+        assert cfg == desk_preset(epochs=7, seed=4, d_ff=64,
+                                  fixed_patch_set=5)
 
-    @pytest.mark.parametrize("setting, reason", [
-        ("epochs = 1.5", "invalid literal for int() with base 10: '1.5'"),
-        ("scale_min = abc", "could not convert string to float: 'abc'"),
-        ("double_attention = maybe", "expects true/false"),
-        ("epochs = none", "cannot be none"),
+    def test_a_json_integer_for_a_float_setting_is_a_float(self, tmp_path):
+        ints = {"beta1": 0, "beta2": 0, "adam_eps": 1, "flatten_error": 2,
+                "reversal_probability": 1, "scale_min": 1}
+        assert set(ints) == {f.name for f in dataclasses.fields(TrainConfig)
+                             if f.type == "float"}
+        as_ints = _config(tmp_path, json.dumps(ints))
+        as_floats = _config(tmp_path, json.dumps(
+            {name: float(value) for name, value in ints.items()}))
+        # so a checkpoint writes 2.0 for either file
+        assert json.dumps(dataclasses.asdict(as_ints)) == \
+            json.dumps(dataclasses.asdict(as_floats))
+
+    @pytest.mark.parametrize("document, kind", [
+        ("[1, 2]", "list"), ('"epochs"', "str"), ("7", "int"),
+        ("null", "NoneType"),
     ])
-    def test_unparsable_value_names_file_line_and_key(self, tmp_path,
-                                                       setting, reason):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("seed = 1\n" + setting + "\n")
-        key = setting.split()[0]
-        with pytest.raises(ValueError) as info:
-            parse_config_file(cfg)
-        assert str(info.value) == f"{cfg}:2: setting {key!r}: {reason}"
+    def test_a_document_that_is_no_object_exit_2(self, workdir, tmp_path,
+                                                 capsys, document, kind):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(document)
+        # with a flag, which the file's settings would otherwise take in
+        assert main(["train", str(workdir / "img.json"),
+                     "-o", str(tmp_path / "x"), "--config", str(cfg),
+                     "--seed", "3"]) == 2
+        assert (f"error: {cfg} settings must be a JSON object, got {kind}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
 
-    # JSON values of the wrong kind for each field annotation
-    WRONG_KINDS = {"int": [2.0, True, "7"], "float": [True, "0.5"],
-                   "bool": [1, "true"], "int | None": [2.5, False, "7"]}
+    @pytest.mark.parametrize("text", ["epochs = 7\n", '{"epochs": 7',
+                                      '{"epochs": 7,}', ""],
+                             ids=["key-value", "unclosed", "trailing-comma",
+                                  "empty"])
+    def test_broken_json_exit_2(self, workdir, tmp_path, capsys, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["train", str(workdir / "img.json"),
+                     "-o", str(tmp_path / "x"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x").exists()
+
+    def test_null_only_for_an_optional_setting(self, tmp_path):
+        assert _config(tmp_path, '{"fixed_patch_set": null}',
+                       preset="desk") == desk_preset()
+        with pytest.raises(ValueError) as info:
+            _config(tmp_path, '{"epochs": null}')
+        assert str(info.value) == \
+            f"{tmp_path / 'c.json'} setting 'epochs' must be int, got None"
+
+    @pytest.mark.parametrize("name, wrong", [
+        (name, wrong) for name, kind in (
+            ("epochs", "int"), ("scale_min", "float"),
+            ("double_attention", "bool"), ("fixed_patch_set", "int | None"))
+        for wrong in WRONG_KINDS[kind]])
+    def test_a_wrong_json_kind_names_the_file_and_the_key(
+            self, workdir, tmp_path, capsys, name, wrong):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({name: wrong}))
+        assert main(["train", str(workdir / "img.json"),
+                     "-o", str(tmp_path / "x"), "--config", str(cfg)]) == 2
+        kind = {f.name: f.type for f in dataclasses.fields(TrainConfig)}[name]
+        assert (f"error: {cfg} setting {name!r} must be {kind}, got {wrong!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("preset", [TrainConfig(), desk_preset()],
                              ids=["full", "desk"])
     def test_every_field_round_trips(self, tmp_path, preset):
         values = dataclasses.asdict(preset)
-        cfg = tmp_path / "all.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        assert parse_config_file(cfg) == values
+        assert _config(tmp_path, json.dumps(values)) == preset
         assert config_from_json(TrainConfig, json.loads(json.dumps(values)),
                                 "train") == preset
         for field in dataclasses.fields(TrainConfig):
-            for wrong in self.WRONG_KINDS[field.type]:
+            for wrong in WRONG_KINDS[field.type]:
                 with pytest.raises(ValueError) as info:
                     config_from_json(TrainConfig, {**values, field.name: wrong},
                                      "train")
                 assert str(info.value) == (f"train setting {field.name!r} must "
                                            f"be {field.type}, got {wrong!r}")
+
+    @pytest.mark.parametrize("preset", ["full", "desk"])
+    def test_the_readme_example_is_a_valid_config(self, tmp_path, preset):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        example = re.search(r"### Configuration files.*?```json\n(.*?)```",
+                            readme, re.DOTALL).group(1)
+        base = desk_preset() if preset == "desk" else TrainConfig()
+        assert _config(tmp_path, example, preset=preset) == \
+            dataclasses.replace(base, **json.loads(example))

@@ -180,6 +180,29 @@ def test_a_window_the_cache_cannot_extend_runs_in_full():
         assert cache.buffer is None
 
 
+@pytest.mark.parametrize("length", [8, 6], ids=["full-window", "extend"])
+def test_a_taped_call_with_a_cache_refuses_before_any_work(monkeypatch,
+                                                           length):
+    cfg = ModelConfig(vocab_size=VOCAB.size, seq_len=8, **DESK)
+    params = init_encoder_params(cfg, np.random.default_rng(0))
+    ids = np.random.default_rng(4).integers(0, VOCAB.size, (2, 8))
+    cache = KVCache()
+    with no_grad():
+        encoder_forward(ids[:, :5], params, cfg, cache=cache)
+    buffer, attention = cache.buffer, model.multi_head_attention
+    calls = []
+
+    def counting_attention(*args, **kwargs):
+        calls.append(kwargs)
+        return attention(*args, **kwargs)
+
+    monkeypatch.setattr(model, "multi_head_attention", counting_attention)
+    with pytest.raises(ValueError, match="no_grad"):
+        encoder_forward(ids[:, :length], params, cfg, cache=cache)
+    assert calls == []
+    assert cache.length == 5 and cache.buffer is buffer
+
+
 @pytest.mark.parametrize("param, where", [
     ("ff.w1", "ff"),
     ("attn{last}.wq", "attn{last}"),

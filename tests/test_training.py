@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import weakref
 
@@ -389,6 +390,28 @@ class TestCheckpointFormat:
             save_checkpoint(run, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+    def test_save_syncs_the_whole_file_before_the_rename(self, run, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "checkpoint.json"
+        fsync, replace = os.fsync, os.replace
+        calls = []
+
+        def recording_fsync(fd):
+            stat = os.fstat(fd)
+            calls.append(("fsync", stat.st_ino, stat.st_size))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino, os.fspath(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        save_checkpoint(run, path)
+        ino = path.stat().st_ino
+        assert calls == [("fsync", ino, path.stat().st_size),
+                         ("replace", ino, os.fspath(path))]
 
     def test_loss_csv(self, micro_image, tmp_path):
         ckpt = train(micro_image, micro_config(epochs=2))
