@@ -19,6 +19,7 @@ from .demo import DEMO_KINDS, make_demo_recording
 from .geometry import (
     DEFAULT_FIT_ERROR,
     flatten_path,
+    load_json,
     load_path_image,
     recording_to_image,
     save_path_image,
@@ -120,8 +121,7 @@ def _train_config(args) -> TrainConfig:
     """The preset, overridden by the ``--config`` file, overridden by the
     flags that name a TrainConfig field; built once."""
     preset = desk_preset() if args.preset == "desk" else TrainConfig()
-    settings = ({} if args.config is None
-                else json.loads(args.config.read_text()))
+    settings = {} if args.config is None else load_json(args.config)
     if isinstance(settings, dict):  # config_from_json refuses anything else
         fields = {f.name for f in dataclasses.fields(TrainConfig)}
         settings.update({name: value for name, value in vars(args).items()
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

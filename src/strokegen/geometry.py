@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -210,32 +211,6 @@ def check_controls(c: np.ndarray, splits: np.ndarray,
                              f"{c[i].tolist()}")
 
 
-# ---------------------------------------------------------------------------
-# Bezier evaluation helpers
-# ---------------------------------------------------------------------------
-
-def _bezier_eval(c: np.ndarray, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    u = 1.0 - t
-    b = np.stack([u ** 3, 3 * u * u * t, 3 * u * t * t, t ** 3], axis=-1)
-    return b @ c
-
-
-def _bezier_deriv1(c: np.ndarray, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    u = 1.0 - t
-    d = 3.0 * np.diff(c, axis=0)  # [3, 2]
-    b = np.stack([u * u, 2 * u * t, t * t], axis=-1)
-    return b @ d
-
-
-def _bezier_deriv2(c: np.ndarray, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    d2 = 6.0 * np.diff(c, n=2, axis=0)  # [2, 2]
-    b = np.stack([1.0 - t, t], axis=-1)
-    return b @ d2
-
-
 def _curve_arc_lengths(curves: np.ndarray) -> np.ndarray:
     """Gauss-Legendre arc lengths for an array of curves [n, 4, 2]."""
     d = 3.0 * np.diff(curves, axis=1)  # [n, 3, 2]
@@ -250,6 +225,8 @@ def _curve_arc_lengths(curves: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Curve fitting (least-squares cubic fit with recursive splitting)
 # ---------------------------------------------------------------------------
+# Products keep the factor order, and sums the element order, of the reference
+# fitter in tests/fit_oracle.py, so the fitted floats match it bit for bit.
 
 def fit_path(points, max_error: float) -> Path:
     """Fit a chain of cubic curves through recorded pen positions.
@@ -297,23 +274,20 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 def _fit_cubic(pts: np.ndarray, t_left: np.ndarray, t_right: np.ndarray,
                max_error: float) -> list[np.ndarray]:
-    if len(pts) == 2:
-        dist = math.hypot(*(pts[1] - pts[0])) / 3.0
-        return [np.array([pts[0], pts[0] + t_left * dist,
-                          pts[1] + t_right * dist, pts[1]])]
-
-    u = _chord_length_params(pts)
-    bez = _generate_bezier(pts, u, t_left, t_right)
-    err_sq, split = _max_error_sq(pts, bez, u)
     budget_sq = max_error * max_error
-    if err_sq <= budget_sq:
-        return [bez]
-
-    for _ in range(_REPARAM_ROUNDS):
-        u = _reparameterize(bez, pts, u)
-        bez = _generate_bezier(pts, u, t_left, t_right)
-        err_sq, split = _max_error_sq(pts, bez, u)
-        if err_sq <= budget_sq:
+    tangents = np.array([t_left, t_right])
+    u = _chord_length_params(pts)
+    # the chord-length fit, then up to _REPARAM_ROUNDS Newton-Raphson rounds
+    for reparam in range(_REPARAM_ROUNDS + 1):
+        if reparam:
+            u = _reparameterize(bez, pts, u, su, diff)
+        su, basis = _bernstein(u)
+        bez = _generate_bezier(pts, su, basis, tangents)
+        diff = basis @ bez - pts  # from each point to its place on the curve
+        d_sq = diff * diff
+        d_sq = d_sq[:, 0] + d_sq[:, 1]
+        split = int(d_sq.argmax())
+        if d_sq[split] <= budget_sq:
             return [bez]
 
     split = min(max(split, 1), len(pts) - 2)
@@ -331,53 +305,67 @@ def _chord_length_params(pts: np.ndarray) -> np.ndarray:
     return u / u[-1]
 
 
-def _generate_bezier(pts: np.ndarray, u: np.ndarray, t_left: np.ndarray,
-                     t_right: np.ndarray) -> np.ndarray:
-    first, last = pts[0], pts[-1]
-    a0 = np.outer(3 * (1 - u) ** 2 * u, t_left)    # [n, 2]
-    a1 = np.outer(3 * (1 - u) * u ** 2, t_right)
+def _bernstein(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns [1 - u, u] [n, 2] and the cubic Bernstein basis [n, 4]
+    at the curve parameters ``u``."""
+    su = np.empty((len(u), 2))
+    np.subtract(1.0, u, out=su[:, 0])
+    su[:, 1] = u
+    basis = np.empty((len(u), 4))
+    basis[:, ::3] = su ** 3
+    # 3 (1 - u) (1 - u) u and 3 (1 - u) u u
+    np.multiply(3 * su[:, :1] * su, su[:, 1:], out=basis[:, 1:3])
+    return su, basis
 
-    c00 = np.sum(a0 * a0)
-    c01 = np.sum(a0 * a1)
-    c11 = np.sum(a1 * a1)
 
-    base = _bezier_eval(np.array([first, first, last, last]), u)
-    tmp = pts - base
-    x0 = np.sum(a0 * tmp)
-    x1 = np.sum(a1 * tmp)
+def _generate_bezier(pts: np.ndarray, su: np.ndarray, basis: np.ndarray,
+                     tangents: np.ndarray) -> np.ndarray:
+    """The least-squares curve from pts[0] to pts[-1] leaving along the
+    tangents [2, 2] at the parameters whose columns [1 - u, u] are ``su``."""
+    n = len(pts)
+    sq = su * su
+    coef = np.empty((2, n))
+    np.multiply(3 * sq[:, 0], su[:, 1], out=coef[0])  # 3 (1 - u)^2 u
+    np.multiply(3 * su[:, 0], sq[:, 1], out=coef[1])  # 3 (1 - u) u^2
+    terms = np.empty((3, n, 2))  # a0, a1, pts - base
+    np.multiply(coef[:, :, None], tangents[:, None], out=terms[:2])
+    bez = pts[[0, 0, -1, -1]]
+    np.subtract(pts, basis @ bez, out=terms[2])
+    # a0 and a1 times each of a0, a1 and pts - base, each summed in one pass
+    c00, c01, x0, _, c11, x1 = np.add.reduce(
+        (terms[:2, None] * terms).reshape(6, 2 * n), axis=1).tolist()
 
     det_c = c00 * c11 - c01 * c01
     alpha_l = (x0 * c11 - x1 * c01) / det_c if det_c != 0.0 else 0.0
     alpha_r = (c00 * x1 - c01 * x0) / det_c if det_c != 0.0 else 0.0
 
-    seg_len = math.hypot(*(last - first))
+    seg_len = math.hypot(*(bez[3] - bez[0]))
     eps = 1.0e-6 * seg_len
     if alpha_l < eps or alpha_r < eps:
         # Wu/Barsky heuristic when the least-squares solve degenerates.
         alpha_l = alpha_r = seg_len / 3.0
 
-    return np.array([first, first + t_left * alpha_l,
-                     last + t_right * alpha_r, last])
+    bez[1:3] += tangents * np.array([[alpha_l], [alpha_r]])
+    return bez
 
 
-def _max_error_sq(pts: np.ndarray, bez: np.ndarray,
-                  u: np.ndarray) -> tuple[float, int]:
-    on_curve = _bezier_eval(bez, u)
-    d_sq = np.sum((on_curve - pts) ** 2, axis=1)
-    idx = int(np.argmax(d_sq))
-    return float(d_sq[idx]), idx
-
-
-def _reparameterize(bez: np.ndarray, pts: np.ndarray,
-                    u: np.ndarray) -> np.ndarray:
-    q = _bezier_eval(bez, u)
-    q1 = _bezier_deriv1(bez, u)
-    q2 = _bezier_deriv2(bez, u)
-    diff = q - pts
-    num = np.sum(diff * q1, axis=1)
-    den = np.sum(q1 * q1, axis=1) + np.sum(diff * q2, axis=1)
-    step = np.where(np.abs(den) > 1e-12, num / np.where(den == 0, 1.0, den), 0.0)
-    out = np.clip(u - step, 0.0, 1.0)
+def _reparameterize(bez: np.ndarray, pts: np.ndarray, u: np.ndarray,
+                    su: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """A Newton-Raphson step of ``u`` (columns [1 - u, u] ``su``) towards each
+    point's nearest place on ``bez``; ``diff`` is bez at ``u`` less ``pts``."""
+    d1 = bez[1:] - bez[:-1]
+    basis1 = np.empty((len(u), 3))  # (1 - u)^2, 2 (1 - u) u, u^2
+    basis1[:, ::2] = su * su
+    np.multiply(2 * su[:, 0], u, out=basis1[:, 1])
+    q = np.empty((3, len(u), 2))  # diff, first and second derivative
+    q[0] = diff
+    np.matmul(basis1, 3.0 * d1, out=q[1])
+    np.matmul(su, 6.0 * (d1[1:] - d1[:-1]), out=q[2])
+    p = q[:2, None] * q[1:]
+    p = p[..., 0] + p[..., 1]  # [[diff.q1, diff.q2], [q1.q1, q1.q2]]
+    num, den = p[0, 0], p[1, 0] + p[0, 1]
+    step = np.divide(num, den, out=np.zeros(len(u)), where=np.abs(den) > 1e-12)
+    out = np.minimum(np.maximum(u - step, 0.0), 1.0)
     out[0] = 0.0
     out[-1] = 1.0
     return out
@@ -513,7 +501,7 @@ def fit_to_canvas(xy: np.ndarray,
 
 def load_recording(source) -> tuple[list[np.ndarray], float]:
     """Read a stroke recording; returns (strokes as [N,2] arrays, boundary)."""
-    data = _load_json(source)
+    data = load_json(source)
     if not isinstance(data, dict) or not isinstance(data.get("strokes"), list):
         raise ValueError("recording must be an object with a 'strokes' list")
     boundary = _boundary_from_json(data)
@@ -600,11 +588,16 @@ def save_path_image(image: StrokeImage, path):
 
 
 def load_path_image(path) -> StrokeImage:
-    return image_from_json(_load_json(path))
+    return image_from_json(load_json(path))
 
 
-def _load_json(source):
+def load_json(source):
+    """The document of the JSON file ``source`` (a dict passes as it is); a
+    file that does not decode raises ValueError naming it."""
     if isinstance(source, dict):
         return source
     with open(source) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{os.fspath(source)}: {exc}") from None

@@ -21,6 +21,7 @@ from .geometry import (
     StrokeImage,
     _boundary_from_json,
     check_error_bound,
+    load_json,
 )
 from .model import (
     FIELD_TYPES,
@@ -378,8 +379,8 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    """Write ``<path>.tmp`` and sync it to disk, then rename it over
-    ``path``: all or nothing, also after a power loss."""
+    """Write ``<path>.tmp`` and sync it to disk, rename it over ``path`` and
+    sync the directory: all or nothing, also after a power loss."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -388,14 +389,19 @@ def save_checkpoint(ckpt: Checkpoint, path):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        # the rename itself is durable only once the directory is synced
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path) as fh:
-        return checkpoint_from_json(json.load(fh))
+    return checkpoint_from_json(load_json(path))
 
 
 def write_loss_csv(history: list[EpochStats], path):

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -94,7 +95,19 @@ class TestIngest:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["ingest", str(bad), "-o", str(tmp_path / "x.json")]) == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {bad}: Expecting property name enclosed in double "
+            f"quotes: line 1 column 2 (char 1)\n")
+        assert not (tmp_path / "x.json").exists()
+
+    def test_written_image_bytes_are_pinned(self, tmp_path):
+        # demo-recording then ingest, through the CLI; the sha256 is that of
+        # the image the reference fitter of tests/fit_oracle.py writes
+        rec, out = tmp_path / "rec.json", tmp_path / "img.json"
+        assert main(["demo-recording", "boxes", "-o", str(rec)]) == 0
+        assert main(["ingest", str(rec), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9cc4287d942cde754685f628eb834031c8cdbdd76658c4a1bb3fb41d746377e3")
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["ingest", str(tmp_path / "nope.json"),
@@ -559,6 +572,25 @@ def test_malformed_checkpoint_exit_2(workdir, tmp_path, capsys, edit, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "sample"])
+def test_broken_image_or_checkpoint_exit_2_naming_the_file(
+        workdir, tmp_path, capsys, command):
+    bad = tmp_path / "broken.json"
+    bad.write_text('{"boundary": 180, "paths": [')
+    out = tmp_path / "x"
+    if command == "train":
+        # a broken config as well: the image, read first, is the one named
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"epochs": ')
+        argv = ["train", str(bad), "-o", str(out), "--config", str(cfg)]
+    else:
+        argv = ["sample", str(bad), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: Expecting value: line 1 column 29 (char 28)\n")
+    assert not out.exists()
+
+
 def _sampled_cells(checkpoint, out):
     assert main(["sample", str(checkpoint), "--out", str(out), "--count", "3",
                  "--max-moves", "40", "--seed", "1"]) == 0
@@ -709,7 +741,7 @@ class TestConfigFile:
         cfg.write_text(text)
         assert main(["train", str(workdir / "img.json"),
                      "-o", str(tmp_path / "x"), "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
         assert not (tmp_path / "x").exists()
 
     def test_null_only_for_an_optional_setting(self, tmp_path):

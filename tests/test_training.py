@@ -410,8 +410,10 @@ class TestCheckpointFormat:
         monkeypatch.setattr(os, "replace", recording_replace)
         save_checkpoint(run, path)
         ino = path.stat().st_ino
+        directory = tmp_path.stat()
         assert calls == [("fsync", ino, path.stat().st_size),
-                         ("replace", ino, os.fspath(path))]
+                         ("replace", ino, os.fspath(path)),
+                         ("fsync", directory.st_ino, directory.st_size)]
 
     def test_loss_csv(self, micro_image, tmp_path):
         ckpt = train(micro_image, micro_config(epochs=2))
