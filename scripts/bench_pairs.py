@@ -20,8 +20,12 @@ Writes ``BENCH_<label>.json`` at the repository root: for every end-to-end
 metric of BENCHMARK.json and each side, the per-run values, median and
 quartiles; the per-pair ratio change/parent with its median, quartiles and
 range (paired ratios cancel host drift between pairs, separate medians do
-not); and the number of pairs the working tree won (ties count for neither
-side); the ``# env`` line of every run; failed-check counts; both
+not); the number of pairs the working tree won (ties count for neither
+side); whether a claimed gain is met (``gain_met``: the change wins at least
+9 in 10 pairs and its median beats the parent's by more than the parent's
+q3 - q1) and whether the change regressed (``regressed``: its median is
+worse than the parent's by more than the metric's bound times the parent's
+median); the ``# env`` line of every run; failed-check counts; both
 commit shas (the working tree's as HEAD plus a flag for uncommitted changes)
 and the id of the snapshot tree that the change side ran.
 Exits 1 after writing the file when any run crashed or failed a check, and
@@ -99,7 +103,8 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict:
     """Per metric: each side's runs, median and quartiles, the per-pair
-    ratio change/parent, and change wins."""
+    ratio change/parent, change wins, and whether a gain is met and whether
+    the change regressed."""
     out = {}
     for m in spec:
         name = m["name"]
@@ -112,15 +117,23 @@ def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict:
         parent = [p for p, _ in pairs]
         change = [c for _, c in pairs]
         ratios = [c / p for p, c in pairs if p != 0]
+        wins = sum(sign * (c - p) > 0 for p, c in pairs)
+        before, after = quartiles(parent), quartiles(change)
+        gain = sign * (after["median"] - before["median"])
+        bound = m.get("bound")
         out[name] = {
-            "unit": m["unit"], "better": m["better"], "bound": m.get("bound"),
-            "parent": {**quartiles(parent), "runs": parent},
-            "change": {**quartiles(change), "runs": change},
+            "unit": m["unit"], "better": m["better"], "bound": bound,
+            "parent": {**before, "runs": parent},
+            "change": {**after, "runs": change},
             "ratio": {**quartiles(ratios), "min": min(ratios),
                       "max": max(ratios), "runs": ratios} if ratios else None,
-            "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
+            "change_wins": wins,
             "ties": sum(c == p for p, c in pairs),
             "pairs": len(pairs),
+            "gain_met": (10 * wins >= 9 * len(pairs)
+                         and gain > before["q3"] - before["q1"]),
+            "regressed": (None if bound is None
+                          else -gain > bound * abs(before["median"])),
         }
     return out
 
@@ -198,14 +211,17 @@ def main(argv=None) -> int:
 
 
 def ratio_line(workload: str, name: str, m: dict) -> str:
-    """One metric's medians, paired ratio and change wins, as one line."""
+    """One metric's medians, paired ratio, change wins and the gain and
+    regression verdicts, as one line."""
     r = m["ratio"]
     ratio = ("no ratio" if r is None else
              f"ratio {r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}] "
              f"range {r['min']:.3f}-{r['max']:.3f}")
+    verdict = {True: "yes", False: "no", None: "no bound"}
     return (f"{workload} {name}: parent {m['parent']['median']:.4g}, change "
             f"{m['change']['median']:.4g}, {ratio}, change wins "
-            f"{m['change_wins']}/{m['pairs']}")
+            f"{m['change_wins']}/{m['pairs']}, gain met "
+            f"{verdict[m['gain_met']]}, regressed {verdict[m['regressed']]}")
 
 
 def failed_runs(report: dict) -> list[tuple[str, str, int]]:

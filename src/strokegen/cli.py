@@ -39,6 +39,7 @@ from .training import (
     load_checkpoint,
     save_checkpoint,
     train,
+    write_atomically,
     write_loss_csv,
 )
 
@@ -134,14 +135,16 @@ def cmd_train(args) -> int:
     image = load_path_image(args.pathimage)
     cfg = _train_config(args)
     args.out.mkdir(parents=True, exist_ok=True)
+    metrics = []  # one JSON line per epoch so far
 
     def on_epoch(stats):
         print(f"epoch {stats.epoch:3d}: train {stats.train_loss:.4f} "
               f"heldout {stats.heldout_loss:.4f}")
-        # a run that train() refuses keeps the metrics of an earlier run
-        with open(args.out / "metrics.jsonl",
-                  "w" if stats.epoch == 1 else "a") as metrics:
-            metrics.write(json.dumps(dataclasses.asdict(stats)) + "\n")
+        # rewritten whole, so a run that train() refuses or that stops keeps
+        # a complete file: an earlier run's, or this one's so far
+        metrics.append(json.dumps(dataclasses.asdict(stats)) + "\n")
+        write_atomically(args.out / "metrics.jsonl",
+                         lambda fh: fh.writelines(metrics))
 
     ckpt = train(image, cfg, on_epoch=on_epoch)
     save_checkpoint(ckpt, args.out / "checkpoint.json")
@@ -153,7 +156,7 @@ def cmd_train(args) -> int:
         },
         title="cross-entropy per epoch",
     )
-    (args.out / "loss.svg").write_text(chart)
+    write_atomically(args.out / "loss.svg", lambda fh: fh.write(chart))
 
     history = ckpt.loss_history
     # the last epoch against epoch 5, or epoch 1 in a run of 5 or fewer

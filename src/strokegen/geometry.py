@@ -223,20 +223,134 @@ def _curve_arc_lengths(curves: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Curve fitting (least-squares cubic fit with recursive splitting)
+# Curve fitting (least-squares cubic fit with adaptive splitting)
 # ---------------------------------------------------------------------------
-# Products keep the factor order, and sums the element order, of the reference
-# fitter in tests/fit_oracle.py, so the fitted floats match it bit for bit.
+# The fit runs breadth-first. A wave holds every segment still being fitted,
+# its points concatenated, and runs one round for each: the chord-length fit
+# or one Newton-Raphson step. Elementwise work is one numpy call per wave.
+# Matrix products and sums stay one call per segment, on the operands the
+# reference fitter in tests/fit_oracle.py uses, since their rounding depends
+# on the operand; products keep its factor order and sums its element order,
+# so the fitted floats match it bit for bit.
 
 def fit_path(points, max_error: float) -> Path:
-    """Fit a chain of cubic curves through recorded pen positions.
+    """Fit a chain of cubic curves through recorded pen positions: the batch
+    of one of fit_paths, whose ValueError messages here do not name the
+    stroke."""
+    check_error_bound("max_error", max_error)
+    return Path(fit_paths([_stroke_points(points)], max_error)[0])
+
+
+def fit_paths(strokes, max_error: float) -> list[np.ndarray]:
+    """The [n, 4, 2] controls of a chain of cubic curves through each
+    stroke's recorded pen positions.
 
     Consecutive duplicate points are dropped first. Every input point ends up
     within ``max_error`` units of the fitted chain, measured at the point's
-    assigned curve parameter. Raises ValueError on fewer than 2 distinct
-    points or a non-positive error budget.
+    assigned curve parameter. Every stroke is checked before any is fitted:
+    one of fewer than 2 distinct points raises ValueError naming it as
+    ``stroke i``; so does a non-positive error budget, unnamed.
     """
     check_error_bound("max_error", max_error)
+    checked = []
+    for i, points in enumerate(strokes):
+        try:
+            checked.append(_stroke_points(points))
+        except ValueError as exc:  # e.g. a stroke of one repeated point
+            raise ValueError(f"stroke {i}: {exc}") from None
+    budget_sq = max_error * max_error
+    # A wave's segments: each one's key (its stroke, then 0 for a left and 1
+    # for a right half per split), its points [lo, hi) of ``pts``, the
+    # rounds it has run and its end tangents [2, 2].
+    keys = [(i,) for i in range(len(checked))]
+    sizes = np.array([len(p) for p in checked], dtype=np.int64)
+    hi = np.cumsum(sizes)
+    lo = hi - sizes
+    pts = np.concatenate(checked) if checked else np.zeros((0, 2))
+    u = _chord_length_params(pts, lo, hi)
+    rounds = np.zeros(len(keys), dtype=np.int64)
+    tangents = np.array([[_unit(p[1] - p[0]), _unit(p[-2] - p[-1])]
+                         for p in checked])
+    fitted = []  # (key, controls [4, 2]) of every segment within budget
+    while keys:
+        su, basis = _bernstein(u)
+        bez = _generate_beziers(pts, su, basis, tangents, lo, hi)
+        # from each point to its place on its curve
+        diff = _per_segment(basis, bez, lo, hi) - pts
+        d_sq = diff * diff
+        d_sq = d_sq[:, 0] + d_sq[:, 1]
+        worst = np.maximum.reduceat(d_sq, lo)
+        fits = worst <= budget_sq
+        fitted += [(keys[s], bez[s]) for s in np.flatnonzero(fits).tolist()]
+        again = np.flatnonzero(~fits & (rounds < _REPARAM_ROUNDS))
+        split = np.flatnonzero(~fits & (rounds == _REPARAM_ROUNDS))
+        halves = []
+        if split.size:
+            short = split[sizes[split] < 3]
+            if short.size:  # two points fit exactly unless a handle overflows
+                s = short[0]
+                raise ValueError(f"stroke {keys[s][0]}: no finite curve joins "
+                                 f"{pts[lo[s]].tolist()} and "
+                                 f"{pts[hi[s] - 1].tolist()}")
+            # as np.argmax, each one's first worst point, or its first NaN
+            at = np.flatnonzero((d_sq == np.repeat(worst, sizes))
+                                | np.isnan(d_sq))
+            at = at[np.searchsorted(at, lo[split])].tolist()
+            halves = [_halves(pts, a, b, worst_at, tangents[s])
+                      for s, a, b, worst_at in zip(split.tolist(),
+                                                   lo[split].tolist(),
+                                                   hi[split].tolist(), at)]
+        # the next wave: the segments that step again, then the new halves
+        ends = np.array([h[0] for h in halves], dtype=np.int64).reshape(-1, 2)
+        starts = np.concatenate((lo[again], ends[:, 0]))
+        sizes = np.concatenate((sizes[again], ends[:, 1] - ends[:, 0]))
+        hi = np.cumsum(sizes)
+        lo = hi - sizes
+        take = np.repeat(starts - lo, sizes) + np.arange(sizes.sum())
+        n = len(again)
+        stepped = int(hi[n - 1]) if n else 0  # their points come first
+        pts, was = pts[take], take[:stepped]
+        u = np.concatenate((
+            _reparameterize(bez[again], pts[:stepped], u[was], su[was],
+                            diff[was], lo[:n], hi[:n]) if n else [],
+            _chord_length_params(pts[stepped:], lo[n:] - stepped,
+                                 hi[n:] - stepped) if halves else []))
+        keys = ([keys[s] for s in again.tolist()]
+                + [keys[s] + (side,) for s in split.tolist() for side in (0, 1)])
+        rounds = np.concatenate((rounds[again] + 1,
+                                 np.zeros(len(ends), np.int64)))
+        tangents = np.concatenate((tangents[again], np.reshape(
+            [h[1] for h in halves], (-1, 2, 2))))
+    fitted.sort(key=lambda f: f[0])
+    curves = [[] for _ in checked]
+    for key, controls in fitted:
+        curves[key[0]].append(controls)
+    return [np.array(c) for c in curves]
+
+
+def _halves(pts: np.ndarray, a: int, b: int, worst_at: int,
+            tangents: np.ndarray) -> tuple[list, list]:
+    """The point ranges and end tangents [2, 2] of the two halves of the
+    segment of points [a, b) and end tangents ``tangents``, split at its
+    worst point, kept off its ends; both hold that point."""
+    at = min(max(worst_at - a, 1), b - a - 2) + a
+    t_center = _unit(pts[at - 1] - pts[at + 1])
+    if t_center[0] == 0.0 and t_center[1] == 0.0:
+        t_center = _unit(pts[at - 1] - pts[at])
+    return ([(a, at + 1), (at, b)],
+            [(tangents[0], t_center), (-t_center, tangents[1])])
+
+
+def check_error_bound(name: str, value: float):
+    """Raise ValueError naming ``name`` unless ``value`` is a number > 0; a
+    NaN bound would split or refit without end."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def _stroke_points(points) -> np.ndarray:
+    """One stroke's [n, 2] points, consecutive duplicates dropped; raises
+    ValueError unless they are finite and at least 2 distinct."""
     pts = np.array(points, dtype=float)
     if pts.size == 0:
         pts = pts.reshape(0, 2)
@@ -247,16 +361,7 @@ def fit_path(points, max_error: float) -> Path:
     pts = _dedupe_consecutive(pts)
     if len(pts) < 2:
         raise ValueError("need at least 2 distinct points to fit a path")
-    t_left = _unit(pts[1] - pts[0])
-    t_right = _unit(pts[-2] - pts[-1])
-    return Path(_fit_cubic(pts, t_left, t_right, max_error))
-
-
-def check_error_bound(name: str, value: float):
-    """Raise ValueError naming ``name`` unless ``value`` is a number > 0; a
-    NaN bound would split or refit without end."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+    return pts
 
 
 def _dedupe_consecutive(pts: np.ndarray) -> np.ndarray:
@@ -272,37 +377,28 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def _fit_cubic(pts: np.ndarray, t_left: np.ndarray, t_right: np.ndarray,
-               max_error: float) -> list[np.ndarray]:
-    budget_sq = max_error * max_error
-    tangents = np.array([t_left, t_right])
-    u = _chord_length_params(pts)
-    # the chord-length fit, then up to _REPARAM_ROUNDS Newton-Raphson rounds
-    for reparam in range(_REPARAM_ROUNDS + 1):
-        if reparam:
-            u = _reparameterize(bez, pts, u, su, diff)
-        su, basis = _bernstein(u)
-        bez = _generate_bezier(pts, su, basis, tangents)
-        diff = basis @ bez - pts  # from each point to its place on the curve
-        d_sq = diff * diff
-        d_sq = d_sq[:, 0] + d_sq[:, 1]
-        split = int(d_sq.argmax())
-        if d_sq[split] <= budget_sq:
-            return [bez]
-
-    split = min(max(split, 1), len(pts) - 2)
-    t_center = _unit(pts[split - 1] - pts[split + 1])
-    if t_center[0] == 0.0 and t_center[1] == 0.0:
-        t_center = _unit(pts[split - 1] - pts[split])
-    left = _fit_cubic(pts[: split + 1], t_left, t_center, max_error)
-    right = _fit_cubic(pts[split:], -t_center, t_right, max_error)
-    return left + right
+def _per_segment(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """a[lo[s]:hi[s]] @ b[s] for each segment s, stacked: one product per
+    segment, rounded as for that segment alone."""
+    if out is None:
+        out = np.empty((len(a), b.shape[-1]))
+    for start, stop, m in zip(lo.tolist(), hi.tolist(), b):
+        np.matmul(a[start:stop], m, out=out[start:stop])
+    return out
 
 
-def _chord_length_params(pts: np.ndarray) -> np.ndarray:
+def _chord_length_params(pts: np.ndarray, lo: np.ndarray,
+                         hi: np.ndarray) -> np.ndarray:
+    """The chord-length parameter of each point of each segment s of points
+    [lo[s], hi[s]): the polyline length from the segment's first point to
+    it, over the segment's whole length."""
     d = np.hypot(*(pts[1:] - pts[:-1]).T)
-    u = np.concatenate([[0.0], np.cumsum(d)])
-    return u / u[-1]
+    u = np.empty(len(pts))
+    u[lo] = 0.0
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        np.cumsum(d[a:b - 1], out=u[a + 1:b])
+    return u / np.repeat(u[hi - 1], hi - lo)
 
 
 def _bernstein(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,56 +414,70 @@ def _bernstein(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return su, basis
 
 
-def _generate_bezier(pts: np.ndarray, su: np.ndarray, basis: np.ndarray,
-                     tangents: np.ndarray) -> np.ndarray:
-    """The least-squares curve from pts[0] to pts[-1] leaving along the
-    tangents [2, 2] at the parameters whose columns [1 - u, u] are ``su``."""
+def _generate_beziers(pts: np.ndarray, su: np.ndarray, basis: np.ndarray,
+                      tangents: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray) -> np.ndarray:
+    """The least-squares curve [S, 4, 2] of each segment s of points
+    [lo[s], hi[s]) from its first to its last point, leaving along its
+    tangents [S, 2, 2], at the parameters whose columns [1 - u, u] are
+    ``su``."""
     n = len(pts)
     sq = su * su
     coef = np.empty((2, n))
     np.multiply(3 * sq[:, 0], su[:, 1], out=coef[0])  # 3 (1 - u)^2 u
     np.multiply(3 * su[:, 0], sq[:, 1], out=coef[1])  # 3 (1 - u) u^2
     terms = np.empty((3, n, 2))  # a0, a1, pts - base
-    np.multiply(coef[:, :, None], tangents[:, None], out=terms[:2])
-    bez = pts[[0, 0, -1, -1]]
-    np.subtract(pts, basis @ bez, out=terms[2])
+    np.multiply(coef[:, :, None],
+                np.repeat(tangents, hi - lo, axis=0).transpose(1, 0, 2),
+                out=terms[:2])
+    bez = np.empty((len(lo), 4, 2))
+    bez[:, :2] = pts[lo, None]
+    bez[:, 2:] = pts[hi - 1, None]
+    np.subtract(pts, _per_segment(basis, bez, lo, hi), out=terms[2])
     # a0 and a1 times each of a0, a1 and pts - base, each summed in one pass
-    c00, c01, x0, _, c11, x1 = np.add.reduce(
-        (terms[:2, None] * terms).reshape(6, 2 * n), axis=1).tolist()
+    # over the segment (one row unused)
+    products = (terms[:2, None] * terms).reshape(6, n, 2)
+    c00, c01, x0, _, c11, x1 = np.array([
+        np.add.reduce(products[:, a:b].reshape(6, -1), axis=1)
+        for a, b in zip(lo.tolist(), hi.tolist())]).T
 
     det_c = c00 * c11 - c01 * c01
-    alpha_l = (x0 * c11 - x1 * c01) / det_c if det_c != 0.0 else 0.0
-    alpha_r = (c00 * x1 - c01 * x0) / det_c if det_c != 0.0 else 0.0
-
-    seg_len = math.hypot(*(bez[3] - bez[0]))
-    eps = 1.0e-6 * seg_len
-    if alpha_l < eps or alpha_r < eps:
-        # Wu/Barsky heuristic when the least-squares solve degenerates.
-        alpha_l = alpha_r = seg_len / 3.0
-
-    bez[1:3] += tangents * np.array([[alpha_l], [alpha_r]])
+    alpha = np.zeros((len(bez), 2))  # 0 where det_c == 0
+    solved = det_c != 0.0
+    with np.errstate(over="ignore"):  # a tiny det_c: inf, as in Python floats
+        np.divide(x0 * c11 - x1 * c01, det_c, out=alpha[:, 0], where=solved)
+        np.divide(c00 * x1 - c01 * x0, det_c, out=alpha[:, 1], where=solved)
+    seg_len = np.array([math.hypot(x, y) for x, y in
+                        (bez[:, 3] - bez[:, 0]).tolist()])
+    # Wu/Barsky heuristic when the least-squares solve degenerates.
+    wu = (alpha < (1.0e-6 * seg_len)[:, None]).any(axis=1)
+    alpha[wu] = (seg_len / 3.0)[wu, None]
+    bez[:, 1:3] += tangents * alpha[:, :, None]
     return bez
 
 
 def _reparameterize(bez: np.ndarray, pts: np.ndarray, u: np.ndarray,
-                    su: np.ndarray, diff: np.ndarray) -> np.ndarray:
+                    su: np.ndarray, diff: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
     """A Newton-Raphson step of ``u`` (columns [1 - u, u] ``su``) towards each
-    point's nearest place on ``bez``; ``diff`` is bez at ``u`` less ``pts``."""
-    d1 = bez[1:] - bez[:-1]
+    point's nearest place on its segment's curve ``bez`` [S, 4, 2]; ``diff``
+    is the curve at ``u`` less ``pts``, and segment s holds the points
+    [lo[s], hi[s])."""
+    d1 = bez[:, 1:] - bez[:, :-1]
     basis1 = np.empty((len(u), 3))  # (1 - u)^2, 2 (1 - u) u, u^2
     basis1[:, ::2] = su * su
     np.multiply(2 * su[:, 0], u, out=basis1[:, 1])
     q = np.empty((3, len(u), 2))  # diff, first and second derivative
     q[0] = diff
-    np.matmul(basis1, 3.0 * d1, out=q[1])
-    np.matmul(su, 6.0 * (d1[1:] - d1[:-1]), out=q[2])
+    _per_segment(basis1, 3.0 * d1, lo, hi, out=q[1])
+    _per_segment(su, 6.0 * (d1[:, 1:] - d1[:, :-1]), lo, hi, out=q[2])
     p = q[:2, None] * q[1:]
     p = p[..., 0] + p[..., 1]  # [[diff.q1, diff.q2], [q1.q1, q1.q2]]
     num, den = p[0, 0], p[1, 0] + p[0, 1]
     step = np.divide(num, den, out=np.zeros(len(u)), where=np.abs(den) > 1e-12)
     out = np.minimum(np.maximum(u - step, 0.0), 1.0)
-    out[0] = 0.0
-    out[-1] = 1.0
+    out[lo] = 0.0
+    out[hi - 1] = 1.0
     return out
 
 
@@ -527,13 +637,7 @@ def recording_to_image(source,
     strokes, boundary = load_recording(source)
     if not strokes:
         return StrokeImage([], boundary)
-    arrays = []
-    for i, stroke in enumerate(strokes):
-        try:
-            arrays.append(fit_path(stroke, fit_error).control_array())
-        except ValueError as exc:  # e.g. a stroke of one repeated point
-            raise ValueError(f"stroke {i}: {exc}") from None
-    controls, splits = _stacked(arrays)
+    controls, splits = _stacked(fit_paths(strokes, fit_error))
     controls, _ = fit_paths_to_boundary_with_scale(controls, boundary)
     return StrokeImage.from_controls(controls, splits, boundary)
 

@@ -103,21 +103,33 @@ def top_k_distribution(logits: np.ndarray, k: int) -> np.ndarray:
     Ties at the k-th logit break toward the lower token id; tokens outside
     the top k have probability exactly zero.
     """
+    top, probs = _top_k_probs(logits, k)
+    full = np.zeros(np.size(logits))
+    full[top] = probs
+    return full
+
+
+def top_k_sample(logits: np.ndarray, k: int, rng: np.random.Generator) -> int:
+    """Sample from the renormalized softmax over the k highest logits.
+
+    The draw is among the k ids in id order, so it returns the id and leaves
+    the rng state of ``rng.choice(len(logits), p=top_k_distribution(logits,
+    k))``: the cumulative sum only skips the zeros between them.
+    """
+    top, probs = _top_k_probs(logits, k)
+    order = np.argsort(top)
+    return int(top[order[rng.choice(k, p=probs[order])]])
+
+
+def _top_k_probs(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """top_k_ids and their softmax renormalized over them, highest first."""
     logits = np.asarray(logits, dtype=np.float64).reshape(-1)
     if not 1 <= k <= len(logits):
         raise ValueError(f"k must be in [1, {len(logits)}]")
     top = top_k_ids(logits, k)
     z = logits[top] - logits[top].max()
     weights = np.exp(z)
-    probs = np.zeros_like(logits)
-    probs[top] = weights / weights.sum()
-    return probs
-
-
-def top_k_sample(logits: np.ndarray, k: int, rng: np.random.Generator) -> int:
-    """Sample from the renormalized softmax over the k highest logits."""
-    probs = top_k_distribution(logits, k)
-    return int(rng.choice(len(probs), p=probs))
+    return top, weights / weights.sum()
 
 
 def make_init_vector(init_len: int, vocab: Vocabulary,

@@ -379,13 +379,20 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    """Write ``<path>.tmp`` and sync it to disk, rename it over ``path`` and
-    sync the directory: all or nothing, also after a power loss."""
+    """Write the checkpoint to ``path`` through write_atomically."""
+    write_atomically(path, lambda fh: json.dump(
+        checkpoint_to_json(ckpt), fh, sort_keys=True, separators=(",", ":")))
+
+
+def write_atomically(path, write):
+    """Call ``write`` on ``<path>.tmp`` opened for text, sync it to disk,
+    rename it over ``path`` and sync the directory: all or nothing, also
+    after a power loss. A failed write leaves ``path`` as it was and no
+    temp file."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(checkpoint_to_json(ckpt), fh, sort_keys=True,
-                      separators=(",", ":"))
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -405,10 +412,10 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def write_loss_csv(history: list[EpochStats], path):
-    with open(path, "w") as fh:
-        fh.write("epoch,train_loss,heldout_loss\n")
-        for s in history:
-            fh.write(f"{s.epoch},{s.train_loss!r},{s.heldout_loss!r}\n")
+    write_atomically(path, lambda fh: fh.write(
+        "epoch,train_loss,heldout_loss\n" + "".join(
+            f"{s.epoch},{s.train_loss!r},{s.heldout_loss!r}\n"
+            for s in history)))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,66 @@ def test_paired_ratios_are_change_over_parent():
     line = bench_pairs.ratio_line("sample-full", "tokens_per_s",
                                   out["tokens_per_s"])
     assert line == ("sample-full tokens_per_s: parent 10, change 15, ratio "
-                    "1.100 [1.000, 1.200] range 0.900-1.500, change wins 3/5")
+                    "1.100 [1.000, 1.200] range 0.900-1.500, change wins 3/5, "
+                    "gain met no, regressed no")
+
+
+def pairs_of(parent: list[float], change: list[float], name="iter_s_p50"):
+    return bench_pairs.summarize({"parent": runs(*({name: p} for p in parent)),
+                                  "change": runs(*({name: c} for c in change))},
+                                 SPEC)[name]
+
+
+def test_a_gain_is_met_on_9_of_10_wins_past_the_parent_spread():
+    # lower is better; the parent's q3 - q1 is 10.75 - 10.0 = 0.75
+    parent = [10.0, 10.0, 10.0, 11.0, 10.0, 10.0, 11.0, 10.0, 11.0, 10.0]
+    change = [9.0] * 9 + [12.0]
+    m = pairs_of(parent, change)
+    assert (m["change_wins"], m["gain_met"], m["regressed"]) == (9, True,
+                                                               False)
+    assert m["parent"]["q3"] - m["parent"]["q1"] == 0.75
+    assert bench_pairs.ratio_line("w", "iter_s_p50", m).endswith(
+        "change wins 9/10, gain met yes, regressed no")
+    # 8 wins of 10 are not enough
+    assert not pairs_of(parent, [9.0] * 8 + [12.0] * 2)["gain_met"]
+    # nor is a median gain of 0.75 or less: 10 against the change's 9.25
+    assert not pairs_of(parent, [9.25] * 9 + [12.0])["gain_met"]
+    assert pairs_of(parent, [9.24] * 9 + [12.0])["gain_met"]
+    # ties count for neither side: 8 wins and 2 ties are not enough
+    m = pairs_of(parent, parent[:2] + [9.0] * 8)
+    assert (m["change_wins"], m["ties"], m["gain_met"]) == (8, 2, False)
+
+
+def test_a_gain_follows_the_better_direction():
+    parent = [100.0, 100.0, 101.0, 99.0, 100.0]
+    m = pairs_of(parent, [110.0] * 5, "tokens_per_s")
+    assert m["gain_met"] and not m["regressed"]
+    m = pairs_of(parent, [110.0] * 5)  # iter_s_p50: lower is better
+    assert not m["gain_met"] and not m["regressed"]
+
+
+@pytest.mark.parametrize("name, change, regressed", [
+    ("iter_s_p50", 12.5, False),  # 25 % slower: at the bound
+    ("iter_s_p50", 12.6, True),
+    ("iter_s_p50", 5.0, False),
+    ("tokens_per_s", 7.5, False),  # 25 % fewer tokens: at the bound
+    ("tokens_per_s", 7.4, True),
+    ("tokens_per_s", 20.0, False),
+])
+def test_a_regression_is_a_median_worse_than_the_bound(name, change,
+                                                       regressed):
+    m = pairs_of([10.0] * 3, [change] * 3, name)
+    assert m["regressed"] is regressed
+    assert bench_pairs.ratio_line("w", name, m).endswith(
+        f"regressed {'yes' if regressed else 'no'}")
+
+
+def test_a_metric_without_a_bound_has_no_regression_verdict():
+    spec = [{"name": "x", "unit": "s", "better": "lower"}]
+    m = bench_pairs.summarize({"parent": runs({"x": 1.0}),
+                               "change": runs({"x": 9.0})}, spec)["x"]
+    assert m["regressed"] is None
+    assert bench_pairs.ratio_line("w", "x", m).endswith("regressed no bound")
 
 
 def test_ratio_skips_a_zero_parent():

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -342,6 +344,39 @@ class TestTrain:
                 in capsys.readouterr().err)
         assert (out / "metrics.jsonl").read_bytes() == b'{"epoch": 1}\n'
         assert [p.name for p in out.iterdir()] == ["metrics.jsonl"]
+
+    @pytest.mark.parametrize("refused", [
+        "metrics.jsonl", "checkpoint.json", "loss.csv", "loss.svg"])
+    def test_a_failed_rename_keeps_the_earlier_file(self, workdir, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    refused):
+        # the order in which a run writes its files
+        written = ["metrics.jsonl", "checkpoint.json", "loss.csv", "loss.svg"]
+        out = tmp_path / "run"
+        shutil.copytree(workdir / "run", out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == sorted(written)
+        replace = os.replace
+
+        def refusing_replace(src, dst):
+            if Path(dst).name == refused:
+                raise OSError(f"cannot rename over {dst}")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refusing_replace)
+        assert main([
+            "train", str(workdir / "img.json"), "-o", str(out),
+            "--config", str(workdir / "micro.json"), "--seed", "4",
+        ]) == 2
+        assert f"cannot rename over {out / refused}" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(after) == sorted(written)  # no temp file is left
+        at = written.index(refused)
+        # the refused file and every later one keep the earlier run's bytes
+        for name in written[at:]:
+            assert after[name] == before[name]
+        for name in written[:at]:
+            assert after[name] != before[name]
 
     def test_numeric_failure_exit_3(self, workdir, tmp_path, monkeypatch):
         from strokegen import cli

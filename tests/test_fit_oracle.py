@@ -1,9 +1,11 @@
-"""``geometry.fit_path`` against the reference fitter of ``fit_oracle.py``.
+"""``geometry.fit_path`` and ``geometry.fit_paths`` against the reference
+fitter of ``fit_oracle.py``.
 
 Every case asserts the same control bytes, or the same ValueError message.
 The hand-built strokes each reach one branch of the fitter, and each test
 first shows, through the reference's own helpers or its output, that the
-branch is taken.
+branch is taken. The batch cases fit many strokes in one ``fit_paths`` call
+and compare each stroke's curves with the reference's fit of it alone.
 """
 
 import math
@@ -15,8 +17,15 @@ from hypothesis import strategies as st
 
 import fit_oracle
 from fit_oracle import oracle_fit_path
+from strokegen import geometry
 from strokegen.demo import DEMO_KINDS, make_demo_recording
-from strokegen.geometry import DEFAULT_FIT_ERROR, fit_path, load_recording
+from strokegen.geometry import (
+    DEFAULT_FIT_ERROR,
+    fit_path,
+    fit_paths,
+    load_recording,
+    recording_to_image,
+)
 
 from test_acceptance import _random_stroke
 
@@ -132,3 +141,57 @@ def test_a_later_reparameterization_round_fits(points, rounds):
 ])
 def test_refusals_keep_their_messages(points, max_error):
     assert assert_same_fit(points, max_error) is None
+
+
+def assert_same_batch(strokes, max_error: float):
+    got = fit_paths(strokes, max_error)
+    assert len(got) == len(strokes)
+    for stroke, controls in zip(strokes, got):
+        want = oracle_fit_path(stroke, max_error)
+        assert controls.shape == want.shape
+        assert controls.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("max_error", [0.3, DEFAULT_FIT_ERROR, 3.0])
+def test_every_demo_recording_in_one_batch(max_error):
+    strokes = [stroke for kind in DEMO_KINDS
+               for stroke in load_recording(make_demo_recording(kind))[0]]
+    assert_same_batch(strokes, max_error)
+
+
+def test_criterion_5_stroke_stream_in_one_batch():
+    rng = np.random.default_rng(50)
+    assert_same_batch([_random_stroke(rng) for _ in range(1000)], 1.0)
+
+
+def test_a_bad_stroke_is_named_before_any_fitting(monkeypatch):
+    strokes, _ = load_recording(make_demo_recording("curls"))
+    strokes[2] = np.array([[7.0, 7.0], [7.0, 7.0], [7.0, 7.0]])
+    with pytest.raises(ValueError) as want:
+        oracle_fit_path(strokes[2], DEFAULT_FIT_ERROR)
+    rounds = []
+    bernstein = geometry._bernstein
+    monkeypatch.setattr(geometry, "_bernstein",
+                        lambda u: rounds.append(len(u)) or bernstein(u))
+    recording = {"boundary": 180.0, "strokes": [s.tolist() for s in strokes]}
+    for fit in (lambda: fit_paths(strokes, DEFAULT_FIT_ERROR),
+                lambda: recording_to_image(recording)):
+        with pytest.raises(ValueError) as got:
+            fit()
+        assert str(got.value) == f"stroke 2: {want.value}"
+    assert rounds == []  # no stroke was fitted, not even strokes 0 and 1
+    monkeypatch.undo()
+    assert_same_batch(strokes[:2] + strokes[3:], DEFAULT_FIT_ERROR)
+
+
+def test_two_points_whose_handles_overflow_are_refused():
+    # 2e308 apart: the chord overflows, so the handles are not finite and
+    # the two points do not fit, and no split makes the segment smaller.
+    # The reference skips the fit of two points and returns NaN handles.
+    points = [[-1e308, 0.0], [1e308, 0.0]]
+    with np.errstate(all="ignore"):
+        assert np.isnan(oracle_fit_path(points, DEFAULT_FIT_ERROR)).any()
+        with pytest.raises(ValueError) as info:
+            fit_paths([[[0.0, 0.0], [5.0, 5.0]], points], DEFAULT_FIT_ERROR)
+    assert str(info.value) == ("stroke 1: no finite curve joins "
+                               "[-1e+308, 0.0] and [1e+308, 0.0]")

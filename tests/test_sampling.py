@@ -109,6 +109,28 @@ class TestTopKSample:
                         == int(draws[1].choice(len(logits),
                                p=argsort_distribution(logits, k))))
 
+    def test_draw_among_k_ids_equals_the_full_vocabulary_draw(self):
+        def full_draw(logits, k, rng):  # the draw it replaces
+            probs = top_k_distribution(logits, k)
+            return int(rng.choice(len(probs), p=probs))
+
+        rng = np.random.default_rng(8)
+        cases = [(rng.standard_normal(1921).astype(np.float32), k)
+                 for k in (1, 10, 1921)]
+        # ties at the k-th logit, and top-k weights that underflow to 0
+        cases += [(np.array([1.0, 0.5, 0.5, 0.0]), 2),
+                  (np.array([0.0, -800.0, 5.0, -800.0, 5.0]), 4)]
+        for _ in range(100):  # small integer logits: ties at the k-th one
+            v = int(rng.integers(1, 40))
+            logits = rng.integers(-3, 3, v).astype(np.float64)
+            cases += [(logits, k) for k in (1, int(rng.integers(1, v + 1)), v)]
+        for logits, k in cases:
+            ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+            for _ in range(10):
+                assert (top_k_sample(logits, k, ours)
+                        == full_draw(logits, k, theirs))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_k_equals_v_distribution_is_full_softmax(self):
         rng = np.random.default_rng(6)
         logits = rng.standard_normal(12)
