@@ -18,11 +18,13 @@ from .autodiff import NonFiniteError
 from .demo import DEMO_KINDS, make_demo_recording
 from .geometry import (
     DEFAULT_FIT_ERROR,
-    flatten_path,
+    Polyline,
+    flatten_controls,
+    image_to_json,
     load_json,
     load_path_image,
     recording_to_image,
-    save_path_image,
+    write_atomically,
 )
 from .model import config_from_json
 from .sampling import (
@@ -39,7 +41,6 @@ from .training import (
     load_checkpoint,
     save_checkpoint,
     train,
-    write_atomically,
     write_loss_csv,
 )
 
@@ -110,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_ingest(args) -> int:
     image = recording_to_image(args.recording, args.fit_error)
-    save_path_image(image, args.out)
-    print(f"{len(image.paths)} paths on a {image.boundary:g} unit canvas")
-    for i, path in enumerate(image.paths):
-        print(f"  path {i}: {len(path)} curves")
+    write_atomically(args.out, lambda fh: json.dump(image_to_json(image), fh))
+    print(f"{len(image)} paths on a {image.boundary:g} unit canvas")
+    for i, controls in enumerate(image.path_controls()):
+        print(f"  path {i}: {len(controls)} curves")
     print(f"wrote {args.out}")
     return 0
 
@@ -180,13 +181,12 @@ def cmd_sample(args) -> int:
     cfg = SamplerConfig(k=args.k, init_len=args.init_len,
                         max_moves=args.max_moves, seed=args.seed)
     results = generate_images(ckpt, cfg, args.count, jobs=args.jobs)
-    svg = render_svg(
+    write_atomically(args.out, lambda fh: fh.write(render_svg(
         [center_polylines(r.polylines, ckpt.boundary) for r in results],
-        columns=args.columns, boundary=ckpt.boundary,
-    )
-    args.out.write_text(svg)
+        columns=args.columns, boundary=ckpt.boundary)))
     meta_path = args.out.with_suffix(".meta.json")
-    meta_path.write_text(json.dumps([r.metadata() for r in results], indent=2))
+    write_atomically(meta_path, lambda fh: json.dump(
+        [r.metadata() for r in results], fh, indent=2))
     capped = sum(1 for r in results if r.hit_cap)
     speed = (f", {1e3 * np.mean([r.seconds_per_token for r in results]):.2f}"
              " ms per token" if results else "")
@@ -200,20 +200,20 @@ def cmd_augment_preview(args) -> int:
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
     image = load_path_image(args.pathimage)
-    patches = generate_patch_set(
-        image, args.n, AugmentConfig(),
-        np.random.default_rng(args.seed),
-    )
-    flat = [[flatten_path(p, DEFAULT_FLATTEN_ERROR) for p in img.paths]
+    patches = generate_patch_set(image, args.n, AugmentConfig(),
+                                 np.random.default_rng(args.seed))
+    flat = [[Polyline(p) for p in np.split(*flatten_controls(
+        img.controls, img.splits, DEFAULT_FLATTEN_ERROR))] if len(img) else []
             for img in (image, *patches)]
-    args.out.write_text(render_svg(flat, columns=3, boundary=image.boundary,
-                                   color_seed=args.seed))
+    write_atomically(args.out, lambda fh: fh.write(render_svg(
+        flat, columns=3, boundary=image.boundary, color_seed=args.seed)))
     print(f"wrote {args.out} (original + {args.n} patches)")
     return 0
 
 
 def cmd_demo_recording(args) -> int:
-    args.out.write_text(json.dumps(make_demo_recording(args.kind)))
+    recording = make_demo_recording(args.kind)
+    write_atomically(args.out, lambda fh: json.dump(recording, fh))
     print(f"wrote {args.out}")
     return 0
 

@@ -112,8 +112,11 @@ class StrokeImage:
 
     @property
     def paths(self) -> list[Path]:
-        return [Path(a) for a in
-                (np.split(self.controls, self.splits) if len(self) else [])]
+        return [Path(a) for a in self.path_controls()]
+
+    def path_controls(self) -> list[np.ndarray]:
+        """Each path's [n, 4, 2] controls, read-only views of ``controls``."""
+        return np.split(self.controls, self.splits) if len(self) else []
 
     def __len__(self) -> int:
         return len(self.splits) + 1 if len(self.controls) else 0
@@ -247,17 +250,11 @@ def fit_paths(strokes, max_error: float) -> list[np.ndarray]:
 
     Consecutive duplicate points are dropped first. Every input point ends up
     within ``max_error`` units of the fitted chain, measured at the point's
-    assigned curve parameter. Every stroke is checked before any is fitted:
-    one of fewer than 2 distinct points raises ValueError naming it as
-    ``stroke i``; so does a non-positive error budget, unnamed.
+    assigned curve parameter. Every stroke passes checked_strokes before any
+    is fitted; a non-positive error budget raises ValueError, unnamed.
     """
     check_error_bound("max_error", max_error)
-    checked = []
-    for i, points in enumerate(strokes):
-        try:
-            checked.append(_stroke_points(points))
-        except ValueError as exc:  # e.g. a stroke of one repeated point
-            raise ValueError(f"stroke {i}: {exc}") from None
+    checked = checked_strokes(strokes)
     budget_sq = max_error * max_error
     # A wave's segments: each one's key (its stroke, then 0 for a left and 1
     # for a right half per split), its points [lo, hi) of ``pts``, the
@@ -346,6 +343,17 @@ def check_error_bound(name: str, value: float):
     NaN bound would split or refit without end."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def checked_strokes(strokes) -> list[np.ndarray]:
+    """Each stroke through _stroke_points; an error names ``stroke i``."""
+    checked = []
+    for i, points in enumerate(strokes):
+        try:
+            checked.append(_stroke_points(points))
+        except (TypeError, ValueError) as exc:  # e.g. one repeated point
+            raise ValueError(f"stroke {i}: {exc}") from None
+    return checked
 
 
 def _stroke_points(points) -> np.ndarray:
@@ -610,20 +618,12 @@ def fit_to_canvas(xy: np.ndarray,
 
 
 def load_recording(source) -> tuple[list[np.ndarray], float]:
-    """Read a stroke recording; returns (strokes as [N,2] arrays, boundary)."""
+    """A recording's strokes [N, 2], through checked_strokes, and boundary."""
     data = load_json(source)
     if not isinstance(data, dict) or not isinstance(data.get("strokes"), list):
         raise ValueError("recording must be an object with a 'strokes' list")
     boundary = _boundary_from_json(data)
-    strokes = []
-    for i, stroke in enumerate(data["strokes"]):
-        arr = np.asarray(stroke, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"stroke {i} is not a list of [x, y] pairs")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"stroke {i} contains non-finite coordinates")
-        strokes.append(arr)
-    return strokes, boundary
+    return checked_strokes(data["strokes"]), boundary
 
 
 def recording_to_image(source,
@@ -645,7 +645,7 @@ def recording_to_image(source,
 def image_to_json(image: StrokeImage) -> dict:
     return {
         "boundary": image.boundary,
-        "paths": [p.control_array().tolist() for p in image.paths],
+        "paths": [c.tolist() for c in image.path_controls()],
     }
 
 
@@ -686,11 +686,6 @@ def _path_from_json(raw, index: int) -> np.ndarray:
     return np.array(raw, dtype=float)
 
 
-def save_path_image(image: StrokeImage, path):
-    with open(path, "w") as fh:
-        json.dump(image_to_json(image), fh)
-
-
 def load_path_image(path) -> StrokeImage:
     return image_from_json(load_json(path))
 
@@ -705,3 +700,26 @@ def load_json(source):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ValueError(f"{os.fspath(source)}: {exc}") from None
+
+
+def write_atomically(path, write):
+    """Call ``write`` on ``<path>.tmp`` opened for text, sync it to disk,
+    rename it over ``path`` and sync the directory: all or nothing, also
+    after a power loss. A failed write leaves ``path`` as it was and no
+    temp file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        # the rename itself is durable only once the directory is synced
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

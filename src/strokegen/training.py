@@ -22,6 +22,7 @@ from .geometry import (
     _boundary_from_json,
     check_error_bound,
     load_json,
+    write_atomically,
 )
 from .model import (
     FIELD_TYPES,
@@ -384,29 +385,6 @@ def save_checkpoint(ckpt: Checkpoint, path):
         checkpoint_to_json(ckpt), fh, sort_keys=True, separators=(",", ":")))
 
 
-def write_atomically(path, write):
-    """Call ``write`` on ``<path>.tmp`` opened for text, sync it to disk,
-    rename it over ``path`` and sync the directory: all or nothing, also
-    after a power loss. A failed write leaves ``path`` as it was and no
-    temp file."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            write(fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        # the rename itself is durable only once the directory is synced
-        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def load_checkpoint(path) -> Checkpoint:
     return checkpoint_from_json(load_json(path))
 
@@ -496,21 +474,25 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
     vocab, model_cfg = _derived(cfg, seq_len)
     params = init_encoder_params(model_cfg, derived_rng(cfg.seed, SEED_INIT))
 
-    def tokens(n: int, *key: int) -> list[np.ndarray]:
-        return tokenize_patches(patch_set(image, cfg, n, *key), vocab,
-                                cfg.flatten_error, cfg.max_move_len)
+    def tokens(name: str, *key: int) -> list[np.ndarray]:
+        ids = tokenize_patches(patch_set(image, cfg, getattr(cfg, name), *key),
+                               vocab, cfg.flatten_error, cfg.max_move_len)
+        if (count := sum(map(len, ids))) <= seq_len:
+            raise ValueError(f"{name} {getattr(cfg, name)} gives {count} "
+                             f"tokens, fewer than one window of {seq_len + 1}")
+        return ids
 
     heldout_windows = stream_windows(
-        tokens(cfg.heldout_patches, SEED_HELDOUT), seq_len)
+        tokens("heldout_patches", SEED_HELDOUT), seq_len)
     fixed = (None if cfg.fixed_patch_set is None
-             else tokens(cfg.fixed_patch_set, SEED_FIXED))
+             else tokens("fixed_patch_set", SEED_FIXED))
 
     adam = init_adam_state(params)
     history: list[EpochStats] = []
     clock = time.perf_counter
     for epoch in range(1, cfg.epochs + 1):
         t0 = clock()
-        sequences = (tokens(cfg.patches_per_epoch, SEED_EPOCH, epoch)
+        sequences = (tokens("patches_per_epoch", SEED_EPOCH, epoch)
                      if fixed is None else fixed)
         batches = build_stream_batches(sequences, seq_len, cfg.batch_size,
                                        derived_rng(cfg.seed, SEED_SHUFFLE, epoch))

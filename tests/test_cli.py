@@ -161,9 +161,13 @@ def test_malformed_path_image_exit_2(workdir, tmp_path, capsys, paths, where):
      "recording must be an object with a 'strokes' list"),
     ("ingest", {"strokes": [[[1, 1], [5, 5]], [[3, 3], [3, 3]]]},
      "stroke 1: need at least 2 distinct points to fit a path"),
+    ("ingest", {"strokes": [[[0, 0], [1]]]},
+     "error: stroke 0: setting an array element with a sequence"),
+    ("ingest", {"strokes": [[["a", 1], [2, 2]]]},
+     "error: stroke 0: could not convert string to float: 'a'"),
 ], ids=["null-boundary", "nan-boundary", "string-boundary", "inf-boundary",
         "zero-boundary", "huge-boundary", "number-strokes",
-        "one-point-stroke"])
+        "one-point-stroke", "ragged-stroke", "string-coordinate"])
 def test_malformed_canvas_exit_2(tmp_path, capsys, command, data, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -316,6 +320,16 @@ class TestTrain:
          "reversal_probability must be in [0, 1]"),
         ('{"d_model": 30}', "d_model 30 not divisible by 4 heads"),
         ('{"seed": -1}', "seed must be >= 0, got -1"),
+        # each patch count too small to fill one window of the stream
+        ('{"seq_ceiling": 512, "heldout_patches": 1}',
+         "error: heldout_patches 1 gives 82 tokens, fewer than one window "
+         "of 120"),
+        ('{"seq_ceiling": 512, "patches_per_epoch": 1}',
+         "error: patches_per_epoch 1 gives 116 tokens, fewer than one window "
+         "of 120"),
+        ('{"seq_ceiling": 512, "fixed_patch_set": 1}',
+         "error: fixed_patch_set 1 gives 117 tokens, fewer than one window "
+         "of 120"),
     ])
     def test_bad_setting_leaves_the_output_directory_alone(
             self, workdir, tmp_path, capsys, setting, message):
@@ -404,6 +418,77 @@ def test_negative_seed_exit_2_and_writes_nothing(workdir, tmp_path, capsys,
     assert main([*args, "--seed", "-1"]) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / out).exists()
+
+
+def one_writer_argv(workdir, out, variant):
+    """Each command that is not train writing into ``out``, in one of two
+    variants whose outputs differ."""
+    recording = out.parent / f"rec{variant}.json"
+    recording.write_text(json.dumps(make_demo_recording(
+        ("boxes", "curls")[variant])))
+    return {
+        "ingest": ["ingest", str(recording), "-o", str(out / "img.json")],
+        "sample": ["sample", str(workdir / "run" / "checkpoint.json"),
+                   "--out", str(out / "s.svg"), "--count", "2",
+                   "--max-moves", "20", "--seed", str(variant)],
+        "augment-preview": ["augment-preview", str(workdir / "img.json"),
+                            "--out", str(out / "p.svg"), "-n", "2",
+                            "--seed", str(variant)],
+        "demo-recording": ["demo-recording", ("boxes", "curls")[variant],
+                           "-o", str(out / "rec.json")],
+    }
+
+
+@pytest.mark.parametrize("command, written, refused", [
+    ("ingest", ["img.json"], "img.json"),
+    ("sample", ["s.svg", "s.meta.json"], "s.svg"),
+    ("sample", ["s.svg", "s.meta.json"], "s.meta.json"),
+    ("augment-preview", ["p.svg"], "p.svg"),
+    ("demo-recording", ["rec.json"], "rec.json"),
+])
+def test_a_failed_rename_keeps_every_commands_earlier_file(
+        workdir, tmp_path, monkeypatch, capsys, command, written, refused):
+    # ``written``: the files the command writes, in order
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(one_writer_argv(workdir, out, 0)[command]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == sorted(written)
+    replace = os.replace
+
+    def refusing_replace(src, dst):
+        if Path(dst).name == refused:
+            raise OSError(f"cannot rename over {dst}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refusing_replace)
+    assert main(one_writer_argv(workdir, out, 1)[command]) == 2
+    assert f"cannot rename over {out / refused}" in capsys.readouterr().err
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(after) == sorted(written)  # no temp file is left
+    at = written.index(refused)
+    # the refused file and every later one keep the earlier run's bytes
+    for name in written[at:]:
+        assert after[name] == before[name]
+    for name in written[:at]:
+        assert after[name] != before[name]
+
+
+def test_an_ingest_that_fails_partway_keeps_the_earlier_image(
+        workdir, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "img.json"
+    shutil.copy(workdir / "img.json", out)
+    before = out.read_bytes()
+
+    def dump_then_fail(obj, fh, **kw):
+        fh.write('{"boundary": 180.0, "paths": [[')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    assert main(["ingest", str(workdir / "rec.json"), "-o", str(out)]) == 2
+    assert "error: no space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["img.json"]
 
 
 class TestSample:
@@ -686,6 +771,27 @@ class TestAugmentPreview:
         # the original and each patch: one flattened path per cell
         assert [len(c.findall("{http://www.w3.org/2000/svg}path"))
                 for c in cells] == [1] * 3
+
+    def test_an_image_without_paths_gives_empty_cells(self, tmp_path):
+        image = tmp_path / "empty.json"
+        image.write_text(json.dumps({"boundary": 180, "paths": []}))
+        out = tmp_path / "sheet.svg"
+        assert main(["augment-preview", str(image), "--out", str(out),
+                     "-n", "2"]) == 0
+        cells = ET.fromstring(out.read_text()).findall(
+            "{http://www.w3.org/2000/svg}svg")
+        assert [len(c.findall("{http://www.w3.org/2000/svg}path"))
+                for c in cells] == [0] * 3
+
+    def test_written_sheet_bytes_are_pinned(self, tmp_path):
+        # demo-recording, ingest, then the default preview of 5 patches
+        rec, image, out = (tmp_path / name
+                           for name in ("rec.json", "img.json", "sheet.svg"))
+        assert main(["demo-recording", "boxes", "-o", str(rec)]) == 0
+        assert main(["ingest", str(rec), "-o", str(image)]) == 0
+        assert main(["augment-preview", str(image), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "15ea50752de73aef9a67264b3e7de7c6af354d36ea7bbaf58f21e50171553d07")
 
     def test_patch_cells_stay_in_viewbox(self, workdir, tmp_path):
         out = tmp_path / "sheet.svg"
