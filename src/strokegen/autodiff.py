@@ -27,9 +27,22 @@ head is then computed inside the loss, one node with no logits node. It
 works in cache-sized row blocks on one buffer it owns, ``[N, V]`` with a
 tape and one block without, so evaluation never holds the logits array.
 
-Every op output is checked for NaN/Inf; a violation raises NonFiniteError,
-naming the op, the output or checked intermediate and its shape, instead of
-propagating.
+Finite checks: by default every op checks its output, and the fused nodes
+and the pair-form loss the intermediates named above, for NaN/Inf; a
+violation raises NonFiniteError, naming the op, the output or checked
+intermediate and its shape, instead of propagating. ``checked_once``, which
+``model.encoder_forward`` and ``training.batch_loss`` run through, defers
+the checks of op outputs (``deferred_checks``) and checks the forward's
+result once. A NaN or an infinity in the encoder reaches that result unless
+an op hides it, in one of four places: ReLU and exp map -inf to 0 in the
+feed-forward pre-activation, the attention scores and the pair-form logits,
+and an overflowing layer-norm variance zeroes the normalized values. Those
+keep their check while deferred: the first three test their array's min,
+which is NaN or -inf where either is present (a +inf passes through ReLU and
+the max-subtracted exp as +inf or NaN), and the variance, one value per
+position, is scanned in full. On a NonFiniteError or a non-finite result
+``checked_once`` replays the call with every op checked: the replay raises
+the per-op error, and the per-op warnings under the caller's errstate.
 
 Gradient ownership: a backward hands its gradient arrays to ``_accumulate``,
 which stores the first one as the tensor's ``.grad`` as is and rebinds on
@@ -73,6 +86,55 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
+_op_checks = True  # _make checks every op output (off in deferred_checks)
+_checking = False  # a checked_once call is running
+
+
+@contextmanager
+def deferred_checks():
+    """Skip the finite check of op outputs inside the block; the four checks
+    at the places an op can hide a NaN or an infinity stay (module
+    docstring). Internal to ``checked_once``."""
+    global _op_checks
+    prev = _op_checks
+    _op_checks = False
+    try:
+        yield
+    finally:
+        _op_checks = prev
+
+
+def checked_once(run, restore=None) -> Tensor:
+    """``run()``, a forward returning a Tensor, with the op checks deferred
+    and its result checked once.
+
+    On a NonFiniteError or a non-finite result, ``restore()`` (if given)
+    undoes the run's side effects and ``run()`` goes again with every op
+    checked: that replay is the per-op path, so it raises its error and,
+    under the caller's errstate, its warnings, which the deferred run does
+    not emit. Inside another ``checked_once`` call ``run()`` runs as it is,
+    and the outer call checks.
+    """
+    global _checking
+    if _checking:
+        return run()
+    _checking = True
+    try:
+        try:
+            with deferred_checks(), np.errstate(over="ignore",
+                                                invalid="ignore"):
+                out = run()
+            if np.isfinite(out.data).all():
+                return out
+        except NonFiniteError:
+            pass
+        if restore is not None:
+            restore()
+        return run()
+    finally:
+        _checking = False
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
@@ -110,13 +172,24 @@ def _check_finite(arr: np.ndarray, op: str, what: str = "output",
                              f"of shape {arr.shape if shape is None else shape}")
 
 
+def _check_masked(arr: np.ndarray, op: str, what: str,
+                  shape: tuple[int, ...] | None = None):
+    """``_check_finite`` of an array whose -inf the next step maps to 0; with
+    checks deferred only if its min, NaN or -inf where either is present,
+    is not finite."""
+    if _op_checks or not arr.size or not np.isfinite(arr.min()):
+        _check_finite(arr, op, what, shape)
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    # every backward is a closure defined inside its op: "matmul.<locals>.grad_fn"
-    _check_finite(data, backward_fn.__qualname__.partition(".")[0])
+    if _op_checks:
+        # every backward is a closure defined inside its op:
+        # "matmul.<locals>.grad_fn"
+        _check_finite(data, backward_fn.__qualname__.partition(".")[0])
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -435,7 +508,7 @@ def cross_entropy(logits, targets: np.ndarray) -> Tensor:
         if pair:
             if not taped:
                 np.matmul(h2[start: stop], w.data, out=eb)
-            _check_finite(eb, "cross_entropy", "logits h @ w", shape)
+            _check_masked(eb, "cross_entropy", "logits h @ w", shape)
         else:
             zb = z[start: stop]
         np.subtract(zb, zb.max(axis=1, keepdims=True), out=eb)
@@ -491,7 +564,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     d_out = w2.data.shape[1]
     hidden = x2 @ w1.data
     hidden += b1.data
-    _check_finite(hidden, "feed_forward", "pre-activation x @ w1 + b1")
+    _check_masked(hidden, "feed_forward", "pre-activation x @ w1 + b1")
     np.maximum(hidden, 0.0, out=hidden)
     out_data = hidden @ w2.data
     out_data += b2.data
@@ -515,8 +588,9 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
     """Residual connection and normalization ``layer_norm(x + y)`` as one node.
 
     x, y: [..., d] of one shape; gain, bias: [d]. The per-position variance
-    is checked: when it overflows, the normalized values become 0 and the
-    output would be the finite bias.
+    is checked, in full also while checks are deferred: when it overflows to
+    +inf, which its min need not show, the normalized values become 0 and
+    the output would be the finite bias.
     """
     x, y, gain, bias = (_as_tensor(t) for t in (x, y, gain, bias))
     if (x.data.shape != y.data.shape or x.data.ndim < 1
@@ -617,7 +691,8 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
     # scores key-major, a[..., j, i] for query i and key j: the softmax
     # reductions then run across rows, vectorised over the queries
     a = k @ np.swapaxes(q, -1, -2)
-    _check_finite(a, "multi_head_attention", "scaled scores q @ k^T / sqrt(hd)")
+    _check_masked(a, "multi_head_attention",
+                  "scaled scores q @ k^T / sqrt(hd)")
     if bias is not None:
         a += np.ascontiguousarray(bias[keys - lq:].T)
     a -= a.max(axis=-2, keepdims=True)

@@ -135,8 +135,13 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     image = load_path_image(args.pathimage)
     cfg = _train_config(args)
-    args.out.mkdir(parents=True, exist_ok=True)
     metrics = []  # one JSON line per epoch so far
+
+    def out(name: str) -> Path:
+        # the directory comes with the first file, so a refused run leaves
+        # none behind
+        args.out.mkdir(parents=True, exist_ok=True)
+        return args.out / name
 
     def on_epoch(stats):
         print(f"epoch {stats.epoch:3d}: train {stats.train_loss:.4f} "
@@ -144,12 +149,12 @@ def cmd_train(args) -> int:
         # rewritten whole, so a run that train() refuses or that stops keeps
         # a complete file: an earlier run's, or this one's so far
         metrics.append(json.dumps(dataclasses.asdict(stats)) + "\n")
-        write_atomically(args.out / "metrics.jsonl",
+        write_atomically(out("metrics.jsonl"),
                          lambda fh: fh.writelines(metrics))
 
     ckpt = train(image, cfg, on_epoch=on_epoch)
-    save_checkpoint(ckpt, args.out / "checkpoint.json")
-    write_loss_csv(ckpt.loss_history, args.out / "loss.csv")
+    save_checkpoint(ckpt, out("checkpoint.json"))
+    write_loss_csv(ckpt.loss_history, out("loss.csv"))
     chart = line_chart_svg(
         {
             "train": [s.train_loss for s in ckpt.loss_history],
@@ -157,7 +162,7 @@ def cmd_train(args) -> int:
         },
         title="cross-entropy per epoch",
     )
-    write_atomically(args.out / "loss.svg", lambda fh: fh.write(chart))
+    write_atomically(out("loss.svg"), lambda fh: fh.write(chart))
 
     history = ckpt.loss_history
     # the last epoch against epoch 5, or epoch 1 in a run of 5 or fewer

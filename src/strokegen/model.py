@@ -23,6 +23,7 @@ from .autodiff import (
     Tensor,
     add,
     add_layer_norm,
+    checked_once,
     embedding,
     feed_forward,
     grad_enabled,
@@ -227,6 +228,10 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
     states, [.., L, d_model]. ``training.batch_loss`` passes them with
     ``params["output.w"]`` to ``cross_entropy((h, w), targets)``, which
     computes the head inside the loss.
+
+    The forward runs through ``autodiff.checked_once``: its result is checked
+    once, and a failure restores the cache and replays the forward with
+    every op checked, for the error above.
     """
     if cache is not None and grad_enabled():
         raise ValueError("encoder_forward with a cache records no tape; "
@@ -239,6 +244,23 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
         raise ValueError(f"sequence length {l} exceeds model limit "
                          f"{config.seq_len}")
 
+    def run():
+        return _forward(ids, params, config, head, cache)
+
+    if cache is None:
+        return checked_once(run)
+    saved = cache.length, cache.buffer
+
+    def restore():
+        cache.length, cache.buffer = saved
+
+    return checked_once(run, restore)
+
+
+def _forward(ids: np.ndarray, params: dict[str, Tensor], config: ModelConfig,
+             head: bool, cache: KVCache | None) -> Tensor:
+    """The body of ``encoder_forward`` for validated ``ids``."""
+    l = ids.shape[-1]
     d = config.d_model
     n_attn = config.attn_sublayers
     start, buffer = 0, None  # positions cached; where the keys go

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, PatchSet, generate_patch_set
-from .autodiff import NonFiniteError, Tensor, cross_entropy, no_grad
+from .autodiff import (
+    NonFiniteError,
+    Tensor,
+    checked_once,
+    cross_entropy,
+    no_grad,
+)
 from .geometry import (
     DEFAULT_BOUNDARY,
     StrokeImage,
@@ -431,12 +437,17 @@ def tokenize_patches(patches: PatchSet, vocab: Vocabulary,
 def batch_loss(params: dict[str, Tensor], model_cfg: ModelConfig,
                inputs: np.ndarray, targets: np.ndarray) -> Tensor:
     """Mean next-token cross-entropy of a batch of windows. The loss computes
-    the head, so its NonFiniteError names ``output`` and a bad ``output.w``."""
-    hidden = encoder_forward(inputs, params, model_cfg, head=False)
-    try:
-        return cross_entropy((hidden, params["output.w"]), targets)
-    except NonFiniteError as exc:
-        raise sublayer_error(exc, "output", params) from exc
+    the head, so its NonFiniteError names ``output`` and a bad ``output.w``.
+    The forward and the loss run as one ``checked_once`` call: the loss is
+    checked once, and a failure replays both with every op checked."""
+    def loss():
+        hidden = encoder_forward(inputs, params, model_cfg, head=False)
+        try:
+            return cross_entropy((hidden, params["output.w"]), targets)
+        except NonFiniteError as exc:
+            raise sublayer_error(exc, "output", params) from exc
+
+    return checked_once(loss)
 
 
 def train_step(params: dict[str, Tensor], adam: AdamState,

@@ -359,6 +359,24 @@ class TestTrain:
         assert (out / "metrics.jsonl").read_bytes() == b'{"epoch": 1}\n'
         assert [p.name for p in out.iterdir()] == ["metrics.jsonl"]
 
+    @pytest.mark.parametrize("image, setting, message", [
+        ("img.json", '{"seq_ceiling": 512, "heldout_patches": 1}',
+         "heldout_patches 1 gives 82 tokens, fewer than one window of 120"),
+        ("empty.json", "{}", "cannot train on an image without paths"),
+    ])
+    def test_a_refused_run_makes_no_output_directory(
+            self, workdir, tmp_path, capsys, image, setting, message):
+        (tmp_path / "empty.json").write_text(
+            json.dumps({"boundary": 180, "paths": []}))
+        path = workdir / image if image == "img.json" else tmp_path / image
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(setting)
+        out = tmp_path / "new" / "run"
+        assert main(["train", str(path), "-o", str(out), "--preset", "desk",
+                     "--epochs", "1", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("refused", [
         "metrics.jsonl", "checkpoint.json", "loss.csv", "loss.svg"])
     def test_a_failed_rename_keeps_the_earlier_file(self, workdir, tmp_path,
