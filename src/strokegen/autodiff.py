@@ -49,9 +49,14 @@ which stores the first one as the tensor's ``.grad`` as is and rebinds on
 later writes (``grad = grad + g``). Gradients therefore alias one another
 (``add`` gives the same array to both operands, ``reshape`` a view of its
 own), so no backward writes in place into an array it did not allocate, and
-callers treat ``.grad`` as read-only. ``cross_entropy`` turns its one buffer
-into the logits' gradient, so its backward runs once per forward: a second
-``backward()`` over the same tape raises RuntimeError.
+callers treat ``.grad`` as read-only. ``backward`` releases a node's
+gradient once the node's backward has consumed it, so after the pass only
+the root and the leaves (parameters and inputs) hold one: callers read
+``.grad`` on leaves only. Two nodes turn an array they own into a gradient,
+so their backward runs once per tape, and a second ``backward()`` over it
+raises RuntimeError: ``cross_entropy`` its buffer into the logits' gradient,
+``feed_forward`` its hidden activations into the pre-activation's. Every
+other array a node saves lives as long as the tape.
 """
 
 from __future__ import annotations
@@ -245,6 +250,8 @@ def backward(loss: Tensor):
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            if node is not loss:  # spent: only the root and leaves keep one
+                node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +556,9 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
 
     One tape node; equal to the composition of matmul, add, relu, matmul and
     add. x: [..., d]; w1: [d, ff]; b1: [ff]; w2: [ff, d_out]; b2: [d_out].
+    The backward writes the pre-activation's gradient into the [N, ff]
+    hidden array after reading w2's gradient and the ReLU mask from it, so
+    it runs once per tape.
     """
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     if (x.data.ndim < 1 or w1.data.ndim != 2 or w2.data.ndim != 2
@@ -570,11 +580,18 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     out_data += b2.data
 
     def grad_fn(g):
+        nonlocal hidden
+        if hidden is None:
+            raise RuntimeError("feed_forward: backward already ran; its "
+                               "hidden array is now the pre-activation's "
+                               "gradient")
         g = g.reshape(-1, d_out)
         _accumulate(b2, g.sum(axis=0))
         _accumulate(w2, hidden.T @ g)
-        dpre = g @ w2.data.T
-        dpre *= hidden > 0.0
+        mask = hidden > 0.0
+        dpre, hidden = hidden, None  # g @ w2^T goes into the hidden array
+        np.matmul(g, w2.data.T, out=dpre)
+        dpre *= mask
         _accumulate(b1, dpre.sum(axis=0))
         _accumulate(w1, x2.T @ dpre)
         _accumulate(x, (dpre @ w1.data.T).reshape(x.data.shape))

@@ -32,6 +32,7 @@ from strokegen.model import (
     init_encoder_params,
     positional_encoding,
 )
+from strokegen.training import batch_loss
 
 from conftest import (
     finite_difference_grad,
@@ -238,18 +239,6 @@ class TestCrossEntropy:
         assert t3.grad.shape == (3, 4, 9)
         assert np.array_equal(t3.grad.reshape(12, 9), t2.grad)
 
-    def test_second_backward_over_the_same_tape_raises(self):
-        # the first backward hands the node's buffer to the logits as their
-        # gradient; a second one must not divide and publish it again
-        rng = np.random.default_rng(17)
-        logits = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        loss = cross_entropy(logits, rng.integers(0, 6, 4))
-        loss.backward()
-        first = logits.grad.copy()
-        with pytest.raises(RuntimeError, match="backward already ran"):
-            loss.backward()
-        assert np.array_equal(logits.grad, first)
-
     def test_batched_gradient(self):
         rng = np.random.default_rng(14)
         targets = rng.integers(0, 5, (2, 3))
@@ -341,6 +330,26 @@ class TestBackward:
             y = mul(x, x)
         assert not y.requires_grad
         assert y._parents == ()
+
+    @pytest.mark.parametrize("node", ["cross_entropy", "feed_forward"])
+    def test_second_backward_over_the_same_tape_raises(self, node):
+        # the first backward turns an array the node owns into a gradient:
+        # cross_entropy's buffer becomes the logits' gradient, feed_forward's
+        # hidden activations the pre-activation's. A second one must not
+        # reuse it, nor change the leaf's gradient before it raises.
+        rng = np.random.default_rng(17)
+        if node == "cross_entropy":
+            leaf = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+            loss = cross_entropy(leaf, rng.integers(0, 6, 4))
+        else:
+            x, *weights = ff_operands(rng, np.float64)
+            leaf = Tensor(x, requires_grad=True)
+            loss = reduce_sum(feed_forward(leaf, *map(Tensor, weights)))
+        loss.backward()
+        first = leaf.grad.copy()
+        with pytest.raises(RuntimeError, match="backward already ran"):
+            loss.backward()
+        assert np.array_equal(leaf.grad, first)
 
 
 class TestFiniteChecks:
@@ -790,32 +799,42 @@ class TestEncoderAgainstPublicOps:
 
 # -- gradient ownership: first write stores, later writes rebind ----------------
 
-def backward_checking_ownership(loss) -> int:
-    """Backward that asserts no backward changed an earlier node's .grad.
+def tape_of(loss) -> list[Tensor]:
+    """Every node of the tape below ``loss``, the root included."""
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward_fn is not None:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
 
-    A node's .grad is final when its backward runs: snapshot it then and
-    compare after the whole pass. Returns the number of nodes checked.
+
+def backward_checking_ownership(loss) -> int:
+    """Backward that asserts no backward changed the gradient an earlier
+    node received, and that every node but the root released its own.
+
+    A node's gradient is final when its backward runs: keep that array and
+    a copy, and compare them after the whole pass. The node's .grad is None
+    by then, so nothing accumulated into it once it was spent. Returns the
+    number of nodes checked.
     """
     snapshots = []
 
     def snapshotting(node, fn):
         def run(g):
-            snapshots.append((node, g.copy()))
+            snapshots.append((node, g, g.copy()))
             fn(g)
         return run
 
-    stack, seen = [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-        if node._backward_fn is not None:
-            node._backward_fn = snapshotting(node, node._backward_fn)
+    for node in tape_of(loss):
+        node._backward_fn = snapshotting(node, node._backward_fn)
     loss.backward()
-    for node, grad in snapshots:
-        assert np.array_equal(node.grad, grad), node
+    for node, received, copy in snapshots:
+        assert np.array_equal(received, copy), node
+        assert (node.grad is received) if node is loss else (
+            node.grad is None), node
     return len(snapshots)
 
 
@@ -884,6 +903,53 @@ class TestGradientOwnership:
         assert backward_checking_ownership(loss) == tape_nodes_per_loss(config)
 
 
+# -- spent gradients: only the root and the leaves keep one ---------------------
+
+def training_batch(config, batch, seed):
+    params = init_encoder_params(config, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    ids, targets = rng.integers(0, config.vocab_size,
+                                (2, batch, config.seq_len))
+    return params, ids, targets
+
+
+class TestSpentGradients:
+    def test_only_leaves_keep_a_gradient_after_a_training_loss(self):
+        # the desk preset's encoder (d_model 32, 2 layers, 4 heads, d_ff 256)
+        config = ModelConfig(vocab_size=20, seq_len=16, d_model=32, n_layers=2,
+                             n_heads=4, d_ff=256)
+        params, ids, targets = training_batch(config, 4, 50)
+        loss = batch_loss(params, config, ids, targets)
+        nodes = tape_of(loss)
+        loss.backward()
+        for name, p in params.items():
+            assert p.grad is not None and p.grad.shape == p.shape, name
+        assert len(nodes) == tape_nodes_per_loss(config) - 1  # head in loss
+        assert [n for n in nodes if n is not loss and n.grad is not None] == []
+        assert loss.grad == 1.0
+
+    def test_backward_peaks_within_one_node_transient_of_its_entry(self):
+        # full width (d_model 52, d_ff 2048) at 512 positions: the [512, 2048]
+        # float32 hidden array of a feed-forward node (4.2 MB) bounds what
+        # one node's backward makes. Keeping every spent gradient, and a new
+        # array for the feed-forward's pre-activation gradient, peaked at
+        # 7.4 MB above the entry; releasing them peaks at 2.1 MB, mostly the
+        # ReLU mask and weight gradients of one feed-forward node.
+        config = ModelConfig(vocab_size=60, seq_len=32, n_layers=2)
+        params, ids, targets = training_batch(config, 16, 52)
+        transient = ids.size * config.d_ff * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            loss = batch_loss(params, config, ids, targets)
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < transient
+
+
 def tape_nodes_per_loss(config) -> int:
     """Embedding lookup, scale and positional add (3); per layer, one
     attention node and one residual-and-norm node per attention sub-layer,
@@ -899,11 +965,5 @@ def test_tape_nodes_of_one_loss(double_attention):
     params = init_encoder_params(config, np.random.default_rng(46))
     ids = np.random.default_rng(47).integers(0, 7, (2, 5))
     loss = cross_entropy(encoder_forward(ids, params, config), ids)
-    stack, seen = [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen and node._backward_fn is not None:
-            seen.add(id(node))
-            stack.extend(node._parents)
-    assert len(seen) == tape_nodes_per_loss(config) == (
+    assert len(tape_of(loss)) == tape_nodes_per_loss(config) == (
         23 if double_attention else 17)
