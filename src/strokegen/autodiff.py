@@ -30,19 +30,20 @@ tape and one block without, so evaluation never holds the logits array.
 Finite checks: by default every op checks its output, and the fused nodes
 and the pair-form loss the intermediates named above, for NaN/Inf; a
 violation raises NonFiniteError, naming the op, the output or checked
-intermediate and its shape, instead of propagating. ``checked_once``, which
-``model.encoder_forward`` and ``training.batch_loss`` run through, defers
-the checks of op outputs (``deferred_checks``) and checks the forward's
-result once. A NaN or an infinity in the encoder reaches that result unless
-an op hides it, in one of four places: ReLU and exp map -inf to 0 in the
+intermediate and its shape, instead of propagating. ``model.encoder_forward``
+and ``training.batch_loss`` run through ``checked_once``, which keeps one
+rule: the forward runs with the op-output checks off and its result is
+checked once; on a NonFiniteError or a non-finite result it runs again with
+every op checked, which raises the per-op error, and the per-op warnings
+under the caller's errstate. The forward changes no state unless its result
+is finite. A NaN or an infinity in the encoder reaches that result unless an
+op hides it, in one of four places: ReLU and exp map -inf to 0 in the
 feed-forward pre-activation, the attention scores and the pair-form logits,
 and an overflowing layer-norm variance zeroes the normalized values. Those
-keep their check while deferred: the first three test their array's min,
-which is NaN or -inf where either is present (a +inf passes through ReLU and
-the max-subtracted exp as +inf or NaN), and the variance, one value per
-position, is scanned in full. On a NonFiniteError or a non-finite result
-``checked_once`` replays the call with every op checked: the replay raises
-the per-op error, and the per-op warnings under the caller's errstate.
+keep their check with the op checks off: the first three test their array's
+min, which is NaN or -inf where either is present (a +inf passes through
+ReLU and the max-subtracted exp as +inf or NaN), and the variance, one value
+per position, is scanned in full.
 
 Gradient ownership: a backward hands its gradient arrays to ``_accumulate``,
 which stores the first one as the tensor's ``.grad`` as is and rebinds on
@@ -91,53 +92,35 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-_op_checks = True  # _make checks every op output (off in deferred_checks)
-_checking = False  # a checked_once call is running
+_op_checks = True  # _make checks every op output; off in checked_once's run
 
 
-@contextmanager
-def deferred_checks():
-    """Skip the finite check of op outputs inside the block; the four checks
-    at the places an op can hide a NaN or an infinity stay (module
-    docstring). Internal to ``checked_once``."""
+def checked_once(run) -> Tensor:
+    """``run()``, a forward returning a Tensor, with the op checks off and
+    its result checked once.
+
+    The one rule: ``run()`` first runs with ``_op_checks`` off, under
+    ``np.errstate(over="ignore", invalid="ignore")``. On a NonFiniteError or
+    a non-finite result it runs once more with every op checked: that replay
+    is the per-op path, so it raises its error and, under the caller's
+    errstate, its warnings. ``run()`` must change no state unless its result
+    is finite. A call made while the op checks are off runs ``run()`` as it
+    is, and the outer call checks.
+    """
     global _op_checks
-    prev = _op_checks
+    if not _op_checks:
+        return run()
     _op_checks = False
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = run()
+        if np.isfinite(out.data).all():
+            return out
+    except NonFiniteError:
+        pass
     finally:
-        _op_checks = prev
-
-
-def checked_once(run, restore=None) -> Tensor:
-    """``run()``, a forward returning a Tensor, with the op checks deferred
-    and its result checked once.
-
-    On a NonFiniteError or a non-finite result, ``restore()`` (if given)
-    undoes the run's side effects and ``run()`` goes again with every op
-    checked: that replay is the per-op path, so it raises its error and,
-    under the caller's errstate, its warnings, which the deferred run does
-    not emit. Inside another ``checked_once`` call ``run()`` runs as it is,
-    and the outer call checks.
-    """
-    global _checking
-    if _checking:
-        return run()
-    _checking = True
-    try:
-        try:
-            with deferred_checks(), np.errstate(over="ignore",
-                                                invalid="ignore"):
-                out = run()
-            if np.isfinite(out.data).all():
-                return out
-        except NonFiniteError:
-            pass
-        if restore is not None:
-            restore()
-        return run()
-    finally:
-        _checking = False
+        _op_checks = True
+    return run()
 
 
 class Tensor:
@@ -180,7 +163,7 @@ def _check_finite(arr: np.ndarray, op: str, what: str = "output",
 def _check_masked(arr: np.ndarray, op: str, what: str,
                   shape: tuple[int, ...] | None = None):
     """``_check_finite`` of an array whose -inf the next step maps to 0; with
-    checks deferred only if its min, NaN or -inf where either is present,
+    the op checks off only if its min, NaN or -inf where either is present,
     is not finite."""
     if _op_checks or not arr.size or not np.isfinite(arr.min()):
         _check_finite(arr, op, what, shape)
@@ -605,7 +588,7 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
     """Residual connection and normalization ``layer_norm(x + y)`` as one node.
 
     x, y: [..., d] of one shape; gain, bias: [d]. The per-position variance
-    is checked, in full also while checks are deferred: when it overflows to
+    is checked, in full also with the op checks off: when it overflows to
     +inf, which its min need not show, the normalized values become 0 and
     the output would be the finite bias.
     """

@@ -230,8 +230,9 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
     computes the head inside the loss.
 
     The forward runs through ``autodiff.checked_once``: its result is checked
-    once, and a failure restores the cache and replays the forward with
-    every op checked, for the error above.
+    once, and a failure replays the forward with every op checked, for the
+    error above. The cache moves only after a step with a finite result, so
+    a failed step leaves it as it was.
     """
     if cache is not None and grad_enabled():
         raise ValueError("encoder_forward with a cache records no tape; "
@@ -243,18 +244,7 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
     if l > config.seq_len:
         raise ValueError(f"sequence length {l} exceeds model limit "
                          f"{config.seq_len}")
-
-    def run():
-        return _forward(ids, params, config, head, cache)
-
-    if cache is None:
-        return checked_once(run)
-    saved = cache.length, cache.buffer
-
-    def restore():
-        cache.length, cache.buffer = saved
-
-    return checked_once(run, restore)
+    return checked_once(lambda: _forward(ids, params, config, head, cache))
 
 
 def _forward(ids: np.ndarray, params: dict[str, Tensor], config: ModelConfig,
@@ -272,7 +262,6 @@ def _forward(ids: np.ndarray, params: dict[str, Tensor], config: ModelConfig,
                 (config.n_layers * n_attn, 2, math.prod(ids.shape[:-1]),
                  config.n_heads, config.seq_len, d // config.n_heads),
                 params["embedding"].data.dtype)
-        cache.length, cache.buffer = 0, None
 
     where = "embedding"
     try:
@@ -303,14 +292,13 @@ def _forward(ids: np.ndarray, params: dict[str, Tensor], config: ModelConfig,
                              params[p + "w2"], params[p + "b2"])
             h = add_layer_norm(h, f, params[p + "norm_gain"],
                                params[p + "norm_bias"])
-        if buffer is not None:
-            cache.length, cache.buffer = l, buffer
-        if not head:
-            return h
         where = "output"
-        return matmul(h, params["output.w"])
+        out = matmul(h, params["output.w"]) if head else h
     except NonFiniteError as exc:
         raise sublayer_error(exc, where, params) from exc
+    if cache is not None and np.isfinite(out.data).all():
+        cache.length, cache.buffer = (0, None) if buffer is None else (l, buffer)
+    return out
 
 
 def sublayer_error(exc, where: str, params) -> NonFiniteError:

@@ -181,6 +181,8 @@ def _sample_lockstep(task) -> list[GenerationResult]:
                 break
             if not going.all():
                 cache.keep(going)
+            if cache.length == seq_len:  # a sliding window cannot extend it
+                cache = KVCache()
             windows = np.concatenate(
                 (windows[going, 1 - seq_len:], tokens[going, None]), axis=1)
     capped = set(active.tolist())
@@ -213,7 +215,8 @@ def generate_images(ckpt: Checkpoint, cfg: SamplerConfig, count: int,
     one ``top_k_sample`` per active image. The first step runs the init
     windows and fills the grid's ``KVCache``; each later step, until the
     windows reach ``seq_len``, extends it by the newest position. Positions
-    are absolute, so a sliding window runs in full and keeps nothing. With
+    are absolute, so a sliding window runs in full and keeps nothing: the
+    grid drops its cache once the windows reach ``seq_len``. With
     ``jobs > 1`` each worker process samples one contiguous chunk of images
     in lockstep.
     """

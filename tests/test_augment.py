@@ -130,6 +130,10 @@ class TestTransformImage:
             Transform.mirror("diagonal")
         with pytest.raises(ValueError):
             Transform("warp")
+        with pytest.raises(ValueError, match="translate needs an offset"):
+            Transform("translate")
+        with pytest.raises(ValueError, match="rotate needs a finite angle"):
+            Transform.rotate(float("nan"))
 
 
 class TestReversePathsRandom:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,10 @@ class TestMatmul:
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         with pytest.raises(ValueError):
             matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 2))))
+        with pytest.raises(ValueError, match=re.escape(
+                "matmul needs [..., n] @ [n, m] or stacked 3-d operands, "
+                "got (3,) @ (3, 2)")):
+            matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
 
 
 class TestElementwise:
@@ -99,6 +104,9 @@ class TestElementwise:
         b = rng.standard_normal(3)
         w = rng.standard_normal((4, 3))
         check_gradients(lambda t, u: reduce_sum(mul(add(t, u), w)), x, b)
+        # a [1, d] operand: the size-1 axis of _unbroadcast
+        check_gradients(lambda t, u: reduce_sum(mul(add(t, u), w)), x,
+                        b[None])
 
     def test_mul_gradient(self):
         rng = np.random.default_rng(3)
@@ -106,6 +114,11 @@ class TestElementwise:
             lambda a, b: reduce_sum(mul(a, b)),
             rng.standard_normal((3, 3)),
             rng.standard_normal((3, 3)),
+        )
+        check_gradients(
+            lambda a, b: reduce_sum(mul(a, b)),
+            rng.standard_normal((4, 3)),
+            rng.standard_normal((1, 3)),
         )
 
     def test_relu_gradient(self):
@@ -298,6 +311,10 @@ class TestEmbedding:
     def test_id_out_of_range(self):
         with pytest.raises(ValueError):
             embedding(Tensor(np.zeros((4, 3))), np.array([4]))
+
+    def test_float_ids_rejected(self):
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            embedding(Tensor(np.zeros((4, 3))), np.array([1.0]))
 
 
 class TestBackward:
@@ -696,6 +713,14 @@ class TestMultiHeadAttention:
             multi_head_attention(x, w, w, Tensor(np.zeros((4, 5))), w, 2, None)
         with pytest.raises(ValueError):
             multi_head_attention(x, w, w, w, w, 3, None)
+
+    def test_last_only_under_a_tape_raises(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        w = Tensor(np.zeros((4, 4)), requires_grad=True)
+        with pytest.raises(ValueError, match=re.escape(
+                "multi_head_attention(last_only=True) and its cache record "
+                "no tape; call it under no_grad()")):
+            multi_head_attention(x, w, w, w, w, 2, None, last_only=True)
 
 
 def node_cases():

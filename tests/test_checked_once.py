@@ -60,7 +60,7 @@ def per_op():
     """The oracle: every op checks its output, and nothing is replayed."""
     with pytest.MonkeyPatch.context() as m:
         for module in (model, training):
-            m.setattr(module, "checked_once", lambda run, restore=None: run())
+            m.setattr(module, "checked_once", lambda run: run())
         yield
 
 
@@ -333,3 +333,29 @@ def test_desk_and_full_shapes_equal_the_per_op_path_bitwise(sizes, seq_len):
     with per_op():
         expected = outcome(run, weights)
     assert outcome(run, weights) == expected
+
+
+def test_a_failed_cached_step_keeps_the_cache_and_the_next_extends_it():
+    params = tensors(BASE)
+    cache = KVCache()
+    with no_grad():
+        for length in (4, 5):
+            encoder_forward(IDS[:, :length], params, CFG, cache=cache)
+        before = cache.buffer
+        kept = before[..., :5, :].copy()
+        clean = params["layer1.ff.w2"]
+        params["layer1.ff.w2"] = Tensor(clean.data.copy())
+        params["layer1.ff.w2"].data.flat[0] = np.nan
+        with pytest.raises(NonFiniteError) as failed:
+            encoder_forward(IDS[:, :6], params, CFG, cache=cache)
+        assert str(failed.value) == (
+            "layer1.ff: feed_forward produced non-finite values in its "
+            "output of shape (2, 1, 8); non-finite parameters: layer1.ff.w2")
+        assert cache.length == 5 and cache.buffer is before
+        assert before[..., :5, :].tobytes() == kept.tobytes()
+
+        params["layer1.ff.w2"] = clean
+        got = encoder_forward(IDS[:, :6], params, CFG, cache=cache).data
+        assert cache.length == 6 and cache.buffer is before
+        full = encoder_forward(IDS[:, :6], params, CFG).data
+    np.testing.assert_allclose(got, full[:, -1:], rtol=0, atol=1e-5)

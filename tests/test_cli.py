@@ -72,6 +72,12 @@ class TestIngest:
         assert len(image.paths[0]) == 1
         assert "path 0: 1 curves" in capsys.readouterr().out
 
+    def test_empty_recording_writes_an_image_with_no_paths(self, tmp_path):
+        rec, out = tmp_path / "empty.json", tmp_path / "empty-img.json"
+        rec.write_text(json.dumps({"strokes": []}))
+        assert main(["ingest", str(rec), "-o", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"boundary": 180.0, "paths": []}
+
     def test_looser_fit_error_fewer_curves(self, tmp_path):
         rec = tmp_path / "r.json"
         assert main(["demo-recording", "curls", "-o", str(rec)]) == 0

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             Polyline(np.array([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize("points, message", [
+        (np.zeros((3, 3)), "polyline points must be [N, 2], got (3, 3)"),
+        ([[0.0, 0.0], [np.nan, 1.0]],
+         "polyline contains non-finite coordinates"),
+    ], ids=["three-columns", "nan"])
+    def test_polyline_rejects_bad_points(self, points, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Polyline(points)
+
     def test_image_rejects_out_of_bounds(self):
         c = [[0, 0], [50, 0], [150, 0], [200, 0]]
         with pytest.raises(ValueError):
@@ -370,3 +380,16 @@ class TestJsonFormats:
     def test_malformed_recording_raises(self):
         with pytest.raises(ValueError):
             load_recording({"nope": []})
+
+    def test_empty_recording_gives_an_image_with_no_paths(self):
+        img = recording_to_image({"strokes": []})
+        assert len(img) == 0 and img.boundary == 180.0
+
+    @pytest.mark.parametrize("data, message", [
+        ([[[[0, 0], [1, 0], [2, 0], [3, 0]]]],
+         "path image must be an object with a 'paths' list"),
+        ({"paths": [[]]}, "path 0: path must contain at least one curve"),
+    ], ids=["list-document", "empty-path"])
+    def test_malformed_path_image_raises(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            image_from_json(data)

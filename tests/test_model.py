@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,12 @@ class TestEncoderForward:
         params, _, _ = tiny_setup()
         with pytest.raises(ValueError):
             encoder_forward(np.zeros(TINY.seq_len + 1, dtype=int), params, TINY)
+
+    def test_rejects_3d_token_ids(self):
+        params, tokens, _ = tiny_setup()
+        with pytest.raises(ValueError, match=re.escape(
+                "token ids must be a 1-d or 2-d integer array")):
+            encoder_forward(tokens[None, None], params, TINY)
 
     def test_rejects_bad_token_id(self):
         params, tokens, _ = tiny_setup()

@@ -213,6 +213,10 @@ class TestGenerateImage:
         parallel = generate_images(micro_ckpt, cfg, 4, jobs=2)
         assert [r.token_ids for r in serial] == [r.token_ids for r in parallel]
 
+    def test_negative_count_rejected(self, micro_ckpt):
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            generate_images(micro_ckpt, SamplerConfig(k=3), -1)
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, micro_ckpt, jobs):
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):

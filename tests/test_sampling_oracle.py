@@ -297,6 +297,26 @@ def test_the_cache_serves_the_growing_steps_only(full_ckpt, monkeypatch):
         len(cached) - 1 - growing)
 
 
+def test_the_grid_drops_its_cache_once_the_windows_are_full(micro_ckpt,
+                                                            monkeypatch):
+    # the step that fills the windows extends the cache; the sliding steps
+    # after it start from an empty one, so none holds keys it cannot use
+    seq_len, forward = micro_ckpt.model.seq_len, sampling.encoder_forward
+    entered: list[tuple[int, int, bool]] = []  # window, length, buffer held
+
+    def recording_forward(windows, *args, cache, **kwargs):
+        entered.append((windows.shape[-1], cache.length,
+                        cache.buffer is not None))
+        return forward(windows, *args, cache=cache, **kwargs)
+
+    monkeypatch.setattr(sampling, "encoder_forward", recording_forward)
+    generate_images(micro_ckpt, SamplerConfig(k=3, seed=0), 2)
+    full = [(length, held) for window, length, held in entered
+            if window == seq_len]
+    assert full[0] == (seq_len - 1, True)
+    assert len(full) > 1 and set(full[1:]) == {(0, False)}
+
+
 def test_first_images_do_not_depend_on_count(micro_ckpt):
     cfg = SamplerConfig(k=3, seed=9)
     five = generate_images(micro_ckpt, cfg, 5)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,11 @@ class TestMovesToImage:
         moves = [(0, 3, 3), (0, -2, 5), IMAGE_END]
         assert moves_to_image(moves) == []
 
+    def test_unknown_pen_state_raises(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown move [5, 1, 1] in move sequence")):
+            moves_to_image([[5, 1, 1]])
+
     def test_tolerates_missing_image_end(self):
         moves = [(0, 1, 1), (1, 4, 0)]
         polylines = moves_to_image(moves)
@@ -152,6 +159,10 @@ class TestVocabulary:
     def test_rejects_oversized_observed_move(self):
         with pytest.raises(ValueError):
             build_vocabulary([[(1, 99, 0)]], max_len=15)
+
+    def test_rejects_no_move_sequences(self):
+        with pytest.raises(ValueError, match="need at least one move sequence"):
+            build_vocabulary([])
 
 
 class TestEncodeDecode:
