@@ -30,10 +30,6 @@ _MIRRORS = {"horizontal": np.diag([1.0, -1.0]), "vertical": np.diag([-1.0, 1.0])
 MIRROR_AXES = tuple(_MIRRORS)
 
 
-class ContainmentError(ValueError):
-    """A translation would push content outside the canvas."""
-
-
 @dataclass(frozen=True)
 class Transform:
     """One whole-image manipulation.
@@ -211,7 +207,7 @@ def _translate(xy: np.ndarray, offsets: np.ndarray,
     bad = ((lo + offsets < -tol) | (hi + offsets > boundary + tol)).any(axis=1)
     if bad.any():
         dx, dy = offsets[np.argmax(bad)].tolist()
-        raise ContainmentError(
+        raise ValueError(
             f"offset ({dx}, {dy}) moves content outside the canvas"
         )
     eye = np.broadcast_to(np.eye(2), (len(xy), 2, 2))

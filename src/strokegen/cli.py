@@ -238,7 +238,15 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
+    out, is_train = args.out, args.command == "train"
+    try:  # an output path the command cannot write is refused before work
+        if is_train and out.exists() and not out.is_dir():
+            raise ValueError(f"output directory {out} is an existing file")
+        if not is_train and out.is_dir():
+            raise ValueError(f"output file {out} is a directory")
+        if not is_train and not out.parent.is_dir():
+            raise ValueError(f"output file {out}: {out.parent} is not a "
+                             f"directory")
         return _COMMANDS[args.command](args)
     except NonFiniteError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -120,19 +120,10 @@ def positional_encoding(length: int, d_model: int,
 
 
 @lru_cache(maxsize=32)
-def causal_mask(length: int) -> np.ndarray:
-    """Boolean [L, L] mask; True where position i may attend to j (j <= i)."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    mask = np.tril(np.ones((length, length), dtype=bool))
-    mask.setflags(write=False)
-    return mask
-
-
-@lru_cache(maxsize=32)
 def causal_bias(length: int, dtype) -> np.ndarray:
-    """Additive [L, L] attention bias: 0 where causal_mask allows, else -inf."""
-    bias = np.where(causal_mask(length), 0.0, -np.inf).astype(dtype)
+    """Read-only additive [L, L] attention bias: 0 where position i may
+    attend to j (j <= i), else -inf."""
+    bias = np.triu(np.full((length, length), -np.inf, dtype=dtype), 1)
     bias.setflags(write=False)
     return bias
 
@@ -221,8 +212,9 @@ def encoder_forward(token_ids: np.ndarray, params: dict[str, Tensor],
     full except the last layer's final attention sub-layer, where only the
     last position queries (the rest of the forward then runs on it alone).
     While shorter than ``seq_len`` it refills the cache with every attention
-    sub-layer's keys and values; a full window, which cannot grow, leaves
-    the cache empty.
+    sub-layer's keys and values. A window that reaches ``seq_len``, whether
+    it extended the cache or ran in full, leaves the cache empty: no later
+    window can extend it.
 
     ``head=False`` stops before the output head and returns the final hidden
     states, [.., L, d_model]. ``training.batch_loss`` passes them with
@@ -297,7 +289,8 @@ def _forward(ids: np.ndarray, params: dict[str, Tensor], config: ModelConfig,
     except NonFiniteError as exc:
         raise sublayer_error(exc, where, params) from exc
     if cache is not None and np.isfinite(out.data).all():
-        cache.length, cache.buffer = (0, None) if buffer is None else (l, buffer)
+        cache.length, cache.buffer = ((l, buffer) if l < config.seq_len
+                                      else (0, None))
     return out
 
 

@@ -181,8 +181,6 @@ def _sample_lockstep(task) -> list[GenerationResult]:
                 break
             if not going.all():
                 cache.keep(going)
-            if cache.length == seq_len:  # a sliding window cannot extend it
-                cache = KVCache()
             windows = np.concatenate(
                 (windows[going, 1 - seq_len:], tokens[going, None]), axis=1)
     capped = set(active.tolist())
@@ -213,12 +211,11 @@ def generate_images(ckpt: Checkpoint, cfg: SamplerConfig, count: int,
     a near-tie could in principle flip. Each step is one ``encoder_forward(...,
     cache=...)`` over the stacked windows of the images still active, then
     one ``top_k_sample`` per active image. The first step runs the init
-    windows and fills the grid's ``KVCache``; each later step, until the
-    windows reach ``seq_len``, extends it by the newest position. Positions
-    are absolute, so a sliding window runs in full and keeps nothing: the
-    grid drops its cache once the windows reach ``seq_len``. With
-    ``jobs > 1`` each worker process samples one contiguous chunk of images
-    in lockstep.
+    windows and fills the grid's ``KVCache``, and each later step extends it
+    by the newest position. A window that reaches ``seq_len`` leaves the
+    cache empty: positions are absolute, so once the windows slide each step
+    runs in full. With ``jobs > 1`` each worker process samples one
+    contiguous chunk of images in lockstep.
     """
     if count < 0:
         raise ValueError("count must be >= 0")

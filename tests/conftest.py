@@ -3,7 +3,8 @@
 The helpers deliberately avoid the library's own code paths: distances are
 measured by dense sampling, gradients by central finite differences.
 ``reference_attention`` keeps the earlier arithmetic of the attention node.
-``micro_ckpt`` is a tiny trained checkpoint for the sampling tests.
+``micro_ckpt`` is a tiny trained checkpoint for the sampling tests, trained
+on ``micro_image()``; ``demo_image`` runs a test on every demo image.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from strokegen.demo import DEMO_KINDS, make_demo_image
 from strokegen.geometry import Path, StrokeImage
 from strokegen.training import TrainConfig, train
 
@@ -50,6 +52,23 @@ def micro_image() -> StrokeImage:
 @pytest.fixture(scope="session")
 def micro_ckpt():
     return train(micro_image(), MICRO_TRAIN)
+
+
+@pytest.fixture(scope="module",
+                params=[(kind, tight) for tight in (False, True)
+                        for kind in DEMO_KINDS],
+                ids=lambda p: p[0] + ("-tight" if p[1] else ""))
+def demo_image(request):
+    """A demo image; on a tight canvas its rotations and patches have to
+    shrink it to fit."""
+    kind, tight = request.param
+    image = make_demo_image(kind)
+    if tight:
+        lo = image.control_array().min(axis=0) - 1.0
+        side = math.ceil((image.control_array().max(axis=0) - lo).max()) + 1.0
+        image = StrokeImage([Path(p.control_array() - lo) for p in image.paths],
+                            side)
+    return image
 
 
 def reverse_path(path: Path) -> Path:

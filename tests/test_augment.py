@@ -5,7 +5,6 @@ import pytest
 
 from strokegen.augment import (
     AugmentConfig,
-    ContainmentError,
     PatchSet,
     Transform,
     generate_patch_set,
@@ -21,17 +20,7 @@ from strokegen.geometry import Path, StrokeImage
 from strokegen.tokenizer import build_vocabulary, image_to_move_sequence
 from strokegen.training import build_stream_batches, tokenize_patches
 
-from conftest import pen_travel
-
-
-def segment_path(x0, y0, x1, y1) -> Path:
-    third = np.array([x1 - x0, y1 - y0]) / 3.0
-    return Path([[
-        [x0, y0],
-        [x0 + third[0], y0 + third[1]],
-        [x0 + 2 * third[0], y0 + 2 * third[1]],
-        [x1, y1],
-    ]])
+from conftest import pen_travel, segment_path
 
 
 def start(path: Path) -> np.ndarray:
@@ -107,7 +96,8 @@ class TestTransformImage:
         assert np.allclose(delta[..., 1], -7.0)
 
     def test_translate_containment_error(self, small_image):
-        with pytest.raises(ContainmentError):
+        with pytest.raises(ValueError,
+                           match="moves content outside the canvas"):
             transform_image(small_image, Transform.translate(100.0, 0.0))
 
     def test_rotation_preserves_arc_length(self, small_image):

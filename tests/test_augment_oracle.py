@@ -5,8 +5,8 @@ every step rebuilt one Path per path (``_apply_affine``, the list-based
 boundary fit, ``_clip_path``) and a StrokeImage between steps, and the
 greedy order visited one patch's paths at a time. A patch set, run as one
 [n, C, 4, 2] array, and its batch of one must reproduce them bit for bit:
-the same control floats, the same PatchParams and the same
-ContainmentError.
+the same control floats, the same PatchParams and the same containment
+error.
 """
 
 import math
@@ -16,14 +16,12 @@ import pytest
 
 from strokegen.augment import (
     AugmentConfig,
-    ContainmentError,
     PatchParams,
     Transform,
     generate_patch_set,
     generate_patch_with_params,
     transform_image,
 )
-from strokegen.demo import DEMO_KINDS, make_demo_image
 from strokegen.geometry import Path, StrokeImage
 
 
@@ -90,7 +88,7 @@ def ref_transform(image, t):
         tol = 1e-9
         if (lo_x + dx < -tol or hi_x + dx > image.boundary + tol
                 or lo_y + dy < -tol or hi_y + dy > image.boundary + tol):
-            raise ContainmentError(
+            raise ValueError(
                 f"offset ({dx}, {dy}) moves content outside the canvas"
             )
         paths = ref_apply_affine(image.paths, np.eye(2), np.array([dx, dy]))
@@ -151,22 +149,6 @@ TRANSFORMS = [
 ]
 
 
-@pytest.fixture(scope="module",
-                params=[(kind, tight) for tight in (False, True)
-                        for kind in DEMO_KINDS],
-                ids=lambda p: p[0] + ("-tight" if p[1] else ""))
-def demo_image(request):
-    """A demo image; on a tight canvas rotation has to shrink it to fit."""
-    kind, tight = request.param
-    image = make_demo_image(kind)
-    if tight:
-        lo = image.control_array().min(axis=0) - 1.0
-        side = math.ceil((image.control_array().max(axis=0) - lo).max()) + 1.0
-        image = StrokeImage([Path(p.control_array() - lo) for p in image.paths],
-                            side)
-    return image
-
-
 @pytest.mark.parametrize("t", TRANSFORMS, ids=repr)
 def test_transform_image_matches_per_path_chain(demo_image, t):
     expected, _ = ref_transform(demo_image, t)
@@ -177,9 +159,9 @@ def test_transform_image_matches_per_path_chain(demo_image, t):
 
 def test_containment_error_matches_per_path_chain(demo_image):
     t = Transform.translate(demo_image.boundary, 0.0)
-    with pytest.raises(ContainmentError) as expected:
+    with pytest.raises(ValueError) as expected:
         ref_transform(demo_image, t)
-    with pytest.raises(ContainmentError) as got:
+    with pytest.raises(ValueError) as got:
         transform_image(demo_image, t)
     assert str(got.value) == str(expected.value)
 

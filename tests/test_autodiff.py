@@ -28,7 +28,6 @@ from strokegen.autodiff import (
 from strokegen.model import (
     ModelConfig,
     causal_bias,
-    causal_mask,
     encoder_forward,
     init_encoder_params,
     positional_encoding,
@@ -602,7 +601,8 @@ class TestMultiHeadAttention:
         arrays = mha_operands(rng, dtype)
         length = arrays[0].shape[1]
         bias = causal_bias(length, dtype) if masked else None
-        mask = causal_mask(length) if masked else None
+        mask = (np.tril(np.ones((length, length), dtype=bool)) if masked
+                else None)
         cotangent = rng.standard_normal(arrays[0].shape).astype(dtype)
         assert_same_node(
             lambda *t: multi_head_attention(*t, 3, bias),
@@ -779,7 +779,8 @@ def reference_encoder_forward(ids, params, config):
             p = f"layer{i}.attn{j}."
             out = mha_composition(h, params[p + "wq"], params[p + "wk"],
                                   params[p + "wv"], params[p + "wo"],
-                                  config.n_heads, causal_mask(l))
+                                  config.n_heads,
+                                  np.tril(np.ones((l, l), dtype=bool)))
             h = add_ln_composition(h, out, params[p + "norm_gain"],
                                    params[p + "norm_bias"])
         p = f"layer{i}.ff."

@@ -444,6 +444,34 @@ def test_negative_seed_exit_2_and_writes_nothing(workdir, tmp_path, capsys,
     assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize("command, work, out, message", [
+    (["ingest", "rec.json", "-o"], "recording_to_image", "missing/img.json",
+     "output file {out}: {tmp}/missing is not a directory"),
+    (["train", "img.json", "--preset", "desk", "-o"], "train", "file",
+     "output directory {out} is an existing file"),
+    (["sample", "run/checkpoint.json", "--out"], "generate_images",
+     "missing/s.svg", "output file {out}: {tmp}/missing is not a directory"),
+    (["augment-preview", "img.json", "--out"], "generate_patch_set", "dir",
+     "output file {out} is a directory"),
+    (["demo-recording", "boxes", "-o"], "make_demo_recording", "file/rec.json",
+     "output file {out}: {tmp}/file is not a directory"),
+], ids=["ingest", "train", "sample", "augment-preview", "demo-recording"])
+def test_a_bad_output_path_exit_2_before_any_work(
+        workdir, tmp_path, monkeypatch, capsys, command, work, out, message):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output was checked")
+
+    monkeypatch.setattr(cli, work, never)
+    (tmp_path / "file").write_text("kept")
+    (tmp_path / "dir").mkdir()
+    args = [str(workdir / a) if a.endswith(".json") else a for a in command]
+    assert main([*args, str(tmp_path / out)]) == 2
+    assert (f"error: {message}\n".format(out=tmp_path / out, tmp=tmp_path)
+            == capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 def one_writer_argv(workdir, out, variant):
     """Each command that is not train writing into ``out``, in one of two
     variants whose outputs differ."""

@@ -9,7 +9,6 @@ from strokegen.autodiff import NonFiniteError, Tensor, cross_entropy, reshape
 from strokegen.model import (
     ModelConfig,
     causal_bias,
-    causal_mask,
     encoder_forward,
     init_encoder_params,
     multi_head_attention,
@@ -71,22 +70,23 @@ class TestPositionalEncoding:
         assert np.array_equal(pe, table.astype(dtype))
 
 
-class TestCausalMask:
+class TestCausalBias:
     def test_length_one(self):
-        assert np.array_equal(causal_mask(1), [[True]])
+        assert np.array_equal(causal_bias(1, np.dtype(np.float64)), [[0.0]])
 
     def test_lower_triangular_counts(self):
-        mask = causal_mask(9)
+        bias = causal_bias(9, np.dtype(np.float64))
         for i in range(9):
-            assert mask[i].sum() == i + 1
+            assert (bias[i] == 0.0).sum() == i + 1
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bias_is_cached_read_only_and_matches_mask(self, dtype):
+    def test_bias_is_cached_read_only_and_matches_tril(self, dtype):
         bias = causal_bias(6, np.dtype(dtype))
         assert bias is causal_bias(6, np.dtype(dtype))
         assert bias.dtype == dtype and not bias.flags.writeable
-        assert np.array_equal(bias == 0.0, causal_mask(6))
-        assert np.all(np.isneginf(bias[~causal_mask(6)]))
+        allowed = np.tril(np.ones((6, 6), dtype=bool))
+        assert np.array_equal(bias == 0.0, allowed)
+        assert np.all(np.isneginf(bias[~allowed]))
 
 
 class TestMultiHeadAttention:
@@ -107,7 +107,7 @@ class TestMultiHeadAttention:
         d, heads, length = 4, 2, 3
         x = rng.standard_normal((length, d))
         wq, wk, wv, wo = (rng.standard_normal((d, d)) for _ in range(4))
-        mask = causal_mask(length)
+        mask = np.tril(np.ones((length, length), dtype=bool))
 
         # independent dense implementation of the attention formula
         hd = d // heads

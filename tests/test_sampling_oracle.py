@@ -146,7 +146,7 @@ def test_cached_steps_match_the_full_window(sizes, seq_len, double):
             window = ids[:, :length]
             cached = encoder_forward(window, params, cfg, cache=cache).data
             full = encoder_forward(window, params, cfg).data
-            assert cache.length == length
+            assert cache.length == (length if length < seq_len else 0)
             assert cached.shape == (len(ids), 1, VOCAB.size)
             np.testing.assert_allclose(cached, full[:, -1:], rtol=0,
                                        atol=1e-5, err_msg=f"length {length}")
@@ -164,10 +164,10 @@ def test_a_window_the_cache_cannot_extend_runs_in_full():
                                         cfg).data[:, -1:]
                 for length in (4, 6, 7, 8)}
         # 6 neither extends a cache of 4 nor fills the window: it refills,
-        # and 7 extends the refilled cache; a full window that does not
-        # extend the cache writes no keys
+        # and 7 extends the refilled cache; a window of 8 leaves the cache
+        # empty, whether it extended the cache or ran in full
         for length, held, extends in ((4, 4, False), (6, 6, False),
-                                      (7, 7, True), (8, 8, True),
+                                      (7, 7, True), (8, 0, False),
                                       (8, 0, False), (8, 0, False)):
             before = cache.buffer
             last = encoder_forward(ids[:, :length], params, cfg,
@@ -293,8 +293,8 @@ def test_the_cache_serves_the_growing_steps_only(full_ckpt, monkeypatch):
     assert positions[::sublayers] == ([half] + [1] * growing + [seq_len] * (
         len(cached) - 1 - growing))
     assert len(positions) == len(cached) * sublayers
-    assert cached == list(range(half, seq_len + 1)) + [0] * (
-        len(cached) - 1 - growing)
+    assert cached == list(range(half, seq_len)) + [0] * (
+        len(cached) - growing)
 
 
 def test_the_grid_drops_its_cache_once_the_windows_are_full(micro_ckpt,

@@ -19,7 +19,6 @@ from strokegen.augment import (
     generate_patch_set,
     generate_patch_with_params,
 )
-from strokegen.demo import DEMO_KINDS, make_demo_image
 from strokegen.geometry import Path, Polyline, StrokeImage, flatten_path
 from strokegen.training import tokenize_patches
 from strokegen.tokenizer import (
@@ -192,22 +191,6 @@ REF_VOCAB = RefVocabulary(MAX_LEN)
 
 
 # -- demo images and their patches ------------------------------------------------
-
-@pytest.fixture(scope="module",
-                params=[(kind, tight) for tight in (False, True)
-                        for kind in DEMO_KINDS],
-                ids=lambda p: p[0] + ("-tight" if p[1] else ""))
-def demo_image(request):
-    """A demo image; on a tight canvas its patches are shrunk to fit."""
-    kind, tight = request.param
-    image = make_demo_image(kind)
-    if tight:
-        lo = image.control_array().min(axis=0) - 1.0
-        side = math.ceil((image.control_array().max(axis=0) - lo).max()) + 1.0
-        image = StrokeImage([Path(p.control_array() - lo) for p in image.paths],
-                            side)
-    return image
-
 
 def assert_image_matches(image, vocab):
     for path in image.paths:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from strokegen.autodiff import NonFiniteError, Tensor
-from strokegen.geometry import Path, StrokeImage
+from strokegen.geometry import StrokeImage
 from strokegen.training import (
     AdamState,
     Checkpoint,
@@ -32,27 +32,7 @@ from strokegen.training import (
 )
 from strokegen.tokenizer import Vocabulary
 
-
-def segment_path(x0, y0, x1, y1) -> Path:
-    t = np.array([x1 - x0, y1 - y0]) / 3.0
-    return Path([[
-        [x0, y0],
-        [x0 + t[0], y0 + t[1]],
-        [x0 + 2 * t[0], y0 + 2 * t[1]],
-        [x1, y1],
-    ]])
-
-
-@pytest.fixture(scope="module")
-def micro_image() -> StrokeImage:
-    return StrokeImage(
-        [
-            segment_path(70, 70, 110, 70),
-            segment_path(110, 70, 110, 110),
-            segment_path(110, 110, 70, 110),
-        ],
-        boundary=180.0,
-    )
+from conftest import micro_image
 
 
 def micro_config(**overrides) -> TrainConfig:
@@ -204,8 +184,8 @@ class TestStreamBatches:
 
 
 @pytest.fixture(scope="module")
-def run(micro_image):
-    return train(micro_image, micro_config())
+def run():
+    return train(micro_image(), micro_config())
 
 
 class TestTrainLoop:
@@ -217,7 +197,7 @@ class TestTrainLoop:
         for s in run.loss_history:
             assert s.train_loss > 0.0 and s.heldout_loss > 0.0
 
-    def test_untrained_loss_near_log_v(self, micro_image, run):
+    def test_untrained_loss_near_log_v(self, run):
         # same shapes as the trained run, but freshly initialized parameters
         from strokegen.model import init_encoder_params
 
@@ -227,44 +207,44 @@ class TestTrainLoop:
             params={k: p.data for k, p in params.items()},
             epoch=0, loss_history=[], rng_state={"seed": 0},
         )
-        patches = heldout_patch_set(run, micro_image)
+        patches = heldout_patch_set(run, micro_image())
         loss = evaluate_held_out(untrained, patches)
         assert loss == pytest.approx(math.log(run.model.vocab_size), rel=0.10)
 
-    def test_deterministic_byte_identical(self, micro_image, run, tmp_path):
-        again = train(micro_image, micro_config())
+    def test_deterministic_byte_identical(self, run, tmp_path):
+        again = train(micro_image(), micro_config())
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_checkpoint(run, a)
         save_checkpoint(again, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_different_seed_differs(self, micro_image, run):
-        other = train(micro_image, micro_config(seed=99))
+    def test_different_seed_differs(self, run):
+        other = train(micro_image(), micro_config(seed=99))
         assert any(
             not np.array_equal(run.params[k], other.params[k])
             for k in run.params
         )
 
-    def test_checkpoint_round_trip_bitwise_loss(self, micro_image, run,
+    def test_checkpoint_round_trip_bitwise_loss(self, run,
                                                 tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(run, path)
         restored = load_checkpoint(path)
-        patches = heldout_patch_set(restored, micro_image)
+        patches = heldout_patch_set(restored, micro_image())
         a = evaluate_held_out(run, patches)
         b = evaluate_held_out(restored, patches)
         assert a == b
 
-    def test_evaluate_is_pure(self, micro_image, run):
-        patches = heldout_patch_set(run, micro_image)
+    def test_evaluate_is_pure(self, run):
+        patches = heldout_patch_set(run, micro_image())
         assert evaluate_held_out(run, patches) == evaluate_held_out(run, patches)
 
-    def test_non_finite_head_names_output_w(self, micro_image, run):
+    def test_non_finite_head_names_output_w(self, run):
         weights = {k: v.copy() for k, v in run.params.items()}
         weights["output.w"][0] = np.nan
         named = (r"^output: cross_entropy produced non-finite values in its "
                  r"logits h @ w of shape .*; non-finite parameters: output\.w$")
-        patches = heldout_patch_set(run, micro_image)
+        patches = heldout_patch_set(run, micro_image())
         with pytest.raises(NonFiniteError, match=named):
             evaluate_held_out(dataclasses.replace(run, params=weights), patches)
         params = {k: Tensor(v, requires_grad=True) for k, v in weights.items()}
@@ -274,16 +254,15 @@ class TestTrainLoop:
             train_step(params, init_adam_state(params), run.model, run.train,
                        window[:, :-1], window[:, 1:])
 
-    def test_fixed_patch_set_regime_runs(self, micro_image):
-        ckpt = train(micro_image, micro_config(fixed_patch_set=6))
+    def test_fixed_patch_set_regime_runs(self):
+        ckpt = train(micro_image(), micro_config(fixed_patch_set=6))
         assert len(ckpt.loss_history) == 2
 
     def test_empty_image_rejected(self):
         with pytest.raises(ValueError):
             train(StrokeImage([], 180.0), micro_config())
 
-    def test_step_tape_is_freed_before_the_next_forward(self, micro_image,
-                                                         monkeypatch):
+    def test_step_tape_is_freed_before_the_next_forward(self, monkeypatch):
         from strokegen import training
 
         forward, loss_fn = training.encoder_forward, training.cross_entropy
@@ -305,15 +284,15 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training, "encoder_forward", watched_forward)
         monkeypatch.setattr(training, "cross_entropy", watched_loss)
-        ckpt = train(micro_image, micro_config())
+        ckpt = train(micro_image(), micro_config())
         steps = ckpt.rng_state["optimizer_steps"]
         assert steps > 1 and len(tape) == 2 * steps
         assert alive == [0] * len(alive)
 
 
 class TestCheckpointFormat:
-    def test_json_round_trip_equality(self, micro_image):
-        ckpt = train(micro_image, micro_config(epochs=1))
+    def test_json_round_trip_equality(self):
+        ckpt = train(micro_image(), micro_config(epochs=1))
         restored = checkpoint_from_json(
             json.loads(json.dumps(checkpoint_to_json(ckpt)))
         )
@@ -415,8 +394,8 @@ class TestCheckpointFormat:
                          ("replace", ino, os.fspath(path)),
                          ("fsync", directory.st_ino, directory.st_size)]
 
-    def test_loss_csv(self, micro_image, tmp_path):
-        ckpt = train(micro_image, micro_config(epochs=2))
+    def test_loss_csv(self, tmp_path):
+        ckpt = train(micro_image(), micro_config(epochs=2))
         path = tmp_path / "loss.csv"
         write_loss_csv(ckpt.loss_history, path)
         lines = path.read_text().strip().splitlines()
