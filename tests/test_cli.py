@@ -449,13 +449,16 @@ def test_negative_seed_exit_2_and_writes_nothing(workdir, tmp_path, capsys,
      "output file {out}: {tmp}/missing is not a directory"),
     (["train", "img.json", "--preset", "desk", "-o"], "train", "file",
      "output directory {out} is an existing file"),
+    (["train", "img.json", "--preset", "desk", "-o"], "train", "file/run",
+     "output directory {out}: {tmp}/file is not a directory"),
     (["sample", "run/checkpoint.json", "--out"], "generate_images",
      "missing/s.svg", "output file {out}: {tmp}/missing is not a directory"),
     (["augment-preview", "img.json", "--out"], "generate_patch_set", "dir",
      "output file {out} is a directory"),
     (["demo-recording", "boxes", "-o"], "make_demo_recording", "file/rec.json",
      "output file {out}: {tmp}/file is not a directory"),
-], ids=["ingest", "train", "sample", "augment-preview", "demo-recording"])
+], ids=["ingest", "train", "train-under-a-file", "sample", "augment-preview",
+        "demo-recording"])
 def test_a_bad_output_path_exit_2_before_any_work(
         workdir, tmp_path, monkeypatch, capsys, command, work, out, message):
     def never(*args, **kwargs):
