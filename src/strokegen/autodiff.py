@@ -45,6 +45,20 @@ min, which is NaN or -inf where either is present (a +inf passes through
 ReLU and the max-subtracted exp as +inf or NaN), and the variance, one value
 per position, is scanned in full.
 
+Two cores: while BLAS runs on one thread (``blas_threads()`` is "1"), a
+node whose largest array holds at least ``_SPLIT_VALUES`` values runs its
+row-independent work in one part per usable core, the caller running one
+part and a small thread pool the others (``_split``). ``feed_forward``, the
+2-d ``matmul`` and ``cross_entropy`` (whole row blocks) split by rows,
+``multi_head_attention`` by batch rows, and weight and bias gradients by
+blocks of output rows or columns, so every output element is computed by
+one part as one core computes it, and results are bitwise those of one
+part. A forward splits only with the op checks off, inside
+``checked_once``'s first run, whose errstate the parts inherit; the per-op
+replay runs in one part and raises and warns as one core does. While BLAS
+may run threads of its own (``OPENBLAS_NUM_THREADS`` unset), nothing
+splits.
+
 Gradient ownership: a backward hands its gradient arrays to ``_accumulate``,
 which stores the first one as the tensor's ``.grad`` as is and rebinds on
 later writes (``grad = grad + g``). Gradients therefore alias one another
@@ -62,7 +76,10 @@ other array a node saves lives as long as the tape.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -121,6 +138,75 @@ def checked_once(run) -> Tensor:
     finally:
         _op_checks = True
     return run()
+
+
+def blas_threads() -> str:
+    """The BLAS thread count the environment pins, or "default"."""
+    return (os.environ.get("OPENBLAS_NUM_THREADS")
+            or os.environ.get("OMP_NUM_THREADS") or "default")
+
+
+# parts a large node runs in: one per usable core while BLAS runs on one
+# thread; BLAS threads of its own would contend with the parts for the cores
+_PARTS = len(os.sched_getaffinity(0)) if blas_threads() == "1" else 1
+# values in a node's largest array below which it runs in one part: split,
+# desk training's nodes (164 K) about break even and sampling's full-window
+# steps (453 K and up) gain (README, "Tensor core")
+_SPLIT_VALUES = 1 << 18
+# fewest gemm rows per part: OpenBLAS rounds products of a few rows
+# differently from the whole (at K = 2 048, blocks of 9 rows or fewer)
+_MIN_ROWS = 32
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid, pool)
+
+
+def _parts(values: int, rows: int) -> int:
+    """Parts of a node whose largest array holds ``values`` values and whose
+    gemms have ``rows`` rows."""
+    if values < _SPLIT_VALUES:
+        return 1
+    return max(1, min(_PARTS, rows // _MIN_ROWS))
+
+
+def _edges(n: int, parts: int) -> list[int]:
+    """Edges of ``parts`` blocks of range(n), their sizes differing by one."""
+    return [n * i // parts for i in range(parts + 1)]
+
+
+def _split(part, edges: list[int]):
+    """``part(lo, hi)`` for each block [lo, hi) of ``edges``, the first in
+    the caller and the others on the pool's threads, each in a copy of the
+    caller's context (numpy's errstate lives there). Every part is joined
+    before this returns or raises; the caller's error comes first.
+
+    Parts write only into slices of arrays the caller allocated, so each
+    output element is computed by one part exactly as one core computes it.
+    """
+    global _pool
+    if len(edges) == 2:
+        return part(*edges)
+    if _pool is None or _pool[0] != os.getpid():
+        # a forked child has none of its parent's pool threads
+        _pool = (os.getpid(), ThreadPoolExecutor(max(1, _PARTS - 1)))
+    blocks = list(zip(edges, edges[1:]))
+    futures = [_pool[1].submit(contextvars.copy_context().run, part, lo, hi)
+               for lo, hi in blocks[1:]]
+    try:
+        part(*blocks[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, parts: int) -> np.ndarray:
+    """``a @ b`` of 2-d operands by blocks of output rows, bitwise the whole
+    product."""
+    if parts == 1:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]), np.result_type(a, b))
+    _split(lambda lo, hi: np.matmul(a[lo: hi], b, out=out[lo: hi]),
+           _edges(a.shape[0], parts))
+    return out
 
 
 class Tensor:
@@ -267,12 +353,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     n, m = b.data.shape
     a2 = a.data.reshape(-1, n)
-    out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + (m,))
+    parts = _parts(a2.shape[0] * m, a2.shape[0])
+    out_data = _matmul(a2, b.data, 1 if _op_checks else parts).reshape(
+        a.data.shape[:-1] + (m,))
 
     def grad_fn(g):
         g2 = g.reshape(-1, m)
-        _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-        _accumulate(b, a2.T @ g2)
+        _accumulate(a, _matmul(g2, b.data.T, parts).reshape(a.data.shape))
+        _accumulate(b, _matmul(a2.T, g2, parts))
 
     return _make(out_data, (a, b), grad_fn)
 
@@ -485,27 +573,37 @@ def cross_entropy(logits, targets: np.ndarray) -> Tensor:
     # block sizes differ by at most one row: a short remainder block could
     # take a BLAS small-matrix kernel that rounds h @ w differently
     count = max(1, -(-n // max(1, _CE_BLOCK_VALUES // v)))
-    edges = [n * i // count for i in range(count + 1)]
+    edges = _edges(n, count)
     rows = np.arange(-(-n // count))
+    parts = min(count, _parts(n * v, n))  # parts of whole row blocks
+    forward_parts = _edges(count, 1 if _op_checks else parts)
     if taped:
-        buf = h2 @ w.data if pair else np.empty((n, v), dtype=dtype)
-    else:
-        buf = np.empty((len(rows), v), dtype=dtype)
+        buf = np.empty((n, v), dtype=dtype)
+    else:  # one scratch block per part
+        buf = np.empty((len(forward_parts) - 1, len(rows), v), dtype=dtype)
     denom = np.empty(n, dtype=dtype)
     row_loss = np.empty(n, dtype=dtype)
-    for start, stop in zip(edges, edges[1:]):
-        zb = eb = buf[start: stop] if taped else buf[: stop - start]
-        if pair:
-            if not taped:
-                np.matmul(h2[start: stop], w.data, out=eb)
-            _check_masked(eb, "cross_entropy", "logits h @ w", shape)
-        else:
-            zb = z[start: stop]
-        np.subtract(zb, zb.max(axis=1, keepdims=True), out=eb)
-        picked = eb[rows[: stop - start], targets[start: stop]]
-        np.exp(eb, out=eb)
-        denom[start: stop] = eb.sum(axis=1)
-        row_loss[start: stop] = np.log(denom[start: stop]) - picked
+
+    def forward(lo, hi):
+        if taped and pair:
+            np.matmul(h2[edges[lo]: edges[hi]], w.data,
+                      out=buf[edges[lo]: edges[hi]])
+        for start, stop in zip(edges[lo: hi], edges[lo + 1: hi + 1]):
+            zb = eb = (buf[start: stop] if taped else
+                       buf[forward_parts.index(lo), : stop - start])
+            if pair:
+                if not taped:
+                    np.matmul(h2[start: stop], w.data, out=eb)
+                _check_masked(eb, "cross_entropy", "logits h @ w", shape)
+            else:
+                zb = z[start: stop]
+            np.subtract(zb, zb.max(axis=1, keepdims=True), out=eb)
+            picked = eb[rows[: stop - start], targets[start: stop]]
+            np.exp(eb, out=eb)
+            denom[start: stop] = eb.sum(axis=1)
+            row_loss[start: stop] = np.log(denom[start: stop]) - picked
+
+    _split(forward, forward_parts)
     out_data = np.asarray(row_loss.mean())
 
     def grad_fn(g):
@@ -515,14 +613,23 @@ def cross_entropy(logits, targets: np.ndarray) -> Tensor:
                                "buffer is now the logits' gradient")
         p, buf = buf, None  # softmax, then the gradient, in the buffer it owns
         scale = g / n
-        for start, stop in zip(edges, edges[1:]):
-            pb = p[start: stop]
-            pb /= denom[start: stop, None]
-            pb[rows[: stop - start], targets[start: stop]] -= 1.0
-            pb *= scale
         if pair:
-            _accumulate(h, (p @ w.data.T).reshape(h.data.shape))
-            _accumulate(w, h2.T @ p)
+            dh = np.empty(h2.shape, np.result_type(p, w.data))
+
+        def backward_rows(lo, hi):
+            for start, stop in zip(edges[lo: hi], edges[lo + 1: hi + 1]):
+                pb = p[start: stop]
+                pb /= denom[start: stop, None]
+                pb[rows[: stop - start], targets[start: stop]] -= 1.0
+                pb *= scale
+            if pair:
+                np.matmul(p[edges[lo]: edges[hi]], w.data.T,
+                          out=dh[edges[lo]: edges[hi]])
+
+        _split(backward_rows, _edges(count, parts))
+        if pair:
+            _accumulate(h, dh.reshape(h.data.shape))
+            _accumulate(w, _matmul(h2.T, p, parts))
         else:
             _accumulate(logits, p.reshape(shape))
 
@@ -554,13 +661,22 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
             f"w1 {w1.data.shape}, b1 {b1.data.shape}, w2 {w2.data.shape}, "
             f"b2 {b2.data.shape}")
     x2 = x.data.reshape(-1, x.data.shape[-1])
-    d_out = w2.data.shape[1]
-    hidden = x2 @ w1.data
-    hidden += b1.data
-    _check_masked(hidden, "feed_forward", "pre-activation x @ w1 + b1")
-    np.maximum(hidden, 0.0, out=hidden)
-    out_data = hidden @ w2.data
-    out_data += b2.data
+    (n, d), (ff, d_out) = x2.shape, w2.data.shape
+    parts = _parts(n * ff, n)
+    hidden = np.empty((n, ff), np.result_type(x2, w1.data))
+    out_data = np.empty((n, d_out), np.result_type(hidden, w2.data))
+
+    def forward(lo, hi):
+        h = hidden[lo: hi]
+        np.matmul(x2[lo: hi], w1.data, out=h)
+        h += b1.data
+        _check_masked(h, "feed_forward", "pre-activation x @ w1 + b1",
+                      hidden.shape)
+        np.maximum(h, 0.0, out=h)
+        np.matmul(h, w2.data, out=out_data[lo: hi])
+        out_data[lo: hi] += b2.data
+
+    _split(forward, _edges(n, 1 if _op_checks else parts))
 
     def grad_fn(g):
         nonlocal hidden
@@ -570,14 +686,29 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                                "gradient")
         g = g.reshape(-1, d_out)
         _accumulate(b2, g.sum(axis=0))
-        _accumulate(w2, hidden.T @ g)
-        mask = hidden > 0.0
+        _accumulate(w2, _matmul(hidden.T, g, parts))
+        mask = np.empty(hidden.shape, bool)
         dpre, hidden = hidden, None  # g @ w2^T goes into the hidden array
-        np.matmul(g, w2.data.T, out=dpre)
-        dpre *= mask
-        _accumulate(b1, dpre.sum(axis=0))
-        _accumulate(w1, x2.T @ dpre)
-        _accumulate(x, (dpre @ w1.data.T).reshape(x.data.shape))
+        dx = np.empty((n, d), np.result_type(dpre, w1.data))
+
+        def rows(lo, hi):
+            np.greater(dpre[lo: hi], 0.0, out=mask[lo: hi])
+            np.matmul(g[lo: hi], w2.data.T, out=dpre[lo: hi])
+            dpre[lo: hi] *= mask[lo: hi]
+            np.matmul(dpre[lo: hi], w1.data.T, out=dx[lo: hi])
+
+        _split(rows, _edges(n, parts))
+        db1 = np.empty(ff, dpre.dtype)
+        dw1 = np.empty((d, ff), np.result_type(x2, dpre))
+
+        def columns(lo, hi):
+            np.add.reduce(dpre[:, lo: hi], axis=0, out=db1[lo: hi])
+            np.matmul(x2.T, dpre[:, lo: hi], out=dw1[:, lo: hi])
+
+        _split(columns, _edges(ff, parts))
+        _accumulate(b1, db1)
+        _accumulate(w1, dw1)
+        _accumulate(x, dx.reshape(x.data.shape))
 
     return _make(out_data.reshape(x.data.shape[:-1] + (d_out,)),
                  (x, w1, b1, w2, b2), grad_fn)
@@ -673,60 +804,92 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                          "record no tape; call it under no_grad()")
     b, hd = math.prod(lead), d // n_heads
     lq = 1 if last_only else l  # query positions
+    keys = l if cache is None else cache[1] + l  # key positions
     scale = 1.0 / math.sqrt(hd)
     x2 = x.data.reshape(b * l, d)
     # q comes out scaled, and so does k @ q^T
     w_qkv = np.concatenate((wq.data * scale, wk.data, wv.data), axis=1)
+    qkv2 = np.empty((b * l, 3 * d), np.result_type(x2, w_qkv))
     # [b, l, 3, heads, hd] -> views q, k, v of [b, heads, l, hd]
-    qkv = (x2 @ w_qkv).reshape(b, l, 3, n_heads, hd)
-    q, k, v = qkv.transpose(2, 0, 3, 1, 4)
-    keys = l  # key positions
-    if cache is not None:
-        buffer, start = cache
-        keys = start + l
-        buffer[:, :, :, start: keys] = qkv[:, :, 1:].transpose(2, 0, 3, 1, 4)
-        k, v = buffer[:, :, :, :keys]
-    if last_only:
-        q = q[..., -1:, :]
+    qkv = qkv2.reshape(b, l, 3, n_heads, hd)
     # scores key-major, a[..., j, i] for query i and key j: the softmax
     # reductions then run across rows, vectorised over the queries
-    a = k @ np.swapaxes(q, -1, -2)
-    _check_masked(a, "multi_head_attention",
-                  "scaled scores q @ k^T / sqrt(hd)")
-    if bias is not None:
-        a += np.ascontiguousarray(bias[keys - lq:].T)
-    a -= a.max(axis=-2, keepdims=True)
-    np.exp(a, out=a)
-    # the sums divide the [b, heads, lq, hd] context, not a
-    sums = a.sum(axis=-2, keepdims=True)
-    ctx = np.swapaxes(a, -1, -2) @ v
-    ctx /= np.swapaxes(sums, -1, -2)
-    ctx = ctx.transpose(0, 2, 1, 3).reshape(b * lq, d)
-    out_data = (ctx @ wo.data).reshape(*lead, lq, d)
+    a = np.empty((b, n_heads, keys, lq), qkv.dtype if cache is None
+                 else np.result_type(qkv, cache[0]))
+    sums = np.empty((b, n_heads, 1, lq), a.dtype)
+    # the context [b * lq, d], heads concatenated; the sums divide it, not a
+    ctx = np.empty((b * lq, d), a.dtype)
+    out_data = np.empty((b * lq, d), np.result_type(ctx, wo.data))
+    bias_t = None if bias is None else np.ascontiguousarray(
+        bias[keys - lq:].T)
+    parts = min(b, _parts(a.size, b * l))  # blocks of batch rows
+
+    def forward(lo, hi):
+        np.matmul(x2[lo * l: hi * l], w_qkv, out=qkv2[lo * l: hi * l])
+        q, k, v = qkv[lo: hi].transpose(2, 0, 3, 1, 4)
+        if cache is not None:
+            buffer, start = cache
+            buffer[:, lo: hi, :, start: keys] = qkv[lo: hi, :, 1:].transpose(
+                2, 0, 3, 1, 4)
+            k, v = buffer[:, lo: hi, :, :keys]
+        if last_only:
+            q = q[..., -1:, :]
+        ab = a[lo: hi]
+        np.matmul(k, np.swapaxes(q, -1, -2), out=ab)
+        _check_masked(ab, "multi_head_attention",
+                      "scaled scores q @ k^T / sqrt(hd)", a.shape)
+        if bias_t is not None:
+            ab += bias_t
+        ab -= ab.max(axis=-2, keepdims=True)
+        np.exp(ab, out=ab)
+        np.add.reduce(ab, axis=-2, keepdims=True, out=sums[lo: hi])
+        c = ctx[lo * lq: hi * lq].reshape(hi - lo, lq, n_heads, hd).transpose(
+            0, 2, 1, 3)
+        np.matmul(np.swapaxes(ab, -1, -2), v, out=c)
+        c /= np.swapaxes(sums[lo: hi], -1, -2)
+        np.matmul(ctx[lo * lq: hi * lq], wo.data,
+                  out=out_data[lo * lq: hi * lq])
+
+    _split(forward, _edges(b, 1 if _op_checks else parts))
+    out_data = out_data.reshape(*lead, lq, d)
     normalised = False
 
     def grad_fn(g):
         nonlocal normalised
-        if not normalised:  # the exponentials become the weights, once
-            np.divide(a, sums, out=a)
-            normalised = True
         g = g.reshape(b * l, d)
-        _accumulate(wo, ctx.T @ g)
-        dctx = (g @ wo.data.T).reshape(b, l, n_heads, hd).transpose(0, 2, 1, 3)
-        dqkv = np.empty_like(qkv)
-        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(a, dctx, out=dv)
-        da = v @ np.swapaxes(dctx, -1, -2)
-        da -= (da * a).sum(axis=-2, keepdims=True)
-        da *= a
-        np.matmul(np.swapaxes(da, -1, -2), k, out=dq)
-        np.matmul(da, q, out=dk)
-        dqkv = dqkv.reshape(b * l, 3 * d)
-        dw = x2.T @ dqkv
+        _accumulate(wo, _matmul(ctx.T, g, parts))
+        dctx = np.empty((b * l, d), np.result_type(g, wo.data))
+        dqkv2 = np.empty_like(qkv2)
+        dqkv = dqkv2.reshape(qkv.shape)
+        # the weights' gradient and a product of it, for its row sums
+        das = np.empty((2,) + a.shape, np.result_type(qkv, dctx))
+        dx = np.empty((b * l, d), np.result_type(dqkv2, w_qkv))
+
+        def batches(lo, hi):
+            rows = slice(lo * l, hi * l)
+            ab, (da, product) = a[lo: hi], das[:, lo: hi]
+            if not normalised:  # the exponentials become the weights, once
+                np.divide(ab, sums[lo: hi], out=ab)
+            np.matmul(g[rows], wo.data.T, out=dctx[rows])
+            dc = dctx[rows].reshape(hi - lo, l, n_heads, hd).transpose(
+                0, 2, 1, 3)
+            q, k, v = qkv[lo: hi].transpose(2, 0, 3, 1, 4)
+            dq, dk, dv = dqkv[lo: hi].transpose(2, 0, 3, 1, 4)
+            np.matmul(ab, dc, out=dv)
+            np.matmul(v, np.swapaxes(dc, -1, -2), out=da)
+            da -= np.multiply(da, ab, out=product).sum(axis=-2, keepdims=True)
+            da *= ab
+            np.matmul(np.swapaxes(da, -1, -2), k, out=dq)
+            np.matmul(da, q, out=dk)
+            np.matmul(dqkv2[rows], w_qkv.T, out=dx[rows])
+
+        _split(batches, _edges(b, parts))
+        normalised = True
+        dw = _matmul(x2.T, dqkv2, parts)
         dw[:, :d] *= scale  # q = x @ (wq * scale)
         _accumulate(wq, dw[:, :d])
         _accumulate(wk, dw[:, d: 2 * d])
         _accumulate(wv, dw[:, 2 * d:])
-        _accumulate(x, (dqkv @ w_qkv.T).reshape(x.data.shape))
+        _accumulate(x, dx.reshape(x.data.shape))
 
     return _make(out_data, (x, wq, wk, wv, wo), grad_fn)

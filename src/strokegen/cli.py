@@ -243,8 +243,8 @@ def main(argv=None) -> int:
         if is_train and out.exists() and not out.is_dir():
             raise ValueError(f"output directory {out} is an existing file")
         # mkdir would fail only after training, under a file ancestor
-        ancestor = next(p for p in out.parents if p.exists())
-        if is_train and not out.exists() and not ancestor.is_dir():
+        ancestor = next(p for p in (out, *out.parents) if p.exists())
+        if is_train and not ancestor.is_dir():
             raise ValueError(f"output directory {out}: {ancestor} is not a "
                              f"directory")
         if not is_train and out.is_dir():

@@ -8,7 +8,6 @@ import base64
 import dataclasses
 import json
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ from .augment import AugmentConfig, PatchSet, generate_patch_set
 from .autodiff import (
     NonFiniteError,
     Tensor,
+    blas_threads,
     checked_once,
     cross_entropy,
     no_grad,
@@ -537,8 +537,7 @@ def train(image: StrokeImage, cfg: TrainConfig, on_epoch=None) -> Checkpoint:
         # the seed and the epoch count are train.seed and epoch
         rng_state={
             "optimizer_steps": adam.step,
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")
-            or os.environ.get("OMP_NUM_THREADS") or "default",
+            "blas_threads": blas_threads(),
         },
         boundary=image.boundary,
     )

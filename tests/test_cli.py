@@ -475,6 +475,24 @@ def test_a_bad_output_path_exit_2_before_any_work(
     assert (tmp_path / "file").read_text() == "kept"
 
 
+def test_an_output_path_with_no_parent_is_checked(workdir, tmp_path,
+                                                  monkeypatch, capsys):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "train", reached)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(Reached):  # "." is a directory: train is reached
+        main(["train", str(workdir / "img.json"), "--preset", "desk",
+              "-o", "."])
+    assert main(["sample", str(workdir / "run" / "checkpoint.json"),
+                 "--out", "/"]) == 2
+    assert capsys.readouterr().err == "error: output file / is a directory\n"
+
+
 def one_writer_argv(workdir, out, variant):
     """Each command that is not train writing into ``out``, in one of two
     variants whose outputs differ."""
